@@ -354,19 +354,9 @@ def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
         _, fields = _range_fields_for_level(stack, p, policy, n_threads)
         part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
         if min_range > 0:
-            keep = part.y >= math.log(min_range)
-            part = tailfit.RangeSamples(
-                pixel_y=part.pixel_y[keep], pixel_x=part.pixel_x[keep],
-                x=part.x[keep], y=part.y[keep], block=part.block[keep],
-            )
+            part = part.select(part.y >= math.log(min_range))
         parts.append(part)
-    return tailfit.RangeSamples(
-        pixel_y=np.concatenate([s.pixel_y for s in parts]),
-        pixel_x=np.concatenate([s.pixel_x for s in parts]),
-        x=np.concatenate([s.x for s in parts]),
-        y=np.concatenate([s.y for s in parts]),
-        block=np.concatenate([s.block for s in parts]),
-    )
+    return tailfit.RangeSamples.concat(parts)
 
 
 def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args):
@@ -374,49 +364,14 @@ def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args)
         return tailfit.fit_mer_pixel_map(samples, (stack.ny, stack.nx))
     ky, kx = _parse_knots(args.knots)
     if args.penalty == "auto":
-        penalty = choose_penalty(samples, (stack.ny, stack.nx), ky, kx,
-                                 args.iters, args.seed)
+        penalty = tailfit.choose_penalty(samples, (stack.ny, stack.nx), ky, kx,
+                                         args.iters, args.seed)
     else:
         penalty = float(args.penalty)
     model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=penalty,
                                    iters=args.iters, seed=args.seed)
     model.fit(samples, (stack.ny, stack.nx))
     return model.to_surface()
-
-
-def choose_penalty(samples: tailfit.RangeSamples, shape, ky: int, kx: int,
-                   iters: int, seed: int,
-                   grid=(0.01, 0.1, 1.0, 10.0, 100.0), n_folds: int = 5) -> float:
-    """Pick the roughness penalty by block-wise cross-validated pinball loss."""
-    blocks = np.unique(samples.block)
-    fold_of_block = {b: i % n_folds for i, b in enumerate(blocks)}
-    folds = np.array([fold_of_block[b] for b in samples.block])
-    best = (math.inf, grid[0])
-    for lam in grid:
-        total = 0.0
-        for f in range(n_folds):
-            train = folds != f
-            if train.all() or not train.any():
-                continue
-            sub = tailfit.RangeSamples(
-                pixel_y=samples.pixel_y[train], pixel_x=samples.pixel_x[train],
-                x=samples.x[train], y=samples.y[train], block=samples.block[train],
-            )
-            model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
-                                           iters=max(60, iters // 3), seed=seed)
-            try:
-                model.fit(sub, shape)
-            except ExrangeError:
-                total = math.inf
-                break
-            beta, theta = model.coefficient_maps()
-            hold = ~train
-            pred = (beta[samples.pixel_y[hold], samples.pixel_x[hold]]
-                    - theta[samples.pixel_y[hold], samples.pixel_x[hold]] * samples.x[hold])
-            total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
-        if (total, lam) < best:
-            best = (total, lam)
-    return best[1]
 
 
 def _cmd_mer(args) -> int:
@@ -497,11 +452,7 @@ def _cmd_pipeline(args) -> int:
             med_maps[p] = ranges.median_range_map(fields, domain)
         part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
         if args.min_range > 0:
-            keep = part.y >= math.log(args.min_range)
-            part = tailfit.RangeSamples(
-                pixel_y=part.pixel_y[keep], pixel_x=part.pixel_x[keep],
-                x=part.x[keep], y=part.y[keep], block=part.block[keep],
-            )
+            part = part.select(part.y >= math.log(args.min_range))
         sample_parts.append(part)
         del fields
 
@@ -516,14 +467,7 @@ def _cmd_pipeline(args) -> int:
     theta[both] = (np.log(med_maps[p_hi][both]) - np.log(med_maps[p_lo][both])) / (x_lo - x_hi)
     _save_map_with_csv(out, "theta_map", theta, domain, stack.dx, "theta")
 
-    samples = tailfit.RangeSamples(
-        pixel_y=np.concatenate([s.pixel_y for s in sample_parts]),
-        pixel_x=np.concatenate([s.pixel_x for s in sample_parts]),
-        x=np.concatenate([s.x for s in sample_parts]),
-        y=np.concatenate([s.y for s in sample_parts]),
-        block=np.concatenate([s.block for s in sample_parts]),
-    )
-    surface = _fit_surface(stack, samples, args)
+    surface = _fit_surface(stack, tailfit.RangeSamples.concat(sample_parts), args)
     _save_map_with_csv(out, "mer_beta", surface.beta, domain, stack.dx, "log-range")
     _save_map_with_csv(out, "mer_theta", surface.theta, domain, stack.dx, "theta")
     pred = tailfit.predict_mer_map(surface, args.predict_p)

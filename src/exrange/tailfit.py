@@ -14,7 +14,10 @@ quadratically inside a kappa band plus a squared-difference roughness
 penalty on each coefficient grid. The smoothing width is annealed over
 three equal-length stages and each stage descends by reweighted penalized
 least squares with a fixed iteration budget, so a fit is a pure function
-of its inputs.
+of its inputs. Every sample at one pixel shares that pixel's design row
+kron(By[iy], Bx[ix]), so the reweighted normal equations are summed per
+pixel rather than per sample; the sample-wise design ``_design`` stays as
+the reference the objective, its gradient and the tests are written on.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -23,7 +26,7 @@ estimation chain per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +82,16 @@ class RangeSamples:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+    @classmethod
+    def concat(cls, parts: Sequence["RangeSamples"]) -> "RangeSamples":
+        """The samples of every part, in order."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
+
+    def select(self, keep: np.ndarray) -> "RangeSamples":
+        """The samples a boolean mask or index array picks out."""
+        return RangeSamples(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
 def collect_samples(range_fields_by_level: dict[float, Sequence],
@@ -249,12 +262,42 @@ def predict_mer_map(surface: MerSurface, p: float) -> np.ndarray:
     return np.exp(surface.beta - surface.theta * loglog_level(p))
 
 
+def _pixel_normal_equations(phi: np.ndarray, pix: np.ndarray, x: np.ndarray,
+                            y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted normal equations D^T W D and D^T W z of the model
+    y = D b - x * (D c), with D the sample design whose row for a sample at
+    flat pixel index ``pix`` is ``phi[pix]``.
+
+    Samples at one pixel share that row, so each Gram block is
+    phi^T diag(s) phi with s the per-pixel sum of w, w*x or w*x^2, and the
+    right-hand side is phi^T applied to per-pixel sums of w*y and w*x*y.
+    Returns the (2nb, 2nb) data block and the (2nb,) right-hand side.
+    """
+    npx = phi.shape[0]
+
+    def per_pixel(v: np.ndarray) -> np.ndarray:
+        return np.bincount(pix, weights=v, minlength=npx)
+
+    def gram(v: np.ndarray) -> np.ndarray:
+        return phi.T @ (per_pixel(v)[:, None] * phi)
+
+    wx = w * x
+    m_bb = gram(w)
+    m_bc = -gram(wx)
+    m_cc = gram(wx * x)
+    data_block = np.block([[m_bb, m_bc], [m_bc.T, m_cc]])
+    rhs = np.concatenate([phi.T @ per_pixel(w * y), -(phi.T @ per_pixel(wx * y))])
+    return data_block, rhs
+
+
 class SplineMerModel:
     """Spatially smooth median regression of log range on log(-log(1-p)).
 
     Estimator-style interface: construct with hyperparameters, ``fit`` on
-    samples, then ``predict`` medians at new levels. ``get_params`` and
-    ``set_params`` follow the usual estimator conventions.
+    samples, then ``coefficient_maps`` or ``to_surface`` for the fitted
+    beta and theta maps (``predict_mer_map`` turns a surface into medians
+    at a level). ``get_params`` and ``set_params`` follow the usual
+    estimator conventions.
     """
 
     def __init__(self, knots_x: int = 8, knots_y: int = 8, penalty: float = 1.0,
@@ -281,7 +324,7 @@ class SplineMerModel:
             setattr(self, k, v)
         return self
 
-    # internal: design matrix for sample pixels
+    # sample-wise design matrix: the reference for objective_and_grad
     def _design(self, samples: RangeSamples, shape: tuple[int, int]) -> sparse.csr_matrix:
         ny, nx = shape
         by = _basis_1d(samples.pixel_y, 0.0, float(ny - 1), self.knots_y)
@@ -334,6 +377,21 @@ class SplineMerModel:
         grad[nb:] += 2.0 * self.penalty * pc
         return loss, grad
 
+    def _grid_bases(self, shape: tuple[int, int]) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """Row basis By (ny, knots_y) and column basis Bx (nx, knots_x) at
+        the pixel centers."""
+        ny, nx = shape
+        by = _basis_1d(np.arange(ny, dtype=np.float64), 0.0, float(ny - 1), self.knots_y)
+        bx = _basis_1d(np.arange(nx, dtype=np.float64), 0.0, float(nx - 1), self.knots_x)
+        return by, bx
+
+    def _pixel_basis(self, shape: tuple[int, int]) -> np.ndarray:
+        """Dense design row of every pixel, shape (ny*nx, knots_y*knots_x):
+        row iy*nx + ix is kron(By[iy], Bx[ix]), the row ``_design`` gives
+        each sample at pixel (iy, ix)."""
+        by, bx = self._grid_bases(shape)
+        return np.kron(by.toarray(), bx.toarray())
+
     def fit(self, samples: RangeSamples, shape: tuple[int, int]) -> "SplineMerModel":
         """Minimize the annealed smoothed-pinball objective by
         majorize-minimize: each iteration reweights the quadratic
@@ -341,6 +399,11 @@ class SplineMerModel:
         solves the penalized normal equations exactly. Every step
         decreases the objective, stiff penalties are handled exactly, and
         a fixed iteration budget keeps the fit deterministic.
+
+        All samples at one pixel share one design row, so the weighted
+        normal equations are summed per pixel (``_pixel_normal_equations``)
+        and cost O(pixels * coefficients^2) per iteration, not
+        O(samples * coefficients^2).
         """
         nb = self.knots_x * self.knots_y
         if samples.n < 2 * nb:
@@ -349,23 +412,23 @@ class SplineMerModel:
             )
         if np.unique(samples.x).size < 2:
             raise DegenerateFitError("all samples share one level; slope unidentifiable")
-        design = self._design(samples, shape)
-        penalty_mat = _roughness_penalty(self.knots_y, self.knots_x)
-        pen_dense = penalty_mat.toarray()
+        phi = self._pixel_basis(shape)
+        pix = samples.pixel_y.astype(np.int64) * shape[1] + samples.pixel_x
+        pen_dense = _roughness_penalty(self.knots_y, self.knots_x).toarray()
         x, y = samples.x, samples.y
         beta0, theta0 = _pooled_median_line(samples)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
         for kappa, n_iter in _kappa_stages(self.iters):
-            params = self._irls_stage(params, design, x, y, kappa, pen_dense, n_iter)
+            params = self._irls_stage(params, phi, pix, x, y, kappa, pen_dense, n_iter)
         self.shape_ = shape
         self.coef_beta_ = params[:nb].copy()
         self.coef_theta_ = params[nb:].copy()
         return self
 
-    def _irls_stage(self, params: np.ndarray, design: sparse.csr_matrix,
+    def _irls_stage(self, params: np.ndarray, phi: np.ndarray, pix: np.ndarray,
                     x: np.ndarray, y: np.ndarray, kappa: float,
                     pen_dense: np.ndarray, n_iter: int) -> np.ndarray:
-        nb = design.shape[1]
+        nb = phi.shape[1]
         dim = 2 * nb
         pen_block = np.zeros((dim, dim))
         pen_block[:nb, :nb] = pen_dense
@@ -373,18 +436,11 @@ class SplineMerModel:
         for _ in range(n_iter):
             b = params[:nb]
             c = params[nb:]
-            e = y - (design @ b - x * (design @ c))
+            e = y - ((phi @ b)[pix] - x * (phi @ c)[pix])
             # quadratic majorizer weight of the smoothed pinball at e
             w = 1.0 / (2.0 * np.maximum(np.abs(e), kappa))
-            bw = design.multiply(w[:, None]).tocsr()
-            m_bb = (design.T @ bw).toarray()
-            bwx = design.multiply((w * x)[:, None]).tocsr()
-            m_bc = -(design.T @ bwx).toarray()
-            bwx2 = design.multiply((w * x * x)[:, None]).tocsr()
-            m_cc = (design.T @ bwx2).toarray()
-            data_block = np.block([[m_bb, m_bc], [m_bc.T, m_cc]])
+            data_block, rhs = _pixel_normal_equations(phi, pix, x, y, w)
             mat = data_block + 2.0 * self.penalty * pen_block
-            rhs = np.concatenate([design.T @ (w * y), -(design.T @ (w * x * y))])
             # tiny ridge at the data scale only; the penalty trace can be
             # arbitrarily large and must not leak into the null space
             ridge = 1e-10 * float(np.trace(data_block)) / dim
@@ -394,20 +450,12 @@ class SplineMerModel:
 
     def coefficient_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the fitted surfaces at every pixel center."""
-        ny, nx = self.shape_
-        by = _basis_1d(np.arange(ny, dtype=np.float64), 0.0, float(ny - 1), self.knots_y)
-        bx = _basis_1d(np.arange(nx, dtype=np.float64), 0.0, float(nx - 1), self.knots_x)
+        by, bx = self._grid_bases(self.shape_)
         cb = self.coef_beta_.reshape(self.knots_y, self.knots_x)
         ct = self.coef_theta_.reshape(self.knots_y, self.knots_x)
         beta = by @ cb @ bx.T
         theta = by @ ct @ bx.T
         return np.asarray(beta), np.asarray(theta)
-
-    def predict(self, iy, ix, p: float) -> np.ndarray:
-        """Median extremal range at pixels (iy, ix) and level p."""
-        beta, theta = self.coefficient_maps()
-        xval = loglog_level(p)
-        return np.exp(beta[iy, ix] - theta[iy, ix] * xval)
 
     def to_surface(self) -> MerSurface:
         beta, theta = self.coefficient_maps()
@@ -416,6 +464,37 @@ class SplineMerModel:
             knots=(self.knots_y, self.knots_x), penalty=self.penalty,
             coef_beta=self.coef_beta_, coef_theta=self.coef_theta_,
         )
+
+
+def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: int,
+                   iters: int, seed: int,
+                   grid=(0.01, 0.1, 1.0, 10.0, 100.0), n_folds: int = 5) -> float:
+    """Pick the roughness penalty by block-wise cross-validated pinball loss."""
+    blocks = np.unique(samples.block)
+    fold_of_block = {b: i % n_folds for i, b in enumerate(blocks)}
+    folds = np.array([fold_of_block[b] for b in samples.block])
+    best = (math.inf, grid[0])
+    for lam in grid:
+        total = 0.0
+        for f in range(n_folds):
+            train = folds != f
+            if train.all() or not train.any():
+                continue
+            model = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
+                                   iters=max(60, iters // 3), seed=seed)
+            try:
+                model.fit(samples.select(train), shape)
+            except DegenerateFitError:
+                total = math.inf
+                break
+            beta, theta = model.coefficient_maps()
+            hold = ~train
+            pred = (beta[samples.pixel_y[hold], samples.pixel_x[hold]]
+                    - theta[samples.pixel_y[hold], samples.pixel_x[hold]] * samples.x[hold])
+            total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
+        if (total, lam) < best:
+            best = (total, lam)
+    return best[1]
 
 
 def _pooled_median_line(samples: RangeSamples) -> tuple[float, float]:

@@ -178,3 +178,25 @@ def test_jackknife_subcommand(sim_dir, tmp_path):
     se, _ = load_map(tmp_path / "se_theta.f32")
     assert (se >= 0).all()
     assert se.max() > 0
+
+
+def test_mer_penalty_auto_picks_from_grid(sim_dir, tmp_path, monkeypatch):
+    from exrange import tailfit
+
+    picked = []
+    choose = tailfit.choose_penalty
+
+    def recording_choose(*args, **kwargs):
+        picked.append(choose(*args, **kwargs))
+        return picked[-1]
+
+    monkeypatch.setattr(tailfit, "choose_penalty", recording_choose)
+    base = ["mer", "--in", str(sim_dir), "--levels", "0.85,0.9,0.95",
+            "--knots", "4x4", "--iters", "30"]
+    assert main(base + ["--out", str(tmp_path / "auto"), "--penalty", "auto"]) == 0
+    assert len(picked) == 1 and picked[0] in (0.01, 0.1, 1.0, 10.0, 100.0)
+    # the chosen value is the one the final fit used
+    assert main(base + ["--out", str(tmp_path / "fixed"),
+                        "--penalty", repr(picked[0])]) == 0
+    for name in ("mer_beta.csv", "mer_theta.csv"):
+        assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()

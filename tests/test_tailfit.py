@@ -374,3 +374,92 @@ def test_consistency_check_validation():
     rows = consistency_check_theta(sim, [40], gamma=0.9, p0=0.5)
     assert rows[0].n == 40
     assert 0.5 < rows[0].p_n < 1.0
+
+
+def _non_square_samples(rng, ny=7, nx=11, n=400):
+    """Samples on half of an ny-by-nx grid's pixels, several on most of
+    them, so the per-pixel sums see repeats and empty pixels."""
+    occupied = rng.choice(ny * nx, size=ny * nx // 2, replace=False)
+    flat = rng.choice(occupied, size=n)
+    x = np.array([loglog_level(p) for p in (0.85, 0.9, 0.95, 0.98)])[rng.integers(0, 4, n)]
+    iy, ix = flat // nx, flat % nx
+    y = 1.2 + 0.05 * ix - (0.4 + 0.02 * iy) * x + 0.3 * rng.laplace(size=n)
+    samples = RangeSamples(pixel_y=iy, pixel_x=ix, x=x, y=y,
+                           block=rng.integers(0, 5, n))
+    counts = np.bincount(flat, minlength=ny * nx)
+    assert (counts == 0).any() and (counts > 1).any()
+    return samples
+
+
+def test_spline_pixel_normal_equations_match_sample_design():
+    # non-square grid and knots: a By/Bx swap in the pixel basis would
+    # fail here while passing on square problems
+    from exrange.tailfit import _pixel_normal_equations
+
+    rng = np.random.default_rng(53)
+    ny, nx = 7, 11
+    samples = _non_square_samples(rng, ny, nx)
+    model = SplineMerModel(knots_x=6, knots_y=5)
+    w = rng.uniform(0.1, 5.0, samples.n)
+    data_block, rhs = _pixel_normal_equations(
+        model._pixel_basis((ny, nx)), samples.pixel_y * nx + samples.pixel_x,
+        samples.x, samples.y, w,
+    )
+    d = model._design(samples, (ny, nx)).toarray()
+    dc = -samples.x[:, None] * d  # d(prediction)/dc
+    full = np.hstack([d, dc])
+    expected_block = full.T @ (w[:, None] * full)
+    expected_rhs = full.T @ (w * samples.y)
+    assert np.abs(data_block - expected_block).max() <= 1e-10 * np.abs(expected_block).max()
+    assert np.abs(rhs - expected_rhs).max() <= 1e-10 * np.abs(expected_rhs).max()
+
+
+def test_spline_mm_iterations_never_increase_objective(monkeypatch):
+    # the MM guarantee, checked on the live fitter's iterates with the
+    # sample-wise objective that the gradient tests validate
+    from exrange.tailfit import _kappa_stages, _pooled_median_line, _roughness_penalty
+
+    rng = np.random.default_rng(54)
+    ny, nx = 7, 11
+    samples = _non_square_samples(rng, ny, nx)
+    model = SplineMerModel(knots_x=6, knots_y=5, penalty=0.3, iters=30)
+    iterates = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        iterates.append(solve(a, b))
+        return iterates[-1]
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    model.fit(samples, (ny, nx))
+    monkeypatch.undo()
+    assert len(iterates) == model.iters
+    assert np.array_equal(iterates[-1], np.r_[model.coef_beta_, model.coef_theta_])
+
+    design = model._design(samples, (ny, nx))
+    pen = _roughness_penalty(5, 6)
+    beta0, theta0 = _pooled_median_line(samples)
+    path = [np.r_[np.full(30, beta0), np.full(30, theta0)]] + iterates
+    start = 0
+    for kappa, n_iter in _kappa_stages(model.iters):
+        # each stage starts from the previous stage's last iterate
+        objective = [
+            model.objective_and_grad(p, design, samples.x, samples.y, kappa, pen)[0]
+            for p in path[start:start + n_iter + 1]
+        ]
+        start += n_iter
+        for before, after in zip(objective, objective[1:]):
+            assert after <= before + 1e-9 * abs(before)
+
+
+def test_range_samples_select_and_concat():
+    rng = np.random.default_rng(55)
+    samples = _non_square_samples(rng)
+    keep = samples.y > np.median(samples.y)
+    parts = [samples.select(keep), samples.select(~keep)]
+    assert parts[0].n + parts[1].n == samples.n
+    joined = RangeSamples.concat(parts)
+    order = np.r_[np.flatnonzero(keep), np.flatnonzero(~keep)]
+    for name in ("pixel_y", "pixel_x", "x", "y", "block"):
+        assert np.array_equal(getattr(joined, name), getattr(samples, name)[order])
+        assert getattr(joined, name).dtype == getattr(samples, name).dtype
