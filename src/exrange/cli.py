@@ -33,6 +33,8 @@ EXIT_IO = 4
 EXIT_COMPUTE = 5
 
 DEFAULT_LEVELS = "0.85:0.98:0.01"
+HIST_HEADER = ["p", "bin_left", "bin_right", "count"]
+IVDENS_HEADER = ["p", "c0", "c1", "c2", "slope_pred"]
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:
@@ -61,6 +63,14 @@ def _parse_levels(spec: str) -> list[float]:
     levels = _parse_grid(spec, "levels")
     if levels[0] <= 0 or levels[-1] >= 1:
         raise ValueError(f"levels must lie strictly inside (0,1), got {levels}")
+    return levels
+
+
+def _parse_fit_levels(spec: str) -> list[float]:
+    """Levels of a θ fit: θ is a slope over levels, so one level cannot identify it."""
+    levels = _parse_levels(spec)
+    if len(levels) < 2:
+        raise ValueError(f"--levels needs at least two levels for a theta fit, got {levels}")
     return levels
 
 
@@ -174,6 +184,66 @@ def _default_radii(stack: raster.RasterStack) -> list[float]:
     return radii
 
 
+def _cdf_rows(fields, domain: raster.DomainMask, radii, dx: float) -> list:
+    """One level's ECDF: r, F(r) and the exceedance count behind F(r)."""
+    est = ranges.ecdf(fields, domain, radii, dx)
+    return [[float(r), float(f), int(n)] for r, f, n in zip(est.radii, est.F, est.n_exceed)]
+
+
+def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
+    r_max = ranges.domain_inradius(stack.domain(), stack.dx)
+    return np.arange(0.0, r_max + stack.dx, stack.dx)
+
+
+def _hist_rows(p: float, fields, domain: raster.DomainMask, edges: np.ndarray) -> list:
+    """One level's histogram of the pooled positive in-domain ranges."""
+    vals = np.concatenate([rf.r[domain.inside & (rf.r > 0)] for rf in fields])
+    counts, _ = np.histogram(vals, bins=edges)
+    return [[_fmt_p(p), float(lo), float(hi), int(c)]
+            for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
+
+
+def _ivdens_row(stack: raster.RasterStack, p: float,
+                thr: thresholds.ThresholdField) -> list:
+    """One level's intrinsic-volume densities of the ERODE masks and the
+    CDF slope they predict."""
+    masks = [
+        thresholds.excursion_mask(stack, t, thr, BoundaryPolicy.ERODE)
+        for t in range(stack.nt)
+    ]
+    dens = geometry.intrinsic_densities(
+        (stack.values[t] for t in range(stack.nt)), masks, thr, stack.domain(), stack.dx
+    )
+    slope = geometry.cdf_slope(dens.c1, dens.c2) if dens.c2 > 0 else float("nan")
+    return [_fmt_p(p), dens.c0, dens.c1, dens.c2, slope]
+
+
+def _two_level_theta(p1: float, med1: np.ndarray, p2: float, med2: np.ndarray) -> np.ndarray:
+    """θ from the median range maps at two levels; 0 where either is 0."""
+    theta = np.zeros_like(med1)
+    both = (med1 > 0) & (med2 > 0)
+    x_diff = tailfit.loglog_level(p1) - tailfit.loglog_level(p2)
+    theta[both] = (np.log(med2[both]) - np.log(med1[both])) / x_diff
+    return theta
+
+
+def _level_samples(p: float, fields, domain: raster.DomainMask, blocks,
+                   min_range: float) -> tailfit.RangeSamples:
+    part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
+    return part.select(part.y >= math.log(min_range)) if min_range > 0 else part
+
+
+def _save_fit_maps(out: Path, surface: tailfit.MerSurface, stack: raster.RasterStack,
+                   predict_p: float | None) -> None:
+    domain = stack.domain()
+    _save_map_with_csv(out, "mer_beta", surface.beta, domain, stack.dx, "log-range")
+    _save_map_with_csv(out, "mer_theta", surface.theta, domain, stack.dx, "theta")
+    if predict_p is not None:
+        pred = tailfit.predict_mer_map(surface, predict_p)
+        _save_map_with_csv(out, f"mer_p{_fmt_p(predict_p)}", pred, domain,
+                           stack.dx, stack.unit)
+
+
 def _load_blocks(path: str, nt: int) -> np.ndarray:
     ids = []
     for line in Path(path).read_text().splitlines():
@@ -253,12 +323,8 @@ def _cmd_cdf(args) -> int:
     out = Path(args.out)
     for p in _parse_levels(args.p):
         _, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        est = ranges.ecdf(fields, domain, radii, stack.dx)
-        rows = [
-            [float(r), float(f_val), int(n_exc)]
-            for r, f_val, n_exc in zip(est.radii, est.F, est.n_exceed)
-        ]
-        _write_csv(out / f"cdf_p{_fmt_p(p)}.csv", ["r", "F", "n_exceed"], rows)
+        _write_csv(out / f"cdf_p{_fmt_p(p)}.csv", ["r", "F", "n_exceed"],
+                   _cdf_rows(fields, domain, radii, stack.dx))
     return 0
 
 
@@ -267,17 +333,12 @@ def _cmd_hist(args) -> int:
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
-    r_max = ranges.domain_inradius(domain, stack.dx)
-    edges = np.arange(0.0, r_max + stack.dx, stack.dx)
-    out = Path(args.out)
+    edges = _hist_edges(stack)
     rows = []
     for p in _parse_levels(args.p):
         _, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        vals = np.concatenate([rf.r[domain.inside & (rf.r > 0)] for rf in fields])
-        counts, _ = np.histogram(vals, bins=edges)
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            rows.append([_fmt_p(p), float(lo), float(hi), int(c)])
-    _write_csv(out / "hist.csv", ["p", "bin_left", "bin_right", "count"], rows)
+        rows += _hist_rows(p, fields, domain, edges)
+    _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, rows)
     return 0
 
 
@@ -301,38 +362,10 @@ def _cmd_chi(args) -> int:
 
 def _cmd_ivdens(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    domain = stack.domain()
-    out = Path(args.out)
-    rows = []
-    for p in _parse_levels(args.p):
-        thr = thresholds.quantile_field(stack, p)
-        masks = [
-            thresholds.excursion_mask(stack, t, thr, BoundaryPolicy.ERODE)
-            for t in range(stack.nt)
-        ]
-        dens = geometry.intrinsic_densities(
-            (stack.values[t] for t in range(stack.nt)), masks, thr, domain, stack.dx
-        )
-        slope = geometry.cdf_slope(dens.c1, dens.c2) if dens.c2 > 0 else float("nan")
-        rows.append([_fmt_p(p), dens.c0, dens.c1, dens.c2, slope])
-    _write_csv(out / "ivdens.csv", ["p", "c0", "c1", "c2", "slope_pred"], rows)
+    rows = [_ivdens_row(stack, p, thresholds.quantile_field(stack, p))
+            for p in _parse_levels(args.p)]
+    _write_csv(Path(args.out) / "ivdens.csv", IVDENS_HEADER, rows)
     return 0
-
-
-def _theta_map(stack: raster.RasterStack, p1: float, p2: float,
-               policy: BoundaryPolicy, n_threads: int) -> np.ndarray:
-    domain = stack.domain()
-    _, fields1 = _range_fields_for_level(stack, p1, policy, n_threads)
-    med1 = ranges.median_range_map(fields1, domain)
-    del fields1
-    _, fields2 = _range_fields_for_level(stack, p2, policy, n_threads)
-    med2 = ranges.median_range_map(fields2, domain)
-    theta = np.zeros_like(med1)
-    x1 = tailfit.loglog_level(p1)
-    x2 = tailfit.loglog_level(p2)
-    both = (med1 > 0) & (med2 > 0)
-    theta[both] = (np.log(med2[both]) - np.log(med1[both])) / (x1 - x2)
-    return theta
 
 
 def _cmd_theta(args) -> int:
@@ -340,7 +373,14 @@ def _cmd_theta(args) -> int:
     if args.p1 == args.p2:
         raise ValueError("--p1 and --p2 must differ")
     policy = BoundaryPolicy(args.policy)
-    theta = _theta_map(stack, args.p1, args.p2, policy, _threads(args))
+    n_threads = _threads(args)
+    # one level's fields at a time: each list is dropped once its median map is taken
+    med1, med2 = (
+        ranges.median_range_map(_range_fields_for_level(stack, p, policy, n_threads)[1],
+                                stack.domain())
+        for p in (args.p1, args.p2)
+    )
+    theta = _two_level_theta(args.p1, med1, args.p2, med2)
     _save_map_with_csv(Path(args.out), "theta_map", theta, stack.domain(), stack.dx, "theta")
     return 0
 
@@ -348,15 +388,11 @@ def _cmd_theta(args) -> int:
 def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
                          policy: BoundaryPolicy, n_threads: int,
                          blocks=None, min_range: float = 0.0) -> tailfit.RangeSamples:
-    parts = []
-    domain = stack.domain()
-    for p in levels:
-        _, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
-        if min_range > 0:
-            part = part.select(part.y >= math.log(min_range))
-        parts.append(part)
-    return tailfit.RangeSamples.concat(parts)
+    return tailfit.RangeSamples.concat([
+        _level_samples(p, _range_fields_for_level(stack, p, policy, n_threads)[1],
+                       stack.domain(), blocks, min_range)
+        for p in levels
+    ])
 
 
 def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args):
@@ -370,33 +406,24 @@ def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args)
         penalty = float(args.penalty)
     model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=penalty,
                                    iters=args.iters, seed=args.seed)
-    model.fit(samples, (stack.ny, stack.nx))
-    return model.to_surface()
+    return model.fit(samples, (stack.ny, stack.nx)).to_surface()
 
 
 def _cmd_mer(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    levels = _parse_levels(args.levels)
+    levels = _parse_fit_levels(args.levels)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
-    domain = stack.domain()
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
     samples = _collect_all_samples(stack, levels, policy, n_threads, blocks,
                                    args.min_range)
-    surface = _fit_surface(stack, samples, args)
-    out = Path(args.out)
-    _save_map_with_csv(out, "mer_beta", surface.beta, domain, stack.dx, "log-range")
-    _save_map_with_csv(out, "mer_theta", surface.theta, domain, stack.dx, "theta")
-    if args.predict_p is not None:
-        pred = tailfit.predict_mer_map(surface, args.predict_p)
-        _save_map_with_csv(out, f"mer_p{_fmt_p(args.predict_p)}", pred, domain,
-                           stack.dx, stack.unit)
+    _save_fit_maps(Path(args.out), _fit_surface(stack, samples, args), stack, args.predict_p)
     return 0
 
 
 def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    levels = _parse_levels(args.levels)
+    levels = _parse_fit_levels(args.levels)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
@@ -417,62 +444,37 @@ def _cmd_jackknife(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    levels = _parse_levels(args.levels)
+    levels = _parse_fit_levels(args.levels)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
     out = Path(args.out)
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
-    r_max = ranges.domain_inradius(domain, stack.dx)
-    hist_edges = np.arange(0.0, r_max + stack.dx, stack.dx)
+    hist_edges = _hist_edges(stack)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
 
-    cdf_rows, hist_rows, iv_rows = [], [], []
-    sample_parts = []
+    cdf_rows, hist_rows, iv_rows, sample_parts = [], [], [], []
     med_maps = {}
     for p in levels:
         thr, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        est = ranges.ecdf(fields, domain, radii, stack.dx)
-        for r, f_val, n_exc in zip(est.radii, est.F, est.n_exceed):
-            cdf_rows.append([_fmt_p(p), float(r), float(f_val), int(n_exc)])
-        vals = np.concatenate([rf.r[domain.inside & (rf.r > 0)] for rf in fields])
-        counts, _ = np.histogram(vals, bins=hist_edges)
-        for lo, hi, c in zip(hist_edges[:-1], hist_edges[1:], counts):
-            hist_rows.append([_fmt_p(p), float(lo), float(hi), int(c)])
-        masks = [
-            thresholds.excursion_mask(stack, t, thr, BoundaryPolicy.ERODE)
-            for t in range(stack.nt)
-        ]
-        dens = geometry.intrinsic_densities(
-            (stack.values[t] for t in range(stack.nt)), masks, thr, domain, stack.dx
-        )
-        slope = geometry.cdf_slope(dens.c1, dens.c2) if dens.c2 > 0 else float("nan")
-        iv_rows.append([_fmt_p(p), dens.c0, dens.c1, dens.c2, slope])
+        cdf_rows += [[_fmt_p(p), *row] for row in _cdf_rows(fields, domain, radii, stack.dx)]
+        hist_rows += _hist_rows(p, fields, domain, hist_edges)
+        iv_rows.append(_ivdens_row(stack, p, thr))
         if p in (levels[0], levels[-1]):
             med_maps[p] = ranges.median_range_map(fields, domain)
-        part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
-        if args.min_range > 0:
-            part = part.select(part.y >= math.log(args.min_range))
-        sample_parts.append(part)
+        sample_parts.append(_level_samples(p, fields, domain, blocks, args.min_range))
         del fields
 
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
-    _write_csv(out / "hist.csv", ["p", "bin_left", "bin_right", "count"], hist_rows)
-    _write_csv(out / "ivdens.csv", ["p", "c0", "c1", "c2", "slope_pred"], iv_rows)
+    _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)
+    _write_csv(out / "ivdens.csv", IVDENS_HEADER, iv_rows)
 
     p_lo, p_hi = levels[0], levels[-1]
-    theta = np.zeros((stack.ny, stack.nx))
-    both = (med_maps[p_lo] > 0) & (med_maps[p_hi] > 0)
-    x_lo, x_hi = tailfit.loglog_level(p_lo), tailfit.loglog_level(p_hi)
-    theta[both] = (np.log(med_maps[p_hi][both]) - np.log(med_maps[p_lo][both])) / (x_lo - x_hi)
+    theta = _two_level_theta(p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
     _save_map_with_csv(out, "theta_map", theta, domain, stack.dx, "theta")
 
     surface = _fit_surface(stack, tailfit.RangeSamples.concat(sample_parts), args)
-    _save_map_with_csv(out, "mer_beta", surface.beta, domain, stack.dx, "log-range")
-    _save_map_with_csv(out, "mer_theta", surface.theta, domain, stack.dx, "theta")
-    pred = tailfit.predict_mer_map(surface, args.predict_p)
-    _save_map_with_csv(out, f"mer_p{_fmt_p(args.predict_p)}", pred, domain,
-                       stack.dx, stack.unit)
+    _save_fit_maps(out, surface, stack, args.predict_p)
     print(f"pipeline outputs written to {out}")
     return 0
 

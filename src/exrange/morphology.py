@@ -10,9 +10,16 @@ radius, so the cardinality identity
 
 holds exactly for every radius, which downstream CDF estimation relies on.
 
-The transform is the separable lower-envelope algorithm over squared
-distances (a row pass followed by a column-wise envelope pass), vectorized
-across all columns at once. Work is O(nx*ny) amortized.
+The transform is the feature transform of ``scipy.ndimage.distance_transform_edt``
+(the linear-time algorithm of Maurer et al., 2003), which returns, for every
+pixel, the indices (iy, ix) of a nearest false pixel. Its float distances
+are not used: the squared distance is rebuilt in int64 from the indices,
+(y - iy)^2 + (x - ix)^2. The feature transform's Voronoi tests combine
+integer pixel coordinates only (products of order side^3, exact in float64
+for sides up to about 10^5 pixels), so the returned feature is a true
+nearest one. All nearest features of a pixel lie at the same squared
+distance, so d^2 is the exact integer minimum whatever the tie-break
+between equidistant features. Work is O(nx*ny).
 """
 
 from __future__ import annotations
@@ -40,65 +47,6 @@ class RangeField:
         object.__setattr__(self, "r", r)
 
 
-def _row_nearest_false_sq(mask: np.ndarray, inf: int) -> np.ndarray:
-    """Squared distance along each row to the nearest False pixel.
-
-    Returns int64; rows without any False pixel get inf**2.
-    """
-    ny, nx = mask.shape
-    jj = np.arange(nx, dtype=np.int64)
-    false_j = np.where(~mask, jj, -1)
-    left = np.maximum.accumulate(false_j, axis=1)
-    dl = np.where(left >= 0, jj - left, inf)
-    false_jr = np.where(~mask[:, ::-1], jj, -1)
-    right = np.maximum.accumulate(false_jr, axis=1)
-    dr = np.where(right >= 0, jj - right, inf)[:, ::-1]
-    g = np.minimum(dl, dr)
-    return g * g
-
-
-def _envelope_pass_sq(f: np.ndarray) -> np.ndarray:
-    """out[i, j] = min_k f[k, j] + (i - k)^2, exactly, for integer f >= 0.
-
-    Lower envelope of parabolas per column, all columns processed in
-    lockstep. Parabola intersections are evaluated in float64; since all
-    candidate outputs are integers well below 2**53, ties broken by float
-    roundoff cannot change the integer minimum.
-    """
-    n, m = f.shape
-    cols = np.arange(m)
-    v = np.zeros((n, m), dtype=np.int64)       # vertex row of each stacked parabola
-    z = np.full((n + 1, m), -np.inf)           # left boundary of each parabola's reign
-    z[1, :] = np.inf
-    k = np.zeros(m, dtype=np.int64)            # stack top per column
-    qq = np.arange(n, dtype=np.int64)
-    fq_all = f + (qq * qq)[:, None]
-    for q in range(1, n):
-        fq = fq_all[q]
-        while True:
-            vk = v[k, cols]
-            s = (fq - (f[vk, cols] + vk * vk)) / (2.0 * (q - vk))
-            pop = (s <= z[k, cols]) & (k > 0)
-            if not pop.any():
-                break
-            k[pop] -= 1
-        k += 1
-        v[k, cols] = q
-        z[k, cols] = s
-        z[np.minimum(k + 1, n), cols] = np.inf
-    out = np.empty((n, m), dtype=np.int64)
-    k[:] = 0
-    for q in range(n):
-        while True:
-            adv = z[k + 1, cols] < q
-            if not adv.any():
-                break
-            k[adv] += 1
-        vq = v[k, cols]
-        out[q] = (q - vq) ** 2 + f[vq, cols]
-    return out
-
-
 def distance_transform_squared(mask: np.ndarray, edge_is_false: bool = False) -> np.ndarray:
     """Exact integer squared pixel distance to the nearest False pixel.
 
@@ -111,18 +59,18 @@ def distance_transform_squared(mask: np.ndarray, edge_is_false: bool = False) ->
     if mask.ndim != 2:
         raise ValueError(f"mask must be 2-d, got shape {mask.shape}")
     if edge_is_false:
-        padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-        padded[1:-1, 1:-1] = mask
-        return distance_transform_squared(padded, edge_is_false=False)[1:-1, 1:-1]
+        return distance_transform_squared(np.pad(mask, 1), edge_is_false=False)[1:-1, 1:-1]
     if mask.all():
         raise ValueError(
             "mask has no False pixel; distance is undefined "
             "(pass edge_is_false=True to measure distance to the grid edge)"
         )
-    ny, nx = mask.shape
-    inf = ny + nx + 1
-    g2 = _row_nearest_false_sq(mask, inf)
-    return _envelope_pass_sq(g2)
+    from scipy import ndimage  # here, not at start-up: ~70 ms and 1.5 MB other commands skip
+    iy, ix = ndimage.distance_transform_edt(mask, return_distances=False,
+                                            return_indices=True)
+    yy = np.arange(mask.shape[0], dtype=np.int64)[:, None]
+    xx = np.arange(mask.shape[1], dtype=np.int64)[None, :]
+    return (yy - iy) ** 2 + (xx - ix) ** 2
 
 
 def distance_transform(mask: np.ndarray, dx: float = 1.0,
@@ -147,14 +95,9 @@ def erode(mask: np.ndarray, radius: float, dx: float = 1.0,
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     mask = np.asarray(mask, dtype=bool)
-    if radius == 0:
+    if radius == 0 or (mask.all() and not edge_is_false):
         return mask.copy()
-    if mask.all() and not edge_is_false:
-        return mask.copy()
-    if not mask.any():
-        return mask.copy()
-    field = distance_transform(mask, dx=dx, edge_is_false=edge_is_false)
-    return field.r > radius
+    return distance_transform(mask, dx=dx, edge_is_false=edge_is_false).r > radius
 
 
 def dilate(mask: np.ndarray, radius: float, dx: float = 1.0) -> np.ndarray:

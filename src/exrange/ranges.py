@@ -50,14 +50,20 @@ class CdfEstimate:
         object.__setattr__(self, "n_exceed", n_exceed)
 
 
+def _domain_distance(domain: DomainMask, dx: float) -> np.ndarray:
+    """Distance from each pixel center to the nearest center outside the
+    domain, the region outside the grid counting as outside the domain."""
+    d2 = distance_transform_squared(domain.inside, edge_is_false=True)
+    return dx * np.sqrt(d2.astype(np.float64))
+
+
 def domain_inradius(domain: DomainMask, dx: float) -> float:
     """Largest radius r with a nonempty eroded domain T_{-r}.
 
     The region outside the grid counts as outside the domain, matching a
     compact study domain embedded in the plane.
     """
-    d2 = distance_transform_squared(domain.inside, edge_is_false=True)
-    return dx * math.sqrt(int(d2.max()))
+    return float(_domain_distance(domain, dx).max())
 
 
 def eroded_domain(domain: DomainMask, radius: float, dx: float) -> np.ndarray:
@@ -65,10 +71,7 @@ def eroded_domain(domain: DomainMask, radius: float, dx: float) -> np.ndarray:
     complement (grid exterior included)."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    if radius == 0:
-        return domain.inside.copy()
-    d2 = distance_transform_squared(domain.inside, edge_is_false=True)
-    return dx * np.sqrt(d2.astype(np.float64)) > radius
+    return _domain_distance(domain, dx) > radius
 
 
 def range_field(mask: ExcursionMask, domain: DomainMask, dx: float,
@@ -106,12 +109,13 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
         raise ValueError("need at least one radius")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    r_max = domain_inradius(domain, dx)
+    domain_dist = _domain_distance(domain, dx)
+    r_max = float(domain_dist.max())
     if radii[0] <= 0:
         raise ValueError(f"radii must be positive, got {radii[0]}")
     if radii[-1] >= r_max:
         raise ValueError(f"radius {radii[-1]} is not below the domain inradius {r_max}")
-    t_eroded = [eroded_domain(domain, r, dx) for r in radii]
+    t_eroded = [domain_dist > r for r in radii]
     num = np.zeros(radii.size, dtype=np.int64)
     den = np.zeros(radii.size, dtype=np.int64)
     n_fields = 0

@@ -180,6 +180,21 @@ def test_jackknife_subcommand(sim_dir, tmp_path):
     assert se.max() > 0
 
 
+@pytest.mark.parametrize("command", [
+    ["pipeline"], ["mer", "--fit", "pixel"], ["mer", "--fit", "spline"], ["jackknife"],
+], ids=["pipeline", "mer-pixel", "mer-spline", "jackknife"])
+def test_single_level_fit_rejected_before_any_output(sim_dir, tmp_path, capsys, command):
+    # theta is a slope over levels: one level cannot identify it
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(40)))
+    out = tmp_path / "out"
+    code = main(command + ["--in", str(sim_dir), "--out", str(out), "--levels", "0.9",
+                           "--blocks-by", str(blocks)])
+    assert code == 2
+    assert "--levels" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_mer_penalty_auto_picks_from_grid(sim_dir, tmp_path, monkeypatch):
     from exrange import tailfit
 

@@ -57,6 +57,26 @@ def test_three_by_three_center_false():
     assert r[0, 0] == r[0, 2] == r[2, 0] == r[2, 2] == pytest.approx(np.sqrt(2))
 
 
+def edge_shape_masks():
+    """1xn, nx1 and 1x1 masks, and one False pixel at each corner."""
+    rng = np.random.default_rng(43)
+    masks = [np.zeros((1, 1), dtype=bool)]
+    for n in (2, 3, 8, 31):
+        for j in (0, n // 2, n - 1):
+            row = np.ones((1, n), dtype=bool)
+            row[0, j] = False
+            masks += [row, row.T]
+        row = rng.random((1, n)) < 0.6
+        row[0, rng.integers(n)] = False
+        masks += [row, row.T, np.zeros((1, n), dtype=bool)]
+    for ny, nx in ((2, 2), (2, 9), (7, 3), (13, 17)):
+        for cy, cx in ((0, 0), (0, nx - 1), (ny - 1, 0), (ny - 1, nx - 1)):
+            mask = np.ones((ny, nx), dtype=bool)
+            mask[cy, cx] = False
+            masks.append(mask)
+    return masks
+
+
 def test_matches_brute_force_on_random_masks():
     rng = np.random.default_rng(42)
     for _ in range(50):
@@ -65,6 +85,17 @@ def test_matches_brute_force_on_random_masks():
         if mask.all():
             mask[0, 0] = False
         assert np.array_equal(distance_transform_squared(mask), brute_force_sq(mask))
+    for mask in edge_shape_masks():
+        assert np.array_equal(distance_transform_squared(mask), brute_force_sq(mask))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 8)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_all_true_edge_is_false_matches_padded_brute_force(shape):
+    mask = np.ones(shape, dtype=bool)
+    padded = np.pad(mask, 1, constant_values=False)
+    expected = brute_force_sq(padded)[1:-1, 1:-1]
+    assert np.array_equal(distance_transform_squared(mask, edge_is_false=True), expected)
 
 
 def test_dx_homogeneity():

@@ -126,6 +126,34 @@ def test_erosion_identity_pixel_exact():
         assert est.F[j] == pytest.approx(expected, abs=0)
 
 
+@pytest.mark.parametrize("dx", [1.0, 2.5])
+def test_ecdf_counts_on_ragged_domain_with_holes(dx):
+    # one shared domain transform must give the counts of eroded_domain at
+    # every radius, on a ragged outline with nodata holes and dx != 1
+    rng = np.random.default_rng(33)
+    ny, nx = 30, 34
+    inside = np.ones((ny, nx), dtype=bool)
+    for y in range(ny):
+        inside[y, : rng.integers(0, 5)] = False
+        inside[y, nx - rng.integers(0, 5):] = False
+    inside[: rng.integers(1, 4)] = False
+    inside[[12, 12, 13, 20, 21], [10, 11, 10, 24, 24]] = False
+    dom = DomainMask(inside)
+    fields = []
+    for _ in range(5):
+        m = (rng.random((ny, nx)) < 0.7) | ~inside
+        fields.append(range_field(_mask(m), dom, dx=dx))
+    radii = sorted({dx * 1.0, np.sqrt(8), dx * 2.0, dx * np.sqrt(8), dx * 3.0})
+    est = ecdf(fields, dom, radii, dx=dx)
+    assert est.r_max == domain_inradius(dom, dx)
+    for j, r in enumerate(radii):
+        t_er = eroded_domain(dom, r, dx)
+        den = sum(np.count_nonzero(t_er & (rf.r > 0)) for rf in fields)
+        num = sum(np.count_nonzero(t_er & (rf.r > 0) & (rf.r <= r)) for rf in fields)
+        assert est.n_exceed[j] == den > 0
+        assert est.F[j] == num / den
+
+
 def test_cdf_monotone_and_bounded():
     rng = np.random.default_rng(32)
     dom = full_domain(30, 30)
