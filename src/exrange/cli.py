@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, ranges, raster, simgrf, tailfit, thresholds
-from .errors import ExrangeError, StackFormatError
+from .errors import DegenerateFitError, ExrangeError, StackFormatError
 from .thresholds import BoundaryPolicy
 
 EXIT_VALIDATION = 2
@@ -123,11 +123,17 @@ def _threads(args) -> int:
 
 
 def _pmap(fn, items, n_threads: int) -> list:
+    """``[fn(x) for x in items]`` on up to ``n_threads`` threads. Each worker
+    takes one contiguous run of items: one task per item costs more than a
+    small range field."""
     items = list(items)
-    if n_threads <= 1 or len(items) <= 1:
+    n_workers = min(n_threads, len(items))
+    if n_workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as ex:
-        return list(ex.map(fn, items))
+    bounds = [len(items) * k // n_workers for k in range(n_workers + 1)]
+    runs = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max_workers=n_workers) as ex:
+        return [r for run in ex.map(lambda run: [fn(x) for x in run], runs) for r in run]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -228,9 +234,23 @@ def _two_level_theta(p1: float, med1: np.ndarray, p2: float, med2: np.ndarray) -
 
 
 def _level_samples(p: float, fields, domain: raster.DomainMask, blocks,
-                   min_range: float) -> tailfit.RangeSamples:
-    part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
+                   min_range: float) -> tailfit.RangeSamples | None:
+    """One level's samples, or None when the level has no positive range
+    (a high level can have no exceedance at all)."""
+    try:
+        part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
+    except DegenerateFitError:
+        return None
     return part.select(part.y >= math.log(min_range)) if min_range > 0 else part
+
+
+def _pool_samples(parts) -> tailfit.RangeSamples:
+    """The samples of every level that has any; the fit fails only when no
+    level has a sample."""
+    parts = [part for part in parts if part is not None and part.n > 0]
+    if not parts:
+        raise DegenerateFitError("no positive range observations to fit")
+    return tailfit.RangeSamples.concat(parts)
 
 
 def _save_fit_maps(out: Path, surface: tailfit.MerSurface, stack: raster.RasterStack,
@@ -388,7 +408,7 @@ def _cmd_theta(args) -> int:
 def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
                          policy: BoundaryPolicy, n_threads: int,
                          blocks=None, min_range: float = 0.0) -> tailfit.RangeSamples:
-    return tailfit.RangeSamples.concat([
+    return _pool_samples([
         _level_samples(p, _range_fields_for_level(stack, p, policy, n_threads)[1],
                        stack.domain(), blocks, min_range)
         for p in levels
@@ -473,7 +493,7 @@ def _cmd_pipeline(args) -> int:
     theta = _two_level_theta(p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
     _save_map_with_csv(out, "theta_map", theta, domain, stack.dx, "theta")
 
-    surface = _fit_surface(stack, tailfit.RangeSamples.concat(sample_parts), args)
+    surface = _fit_surface(stack, _pool_samples(sample_parts), args)
     _save_fit_maps(out, surface, stack, args.predict_p)
     print(f"pipeline outputs written to {out}")
     return 0

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .raster import RasterStack
 
@@ -40,6 +38,8 @@ def matern_correlation(h, nu: float, ell: float) -> np.ndarray:
     """Matern correlation at distance h (1 at h = 0)."""
     if nu <= 0 or ell <= 0:
         raise ValueError(f"nu and ell must be positive, got nu={nu}, ell={ell}")
+    from scipy.special import gamma as gamma_fn, kv  # here, not at start-up: `pipeline` skips it
+
     h = np.asarray(h, dtype=np.float64)
     x = math.sqrt(2.0 * nu) * h / ell
     out = np.ones_like(x)

@@ -6,18 +6,25 @@ model
 
     log R = beta_s - theta_s * log(-log(1-p)) + error
 
-is fitted either per pixel by exact least-absolute-deviation (candidate
-lines enumerated through sample pairs, so the estimator has no optimizer
-nondeterminism) or jointly over space with tensor-product cubic B-spline
-surfaces for both coefficients, minimizing a median pinball loss smoothed
-quadratically inside a kappa band plus a squared-difference roughness
-penalty on each coefficient grid. The smoothing width is annealed over
-three equal-length stages and each stage descends by reweighted penalized
-least squares with a fixed iteration budget, so a fit is a pure function
-of its inputs. Every sample at one pixel shares that pixel's design row
-kron(By[iy], Bx[ix]), so the reweighted normal equations are summed per
-pixel rather than per sample; the sample-wise design ``_design`` stays as
-the reference the objective, its gradient and the tests are written on.
+is fitted either per pixel by exact least-absolute-deviation or jointly
+over space with tensor-product cubic B-spline surfaces for both
+coefficients, minimizing a median pinball loss smoothed quadratically
+inside a kappa band plus a squared-difference roughness penalty on each
+coefficient grid. The smoothing width is annealed over three equal-length
+stages and each stage descends by reweighted penalized least squares with
+a fixed iteration budget, so a fit is a pure function of its inputs. Every
+sample at one pixel shares that pixel's design row kron(By[iy], Bx[ix]),
+so the reweighted normal equations are summed per pixel rather than per
+sample; the sample-wise design ``_design`` stays as the reference the
+objective, its gradient and the tests are written on.
+
+The per-pixel LAD needs no optimizer either: some optimal line interpolates
+two samples, so the fit is the best line through a sample pair (smallest
+theta, then smallest beta, among ties). Scoring all O(n^2) pair lines
+against n samples costs O(n^3), so ``fit_mer_pixel`` first brackets the
+slope on the convex profiled objective, then scores only the pair lines
+inside the bracket with the float expression of the full enumeration; its
+docstring says why the winner is bit-identical.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -31,7 +38,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import BSpline
 
 from .errors import DegenerateFitError
 from .raster import DomainMask, RasterStack
@@ -137,12 +143,51 @@ def lad_objective(beta: float, theta: float, x: np.ndarray, y: np.ndarray) -> fl
     return float(np.abs(y - (beta - theta * x)).sum())
 
 
-def fit_mer_pixel(x, y) -> tuple[float, float]:
-    """Exact LAD fit of y = beta - theta*x by enumerating candidate lines
-    through all sample pairs with distinct covariates.
+# Elements (lines x samples) of one block of the LAD search: bounds the
+# temporaries of both the profile sampling and the line scoring.
+_LAD_BLOCK = 1 << 15
 
-    Some optimal LAD line interpolates two samples, so the enumeration is
-    exact; ties are broken by smallest theta then smallest beta.
+
+def _lad_profile(x: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """LAD objective with beta profiled out, sum |z - lower median(z)| for
+    z = y + theta*x, at each theta."""
+    z = y[None, :] + thetas[:, None] * x[None, :]
+    k = (x.size - 1) // 2
+    med = np.partition(z, k, axis=1)[:, k]
+    return np.abs(z - med[:, None]).sum(axis=1)
+
+
+def fit_mer_pixel(x, y) -> tuple[float, float]:
+    """Exact LAD fit of y = beta - theta*x: the best line through a pair of
+    samples with distinct covariates.
+
+    Some optimal LAD line interpolates two samples, so the best pair line is
+    exact; ties are broken by smallest theta then smallest beta, and lines
+    equal in all three keep the first pair in ``np.triu_indices`` order.
+
+    The pair lines are not all scored. With beta profiled out, the
+    objective g(theta) = sum |z - median(z)|, z = y + theta*x, is convex, so
+    {g <= g* + tol} is an interval around its minimizers. While the lines
+    in the bracket times n exceed ``_LAD_BLOCK``, g is sampled at about
+    ``_LAD_BLOCK / n`` evenly spaced sorted unique slopes of the bracket;
+    the bracket shrinks to the outer neighbours of the samples within
+    ``tol`` of the sampled minimum, and the search stops when a step does
+    not shrink it (a flat profile). Every pair line whose slope lies in the
+    bracket is then scored with the expression of the full enumeration, in
+    blocks of ``_LAD_BLOCK`` elements.
+
+    The result is bit-identical to scoring every pair line. The line that
+    full scoring picks has an exact profile value at most its exact line
+    objective; that is within float error of its computed objective, which
+    is at most the computed objective of an exactly optimal pair line, in
+    turn within float error of g*. So its slope lies in {g <= g* + slack}.
+    With M = max|y| + max|theta|*max|x| over the candidates, each of those
+    errors, and the error of a computed g, is below about 6*n^2*eps*M, and
+    tol = 32*n^2*eps*M exceeds the slack plus twice the error of a computed
+    g. A dropped sample therefore has g above g* + slack, and convexity puts
+    the minimizers, and with them that line's slope, between the dropped
+    samples. The final bracket thus holds that line, every line in it is
+    scored with the same float expression, and the lexmin picks it again.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -152,20 +197,39 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
         raise DegenerateFitError("need at least two samples")
     if np.unique(x).size < 2:
         raise DegenerateFitError("all samples share one covariate value; slope unidentifiable")
-    ii, jj = np.triu_indices(x.size, k=1)
+    n = x.size
+    ii, jj = np.triu_indices(n, k=1)
     keep = x[ii] != x[jj]
     ii, jj = ii[keep], jj[keep]
-    slope = (y[jj] - y[ii]) / (x[jj] - x[ii])
-    theta_c = -slope
+    theta_c = -(y[jj] - y[ii]) / (x[jj] - x[ii])
     beta_c = y[ii] + theta_c * x[ii]
-    # evaluate candidates in manageable chunks: objective is sum |y - (b - t x)|
+    if theta_c.size * n > _LAD_BLOCK:
+        slopes, counts = np.unique(theta_c, return_counts=True)
+        lines_before = np.r_[0, np.cumsum(counts)]
+        scale = np.abs(y).max() + max(-slopes[0], slopes[-1]) * np.abs(x).max()
+        tol = 32.0 * n * n * np.finfo(np.float64).eps * scale
+        lo, hi = 0, slopes.size - 1
+        # an overflowing slope (or a non-finite sample) makes tol non-finite:
+        # then every line is scored, as by the full enumeration
+        while (np.isfinite(tol) and hi > lo
+               and (lines_before[hi + 1] - lines_before[lo]) * n > _LAD_BLOCK):
+            m = min(max(3, _LAD_BLOCK // n), hi - lo + 1)
+            idx = lo + np.arange(m) * (hi - lo) // (m - 1)
+            g = _lad_profile(x, y, slopes[idx])
+            near = np.flatnonzero(g <= g.min() + tol)
+            new_lo = idx[near[0] - 1] if near[0] > 0 else lo
+            new_hi = idx[near[-1] + 1] if near[-1] < m - 1 else hi
+            if (new_lo, new_hi) == (lo, hi):
+                break
+            lo, hi = new_lo, new_hi
+        inside = (theta_c >= slopes[lo]) & (theta_c <= slopes[hi])
+        theta_c, beta_c = theta_c[inside], beta_c[inside]
     best = (math.inf, math.inf, math.inf)
-    chunk = max(1, int(2_000_000 // max(x.size, 1)))
+    chunk = max(1, _LAD_BLOCK // n)
     for start in range(0, theta_c.size, chunk):
         tc = theta_c[start:start + chunk]
         bc = beta_c[start:start + chunk]
-        resid = y[None, :] - (bc[:, None] - tc[:, None] * x[None, :])
-        obj = np.abs(resid).sum(axis=1)
+        obj = np.abs(y[None, :] - (bc[:, None] - tc[:, None] * x[None, :])).sum(axis=1)
         k = int(np.lexsort((bc, tc, obj))[0])
         cand = (float(obj[k]), float(tc[k]), float(bc[k]))
         if cand < best:
@@ -188,6 +252,7 @@ def _clamped_knots(lo: float, hi: float, n_basis: int, degree: int = 3) -> np.nd
 
 
 def _basis_1d(coords: np.ndarray, lo: float, hi: float, n_basis: int) -> sparse.csr_matrix:
+    from scipy.interpolate import BSpline  # here, not at start-up: ~0.3 s `--fit pixel` skips
     t = _clamped_knots(lo, hi, n_basis)
     x = np.clip(np.asarray(coords, dtype=np.float64), lo, hi)
     return BSpline.design_matrix(x, t, 3).tocsr()

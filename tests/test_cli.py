@@ -215,3 +215,34 @@ def test_mer_penalty_auto_picks_from_grid(sim_dir, tmp_path, monkeypatch):
                         "--penalty", repr(picked[0])]) == 0
     for name in ("mer_beta.csv", "mer_theta.csv"):
         assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()
+
+
+def test_level_without_exceedance_is_skipped(tmp_path):
+    # 40 slices leave no exceedance above the 0.999 quantile: that level adds
+    # no sample, and the fit uses the levels that have some
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "gaussian", "--nx", "10", "--ny", "10",
+                 "--n", "40", "--ell", "4", "--seed", "3", "--out", str(sim)]) == 0
+    base = ["mer", "--in", str(sim), "--fit", "pixel"]
+    assert main(base + ["--out", str(tmp_path / "three"), "--levels", "0.9,0.95,0.999"]) == 0
+    assert main(base + ["--out", str(tmp_path / "two"), "--levels", "0.9,0.95"]) == 0
+    names = sorted(p.name for p in (tmp_path / "two").glob("mer_*"))
+    assert names
+    for name in names:
+        assert (tmp_path / "three" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_import_cli_skips_fit_and_simulation_only_modules():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import exrange
+
+    src = str(Path(exrange.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import exrange.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -41,6 +41,19 @@ def lad_oracle(x, y):
     return best[2], best[1]
 
 
+def lad_enumeration_oracle(x, y):
+    """Score every pair line against every sample in one block: the
+    vectorized full enumeration, with the tie-break of ``fit_mer_pixel``."""
+    ii, jj = np.triu_indices(x.size, k=1)
+    keep = x[ii] != x[jj]
+    ii, jj = ii[keep], jj[keep]
+    tc = -(y[jj] - y[ii]) / (x[jj] - x[ii])
+    bc = y[ii] + tc * x[ii]
+    obj = np.abs(y[None, :] - (bc[:, None] - tc[:, None] * x[None, :])).sum(axis=1)
+    k = int(np.lexsort((bc, tc, obj))[0])
+    return float(bc[k]), float(tc[k])
+
+
 def test_theta_hat_paper_arithmetic():
     # ln(-ln 0.1) = 0.834032, ln(-ln 0.01) = 1.527180; both differences
     # equal -0.693147, so the ratio is exactly 1
@@ -112,6 +125,89 @@ def test_lad_objective_certificate():
             th = -(y[j] - y[i]) / (x[j] - x[i])
             be = y[i] + th * x[i]
             assert obj <= lad_objective(be, th, x, y) + 1e-12
+
+
+def _lad_problem(rng, kind, n):
+    levels = np.log(-np.log(1.0 - np.round(np.arange(0.85, 0.99, 0.01), 2)))
+    if kind == 0:   # ranges on the pixel lattice, sqrt(k)*dx, at 2-14 levels
+        x = rng.choice(levels[:int(rng.integers(2, 15))], n)
+        y = np.log(np.sqrt(rng.integers(1, 40, n)) * rng.choice([1.0, 0.5, 2.5]))
+    elif kind == 1:  # few lattice values: long flat stretches of the profile
+        x = rng.choice(levels[:int(rng.integers(2, 6))], n)
+        y = rng.choice(np.log(np.sqrt([1.0, 2.0, 4.0, 5.0])), n)
+    elif kind == 2:  # rounded normals: ties among covariates and responses
+        x = np.round(rng.standard_normal(n), 2)
+        y = np.round(rng.standard_normal(n), 1)
+    elif kind == 3:  # wide scales
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    else:           # exact lines: the minimum objective is zero
+        x = rng.choice(levels, n)
+        y = rng.normal() - rng.normal() * x
+    return x, y
+
+
+@pytest.mark.parametrize("block", [128, 1024, None], ids=["block128", "block1024", "default"])
+def test_lad_bit_identical_to_full_enumeration(monkeypatch, block):
+    # small blocks force the bracket search on small problems
+    from exrange import tailfit
+
+    if block is not None:
+        monkeypatch.setattr(tailfit, "_LAD_BLOCK", block)
+    rng = np.random.default_rng({128: 61, 1024: 62, None: 63}[block])
+    checked = bracketed = 0
+    while checked < 1000:
+        n = int(rng.integers(2, 41)) if block else int(rng.integers(2, 151))
+        x, y = _lad_problem(rng, checked % 5, n)
+        if np.unique(x).size < 2:
+            continue
+        beta, theta = fit_mer_pixel(x, y)
+        beta_o, theta_o = lad_enumeration_oracle(x, y)
+        assert (beta, theta) == (beta_o, theta_o), (checked, n)
+        assert math.copysign(1.0, theta) == math.copysign(1.0, theta_o)
+        checked += 1
+        bracketed += n * (n - 1) // 2 * n > tailfit._LAD_BLOCK
+    assert bracketed > 500
+
+
+def test_pixel_map_fit_ragged_pixels_match_enumeration():
+    rng = np.random.default_rng(64)
+    levels = np.array([loglog_level(p) for p in (0.85, 0.9, 0.95, 0.98)])
+    ny, nx = 5, 7
+    counts = rng.integers(0, 130, size=ny * nx)
+    counts[[3, 11]] = [1, 2]                     # below min_samples
+    single = [5, 20]                             # one level only
+    counts[single] = [40, 60]
+    pix, xs = [], []
+    for f, c in enumerate(counts):
+        pix.append(np.full(c, f))
+        xs.append(np.full(c, levels[1]) if f in single else rng.choice(levels, c))
+    pix = np.concatenate(pix)
+    order = rng.permutation(pix.size)            # samples arrive unsorted
+    pix = pix[order]
+    x = np.concatenate(xs)[order]
+    y = np.log(np.sqrt(rng.integers(1, 30, pix.size)))
+    samples = RangeSamples(pixel_y=pix // nx, pixel_x=pix % nx, x=x, y=y,
+                           block=np.zeros(pix.size, dtype=np.int64))
+    surf = fit_mer_pixel_map(samples, (ny, nx))
+    for f in range(ny * nx):
+        b, t = surf.beta[f // nx, f % nx], surf.theta[f // nx, f % nx]
+        sel = np.flatnonzero(pix == f)           # stable: the order the map fit sees
+        if counts[f] < 3 or f in single:
+            assert np.isnan(b) and np.isnan(t), f
+        else:
+            assert (b, t) == lad_enumeration_oracle(x[sel], y[sel]), f
+    assert np.isnan(surf.beta).sum() == (counts < 3).sum() + len(single)
+
+
+def test_lad_overflowing_slope_matches_enumeration():
+    # x = 0 and the smallest subnormal: their pair slope overflows to inf,
+    # so no bracket tolerance is finite and every line must be scored
+    rng = np.random.default_rng(65)
+    x = np.r_[0.0, 5e-324, rng.standard_normal(60)]
+    y = rng.standard_normal(62)
+    with np.errstate(all="ignore"):
+        assert fit_mer_pixel(x, y) == lad_enumeration_oracle(x, y)
 
 
 def test_lad_unidentifiable():
