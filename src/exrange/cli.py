@@ -4,7 +4,7 @@ Subcommands: simulate, quantiles, excursion, range, cdf, hist, chi,
 ivdens, theta, mer, jackknife, pipeline. All tabular output is RFC-4180
 CSV with a header row; maps use the raw float32 + JSON sidecar format.
 Every output file is written to a temporary name and renamed, so files
-are either complete or absent. All randomness derives from --seed.
+are either complete or absent. All randomness derives from simulate --seed.
 
 Exit codes: 0 success, 2 flag or value validation, 3 malformed input
 files, 4 I/O failure, 5 any other computation error.
@@ -74,6 +74,22 @@ def _parse_fit_levels(spec: str) -> list[float]:
     return levels
 
 
+def _parse_fit_options(args) -> tuple[int, int, float | None]:
+    """--knots as (NY, NX) and --penalty (None for 'auto'), with --iters and
+    --predict-p checked too, so that a bad value fails before any work."""
+    try:
+        ky, kx = (int(k) for k in args.knots.lower().split("x"))
+        penalty = None if args.penalty == "auto" else float(args.penalty)
+    except ValueError as exc:
+        raise ValueError(f"--knots must look like 8x8 and --penalty be 'auto' or a "
+                         f"number, got {args.knots!r} and {args.penalty!r}") from exc
+    tailfit.check_fit_options(ky, kx, args.iters, penalty)
+    predict_p = getattr(args, "predict_p", None)
+    if predict_p is not None and not 0.0 < predict_p < 1.0:
+        raise ValueError(f"--predict-p must lie strictly inside (0,1), got {predict_p}")
+    return ky, kx, penalty
+
+
 def _parse_lags(spec: str) -> list[tuple[int, int]]:
     lags = []
     for item in spec.split(","):
@@ -88,14 +104,6 @@ def _parse_lags(spec: str) -> list[tuple[int, int]]:
     if not lags:
         raise ValueError("empty lag list")
     return lags
-
-
-def _parse_knots(spec: str) -> tuple[int, int]:
-    try:
-        a, b = spec.lower().split("x")
-        return int(a), int(b)
-    except Exception as exc:
-        raise ValueError(f"knots must look like 8x8, got {spec!r}") from exc
 
 
 def _resolve_input(path_arg: str) -> Path:
@@ -191,9 +199,11 @@ def _default_radii(stack: raster.RasterStack) -> list[float]:
 
 
 def _cdf_rows(fields, domain: raster.DomainMask, radii, dx: float) -> list:
-    """One level's ECDF: r, F(r) and the exceedance count behind F(r)."""
+    """One level's ECDF: r, F(r) and the exceedance count behind F(r); F is
+    nan where that count is 0."""
     est = ranges.ecdf(fields, domain, radii, dx)
-    return [[float(r), float(f), int(n)] for r, f, n in zip(est.radii, est.F, est.n_exceed)]
+    return [[float(r), float(f) if n else math.nan, int(n)]
+            for r, f, n in zip(est.radii, est.F, est.n_exceed)]
 
 
 def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
@@ -224,13 +234,17 @@ def _ivdens_row(stack: raster.RasterStack, p: float,
     return [_fmt_p(p), dens.c0, dens.c1, dens.c2, slope]
 
 
-def _two_level_theta(p1: float, med1: np.ndarray, p2: float, med2: np.ndarray) -> np.ndarray:
-    """θ from the median range maps at two levels; 0 where either is 0."""
-    theta = np.zeros_like(med1)
-    both = (med1 > 0) & (med2 > 0)
-    x_diff = tailfit.loglog_level(p1) - tailfit.loglog_level(p2)
-    theta[both] = (np.log(med2[both]) - np.log(med1[both])) / x_diff
-    return theta
+def _save_theta_map(out: Path, stack: raster.RasterStack, p1: float, med1: np.ndarray,
+                    p2: float, med2: np.ndarray) -> None:
+    """Write θ from the median range maps at two levels, 0 where either is 0. A level
+    without positive range leaves no θ (a map needs a value), which stderr reports."""
+    for p, med in ((p1, med1), (p2, med2)):
+        if not (med > 0).any():
+            print(f"exrange: theta_map not written: level {_fmt_p(p)} has no positive range",
+                  file=sys.stderr)
+            return
+    _save_map_with_csv(out, "theta_map", tailfit.theta_hat(med1, med2, p1, p2),
+                       stack.domain(), stack.dx, "theta")
 
 
 def _level_samples(p: float, fields, domain: raster.DomainMask, blocks,
@@ -400,8 +414,7 @@ def _cmd_theta(args) -> int:
                                 stack.domain())
         for p in (args.p1, args.p2)
     )
-    theta = _two_level_theta(args.p1, med1, args.p2, med2)
-    _save_map_with_csv(Path(args.out), "theta_map", theta, stack.domain(), stack.dx, "theta")
+    _save_theta_map(Path(args.out), stack, args.p1, med1, args.p2, med2)
     return 0
 
 
@@ -418,20 +431,18 @@ def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
 def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args):
     if args.fit == "pixel":
         return tailfit.fit_mer_pixel_map(samples, (stack.ny, stack.nx))
-    ky, kx = _parse_knots(args.knots)
-    if args.penalty == "auto":
-        penalty = tailfit.choose_penalty(samples, (stack.ny, stack.nx), ky, kx,
-                                         args.iters, args.seed)
-    else:
-        penalty = float(args.penalty)
+    ky, kx, penalty = _parse_fit_options(args)
+    if penalty is None:
+        penalty = tailfit.choose_penalty(samples, (stack.ny, stack.nx), ky, kx, args.iters)
     model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=penalty,
-                                   iters=args.iters, seed=args.seed)
+                                   iters=args.iters)
     return model.fit(samples, (stack.ny, stack.nx)).to_surface()
 
 
 def _cmd_mer(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
+    _parse_fit_options(args)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
@@ -444,6 +455,7 @@ def _cmd_mer(args) -> int:
 def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
+    _parse_fit_options(args)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
@@ -465,6 +477,7 @@ def _cmd_jackknife(args) -> int:
 def _cmd_pipeline(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
+    _parse_fit_options(args)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
@@ -490,8 +503,7 @@ def _cmd_pipeline(args) -> int:
     _write_csv(out / "ivdens.csv", IVDENS_HEADER, iv_rows)
 
     p_lo, p_hi = levels[0], levels[-1]
-    theta = _two_level_theta(p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
-    _save_map_with_csv(out, "theta_map", theta, domain, stack.dx, "theta")
+    _save_theta_map(out, stack, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
 
     surface = _fit_surface(stack, _pool_samples(sample_parts), args)
     _save_fit_maps(out, surface, stack, args.predict_p)
@@ -517,11 +529,11 @@ def _add_common_io(sub, with_policy: bool = True):
 
 def _add_fit_options(sub, penalty_default: str = "auto"):
     sub.add_argument("--fit", choices=["pixel", "spline"], default="spline")
-    sub.add_argument("--knots", default="8x8", help="spline knots as NYxNX")
+    sub.add_argument("--knots", default="8x8", help="spline knots as NYxNX, each at least 4")
     sub.add_argument("--penalty", default=penalty_default,
-                     help="roughness penalty, a float or 'auto' for block CV")
-    sub.add_argument("--iters", type=int, default=60, help="optimizer iteration budget")
-    sub.add_argument("--seed", type=int, default=0)
+                     help="roughness penalty, a finite value >= 0 or 'auto' for block CV")
+    sub.add_argument("--iters", type=int, default=60,
+                     help="optimizer iteration budget, at least 3")
     sub.add_argument("--min-range", type=float, default=0.0, dest="min_range",
                      help="drop range observations below this length")
 

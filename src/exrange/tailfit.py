@@ -15,8 +15,8 @@ stages and each stage descends by reweighted penalized least squares with
 a fixed iteration budget, so a fit is a pure function of its inputs. Every
 sample at one pixel shares that pixel's design row kron(By[iy], Bx[ix]),
 so the reweighted normal equations are summed per pixel rather than per
-sample; the sample-wise design ``_design`` stays as the reference the
-objective, its gradient and the tests are written on.
+sample, from By and Bx alone; the sample-wise design ``_design`` stays as
+the reference the objective, its gradient and the tests are written on.
 
 The per-pixel LAD needs no optimizer either: some optimal line interpolates
 two samples, so the fit is the best line through a sample pair (smallest
@@ -50,20 +50,23 @@ def loglog_level(p: float) -> float:
     return math.log(-math.log(1.0 - p))
 
 
-def theta_hat(m1: float, m2: float, p1: float, p2: float) -> float:
+def theta_hat(m1, m2, p1: float, p2: float):
     """Two-level tail decay rate from pooled medians m1 at p1 and m2 at p2.
 
-    Zero medians (no positive range observations) give 0 by convention.
+    The medians are scalars, or arrays of one shape such as median range
+    maps, and theta takes their shape. Where either median is 0 (no
+    positive range observation) theta is 0 by convention.
     """
-    x1 = loglog_level(p1)
-    x2 = loglog_level(p2)
+    x_diff = loglog_level(p1) - loglog_level(p2)
     if p1 == p2:
         raise ValueError("the two probability levels must differ")
-    if m1 == 0.0 or m2 == 0.0:
-        return 0.0
-    if m1 < 0 or m2 < 0:
+    m1, m2 = (np.asarray(m, dtype=np.float64) for m in (m1, m2))
+    both = (m1 != 0.0) & (m2 != 0.0)
+    if (m1[both] < 0).any() or (m2[both] < 0).any():
         raise ValueError("medians must be non-negative")
-    return (math.log(m2) - math.log(m1)) / (x1 - x2)
+    theta = np.zeros_like(m1)
+    theta[both] = (np.log(m2[both]) - np.log(m1[both])) / x_diff
+    return float(theta) if theta.ndim == 0 else theta
 
 
 @dataclass(frozen=True)
@@ -243,8 +246,6 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _clamped_knots(lo: float, hi: float, n_basis: int, degree: int = 3) -> np.ndarray:
-    if n_basis < degree + 1:
-        raise ValueError(f"need at least {degree + 1} basis functions, got {n_basis}")
     if hi <= lo:
         hi = lo + 1.0
     interior = np.linspace(lo, hi, n_basis - degree + 1)[1:-1]
@@ -327,32 +328,57 @@ def predict_mer_map(surface: MerSurface, p: float) -> np.ndarray:
     return np.exp(surface.beta - surface.theta * loglog_level(p))
 
 
-def _pixel_normal_equations(phi: np.ndarray, pix: np.ndarray, x: np.ndarray,
+def _surface(by: np.ndarray, bx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Surface By C Bx^T of a flat coefficient grid C at the pixel centers."""
+    return by @ coef.reshape(by.shape[1], bx.shape[1]) @ bx.T
+
+
+def _pixel_normal_equations(by: np.ndarray, bx: np.ndarray, pix: np.ndarray, x: np.ndarray,
                             y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted normal equations D^T W D and D^T W z of the model
     y = D b - x * (D c), with D the sample design whose row for a sample at
-    flat pixel index ``pix`` is ``phi[pix]``.
+    flat pixel index ``pix`` = iy*nx + ix is kron(by[iy], bx[ix]).
 
     Samples at one pixel share that row, so each Gram block is
-    phi^T diag(s) phi with s the per-pixel sum of w, w*x or w*x^2, and the
-    right-hand side is phi^T applied to per-pixel sums of w*y and w*x*y.
+    Phi^T diag(s) Phi, Phi = by kron bx the pixel basis and s the per-pixel
+    sum of w, w*x or w*x^2. With S = s reshaped to (ny, nx), the row-tensor
+    identity of array models (Currie, Durban & Eilers, 2006) gives it as
+    sum_iy (by[iy] by[iy]^T) kron (bx^T diag(S[iy]) bx) without forming Phi.
+    The right-hand side is by^T R bx, R the per-pixel sums of w*y and w*x*y.
     Returns the (2nb, 2nb) data block and the (2nb,) right-hand side.
     """
-    npx = phi.shape[0]
+    (ny, ky), (nx, kx) = by.shape, bx.shape
+    # row iy holds the outer product by[iy] by[iy]^T, flattened
+    by_outer = (by[:, :, None] * by[:, None, :]).reshape(ny, ky * ky)
 
     def per_pixel(v: np.ndarray) -> np.ndarray:
-        return np.bincount(pix, weights=v, minlength=npx)
+        return np.bincount(pix, weights=v, minlength=ny * nx).reshape(ny, nx)
 
     def gram(v: np.ndarray) -> np.ndarray:
-        return phi.T @ (per_pixel(v)[:, None] * phi)
+        row_grams = (bx.T * per_pixel(v)[:, None, :]) @ bx   # (ny, kx, kx)
+        g = (by_outer.T @ row_grams.reshape(ny, kx * kx)).reshape(ky, ky, kx, kx)
+        return g.transpose(0, 2, 1, 3).reshape(ky * kx, ky * kx)
+
+    def project(v: np.ndarray) -> np.ndarray:
+        return (by.T @ per_pixel(v) @ bx).ravel()
 
     wx = w * x
-    m_bb = gram(w)
     m_bc = -gram(wx)
-    m_cc = gram(wx * x)
-    data_block = np.block([[m_bb, m_bc], [m_bc.T, m_cc]])
-    rhs = np.concatenate([phi.T @ per_pixel(w * y), -(phi.T @ per_pixel(wx * y))])
+    data_block = np.block([[gram(w), m_bc], [m_bc.T, gram(wx * x)]])
+    rhs = np.concatenate([project(w * y), -project(wx * y)])
     return data_block, rhs
+
+
+def check_fit_options(knots_y: int, knots_x: int, iters: int,
+                      penalty: float | None = None) -> None:
+    """Raise ValueError unless knots >= 4 per axis (cubic), iters >= 3 (one per
+    smoothing stage) and penalty is finite and >= 0 or None (``choose_penalty``)."""
+    if min(knots_y, knots_x) < 4:
+        raise ValueError(f"knots must be at least 4 per axis, got {knots_y}x{knots_x}")
+    if iters < 3:
+        raise ValueError(f"iters must be at least 3, one per smoothing stage, got {iters}")
+    if penalty is not None and not (math.isfinite(penalty) and penalty >= 0):
+        raise ValueError(f"penalty must be a finite value >= 0, got {penalty}")
 
 
 class SplineMerModel:
@@ -361,33 +387,16 @@ class SplineMerModel:
     Estimator-style interface: construct with hyperparameters, ``fit`` on
     samples, then ``coefficient_maps`` or ``to_surface`` for the fitted
     beta and theta maps (``predict_mer_map`` turns a surface into medians
-    at a level). ``get_params`` and ``set_params`` follow the usual
-    estimator conventions.
+    at a level).
     """
 
     def __init__(self, knots_x: int = 8, knots_y: int = 8, penalty: float = 1.0,
-                 iters: int = 60, seed: int = 0):
+                 iters: int = 60):
+        check_fit_options(knots_y, knots_x, iters, penalty)
         self.knots_x = knots_x
         self.knots_y = knots_y
         self.penalty = penalty
         self.iters = iters
-        self.seed = seed
-
-    def get_params(self) -> dict:
-        return {
-            "knots_x": self.knots_x,
-            "knots_y": self.knots_y,
-            "penalty": self.penalty,
-            "iters": self.iters,
-            "seed": self.seed,
-        }
-
-    def set_params(self, **params) -> "SplineMerModel":
-        for k, v in params.items():
-            if k not in self.get_params():
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
 
     # sample-wise design matrix: the reference for objective_and_grad
     def _design(self, samples: RangeSamples, shape: tuple[int, int]) -> sparse.csr_matrix:
@@ -442,20 +451,13 @@ class SplineMerModel:
         grad[nb:] += 2.0 * self.penalty * pc
         return loss, grad
 
-    def _grid_bases(self, shape: tuple[int, int]) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    def _grid_bases(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Row basis By (ny, knots_y) and column basis Bx (nx, knots_x) at
-        the pixel centers."""
+        the pixel centers, dense."""
         ny, nx = shape
         by = _basis_1d(np.arange(ny, dtype=np.float64), 0.0, float(ny - 1), self.knots_y)
         bx = _basis_1d(np.arange(nx, dtype=np.float64), 0.0, float(nx - 1), self.knots_x)
-        return by, bx
-
-    def _pixel_basis(self, shape: tuple[int, int]) -> np.ndarray:
-        """Dense design row of every pixel, shape (ny*nx, knots_y*knots_x):
-        row iy*nx + ix is kron(By[iy], Bx[ix]), the row ``_design`` gives
-        each sample at pixel (iy, ix)."""
-        by, bx = self._grid_bases(shape)
-        return np.kron(by.toarray(), bx.toarray())
+        return by.toarray(), bx.toarray()
 
     def fit(self, samples: RangeSamples, shape: tuple[int, int]) -> "SplineMerModel":
         """Minimize the annealed smoothed-pinball objective by
@@ -466,9 +468,9 @@ class SplineMerModel:
         a fixed iteration budget keeps the fit deterministic.
 
         All samples at one pixel share one design row, so the weighted
-        normal equations are summed per pixel (``_pixel_normal_equations``)
-        and cost O(pixels * coefficients^2) per iteration, not
-        O(samples * coefficients^2).
+        normal equations are summed per pixel (``_pixel_normal_equations``),
+        and the surfaces are By C Bx^T: an iteration costs
+        O(samples + pixels * knots_x * coefficients).
         """
         nb = self.knots_x * self.knots_y
         if samples.n < 2 * nb:
@@ -477,50 +479,35 @@ class SplineMerModel:
             )
         if np.unique(samples.x).size < 2:
             raise DegenerateFitError("all samples share one level; slope unidentifiable")
-        phi = self._pixel_basis(shape)
+        by, bx = self._grid_bases(shape)
         pix = samples.pixel_y.astype(np.int64) * shape[1] + samples.pixel_x
-        pen_dense = _roughness_penalty(self.knots_y, self.knots_x).toarray()
+        pen = _roughness_penalty(self.knots_y, self.knots_x)
+        pen_block = sparse.block_diag([pen, pen]).toarray()
         x, y = samples.x, samples.y
         beta0, theta0 = _pooled_median_line(samples)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
         for kappa, n_iter in _kappa_stages(self.iters):
-            params = self._irls_stage(params, phi, pix, x, y, kappa, pen_dense, n_iter)
+            for _ in range(n_iter):
+                b = _surface(by, bx, params[:nb]).ravel()
+                c = _surface(by, bx, params[nb:]).ravel()
+                e = y - (b[pix] - x * c[pix])
+                # quadratic majorizer weight of the smoothed pinball at e
+                w = 1.0 / (2.0 * np.maximum(np.abs(e), kappa))
+                data_block, rhs = _pixel_normal_equations(by, bx, pix, x, y, w)
+                mat = data_block + 2.0 * self.penalty * pen_block
+                # tiny ridge at the data scale only; the penalty trace can be
+                # arbitrarily large and must not leak into the null space
+                mat[np.diag_indices(2 * nb)] += 1e-10 * float(np.trace(data_block)) / (2 * nb)
+                params = np.linalg.solve(mat, rhs)
         self.shape_ = shape
         self.coef_beta_ = params[:nb].copy()
         self.coef_theta_ = params[nb:].copy()
         return self
 
-    def _irls_stage(self, params: np.ndarray, phi: np.ndarray, pix: np.ndarray,
-                    x: np.ndarray, y: np.ndarray, kappa: float,
-                    pen_dense: np.ndarray, n_iter: int) -> np.ndarray:
-        nb = phi.shape[1]
-        dim = 2 * nb
-        pen_block = np.zeros((dim, dim))
-        pen_block[:nb, :nb] = pen_dense
-        pen_block[nb:, nb:] = pen_dense
-        for _ in range(n_iter):
-            b = params[:nb]
-            c = params[nb:]
-            e = y - ((phi @ b)[pix] - x * (phi @ c)[pix])
-            # quadratic majorizer weight of the smoothed pinball at e
-            w = 1.0 / (2.0 * np.maximum(np.abs(e), kappa))
-            data_block, rhs = _pixel_normal_equations(phi, pix, x, y, w)
-            mat = data_block + 2.0 * self.penalty * pen_block
-            # tiny ridge at the data scale only; the penalty trace can be
-            # arbitrarily large and must not leak into the null space
-            ridge = 1e-10 * float(np.trace(data_block)) / dim
-            mat[np.diag_indices(dim)] += ridge
-            params = np.linalg.solve(mat, rhs)
-        return params
-
     def coefficient_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the fitted surfaces at every pixel center."""
         by, bx = self._grid_bases(self.shape_)
-        cb = self.coef_beta_.reshape(self.knots_y, self.knots_x)
-        ct = self.coef_theta_.reshape(self.knots_y, self.knots_x)
-        beta = by @ cb @ bx.T
-        theta = by @ ct @ bx.T
-        return np.asarray(beta), np.asarray(theta)
+        return _surface(by, bx, self.coef_beta_), _surface(by, bx, self.coef_theta_)
 
     def to_surface(self) -> MerSurface:
         beta, theta = self.coefficient_maps()
@@ -532,12 +519,11 @@ class SplineMerModel:
 
 
 def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: int,
-                   iters: int, seed: int,
-                   grid=(0.01, 0.1, 1.0, 10.0, 100.0), n_folds: int = 5) -> float:
+                   iters: int, grid=(0.01, 0.1, 1.0, 10.0, 100.0),
+                   n_folds: int = 5) -> float:
     """Pick the roughness penalty by block-wise cross-validated pinball loss."""
-    blocks = np.unique(samples.block)
-    fold_of_block = {b: i % n_folds for i, b in enumerate(blocks)}
-    folds = np.array([fold_of_block[b] for b in samples.block])
+    # the i-th smallest block id goes to fold i mod n_folds
+    folds = np.searchsorted(np.unique(samples.block), samples.block) % n_folds
     best = (math.inf, grid[0])
     for lam in grid:
         total = 0.0
@@ -546,7 +532,7 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
             if train.all() or not train.any():
                 continue
             model = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
-                                   iters=max(60, iters // 3), seed=seed)
+                                   iters=max(60, iters // 3))
             try:
                 model.fit(samples.select(train), shape)
             except DegenerateFitError:
@@ -574,8 +560,9 @@ def _pooled_median_line(samples: RangeSamples) -> tuple[float, float]:
 
 
 def _kappa_stages(iters: int) -> list[tuple[float, int]]:
-    third = max(1, iters // 3)
-    return [(0.1, third), (0.01, third), (0.001, max(1, iters - 2 * third))]
+    # iters >= 3 (check_fit_options), so every stage runs
+    third = iters // 3
+    return [(0.1, third), (0.01, third), (0.001, iters - 2 * third)]
 
 
 def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],

@@ -319,7 +319,7 @@ def test_a8_regression_correctness():
         y=np.concatenate([a[3] for a in parts]),
         block=np.zeros(3 * ny * nx, dtype=np.int64),
     )
-    model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.8, iters=5, seed=0)
+    model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.8, iters=5)
     design = model._design(samples, (ny, nx))
     pen = _roughness_penalty(4, 4)
     params = rng.normal(size=32) * 0.4

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,30 @@ def test_single_level_fit_rejected_before_any_output(sim_dir, tmp_path, capsys, 
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, option", [
+    (["pipeline"], ["--knots", "2x2"]),
+    (["pipeline"], ["--knots", "8by8"]),
+    (["pipeline"], ["--predict-p", "1.5"]),
+    (["pipeline"], ["--penalty", "-1"]),
+    (["pipeline"], ["--penalty", "nan"]),
+    (["pipeline"], ["--iters", "0"]),
+    (["mer", "--fit", "spline"], ["--iters", "2"]),
+    (["mer", "--fit", "pixel"], ["--predict-p", "0"]),
+    (["jackknife"], ["--iters", "1"]),
+], ids=["pipeline-knots", "pipeline-knots-format", "pipeline-predict-p", "pipeline-penalty",
+        "pipeline-penalty-nan", "pipeline-iters", "mer-iters", "mer-pixel-predict-p",
+        "jackknife-iters"])
+def test_bad_fit_option_rejected_before_any_output(sim_dir, tmp_path, capsys, command, option):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(40)))
+    out = tmp_path / "out"
+    code = main(command + ["--in", str(sim_dir), "--out", str(out), "--levels", "0.85,0.9",
+                           "--blocks-by", str(blocks)] + option)
+    assert code == 2
+    assert "validation" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_mer_penalty_auto_picks_from_grid(sim_dir, tmp_path, monkeypatch):
     from exrange import tailfit
 
@@ -246,3 +271,22 @@ def test_import_cli_skips_fit_and_simulation_only_modules():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_level_without_exceedance_is_nodata(tmp_path, capsys):
+    # the 0.999 level of 40 slices has no exceedance: its ECDF rows are 0/0
+    # and its median map has no positive value, so neither F nor theta exists;
+    # an all-nodata map has no domain pixel, so theta_map is not written
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "gaussian", "--nx", "10", "--ny", "10",
+                 "--n", "40", "--ell", "4", "--seed", "3", "--out", str(sim)]) == 0
+    out = tmp_path / "out"
+    assert main(["pipeline", "--in", str(sim), "--out", str(out), "--fit", "pixel",
+                 "--levels", "0.9,0.95,0.999"]) == 0
+    rows = _read_csv(out / "cdf.csv")[1:]
+    empty = [row for row in rows if row[0] == "0.999"]
+    assert empty and all(row[2] == "nan" and row[3] == "0" for row in empty)
+    assert all(math.isfinite(float(row[2])) for row in rows if row[0] != "0.999")
+    assert not list(out.glob("theta_map*"))
+    assert "theta_map not written: level 0.999" in capsys.readouterr().err
+    assert (out / "mer_beta.f32").exists()

@@ -70,6 +70,18 @@ def test_theta_hat_degenerate_clauses():
         theta_hat(1.0, 2.0, 0.9, 0.9)
 
 
+def test_theta_hat_on_median_maps_matches_scalar_calls():
+    m1 = np.array([[2.0, 0.0, 1.5], [3.0, 1.0, 0.0]])
+    m2 = np.array([[1.0, 1.0, 1.5], [0.0, 2.5, 0.0]])
+    theta = theta_hat(m1, m2, 0.9, 0.99)
+    assert theta.shape == m1.shape
+    expected = [theta_hat(a, b, 0.9, 0.99) for a, b in zip(m1.ravel(), m2.ravel())]
+    assert theta.ravel().tolist() == pytest.approx(expected, rel=1e-15)
+    assert theta[0, 1] == theta[1, 0] == theta[1, 2] == 0.0
+    with pytest.raises(ValueError):
+        theta_hat(np.array([1.0, -1.0]), np.array([1.0, 2.0]), 0.9, 0.99)
+
+
 def test_theta_hat_swap_invariance():
     a = theta_hat(2.0, 1.3, 0.9, 0.99)
     b = theta_hat(1.3, 2.0, 0.99, 0.9)
@@ -246,7 +258,7 @@ def test_spline_gradient_matches_finite_differences():
         rng, 12, 12, lambda y, x: 2.0 + 0.01 * x, lambda y, x: 0.5 + 0.005 * y,
         levels=[0.85, 0.9, 0.95], reps=2, noise=0.3,
     )
-    model = SplineMerModel(knots_x=5, knots_y=5, penalty=0.7, iters=10, seed=0)
+    model = SplineMerModel(knots_x=5, knots_y=5, penalty=0.7, iters=10)
     design = model._design(samples, (12, 12))
     from exrange.tailfit import _roughness_penalty
 
@@ -270,7 +282,7 @@ def test_spline_recovers_constant_truth():
         rng, 16, 16, lambda y, x: 2.0 + 0 * x, lambda y, x: 0.5 + 0 * x,
         levels=[0.7, 0.9, 0.97, 0.995], reps=5, noise=0.25,
     )
-    model = SplineMerModel(knots_x=6, knots_y=6, penalty=1.0, iters=60, seed=0)
+    model = SplineMerModel(knots_x=6, knots_y=6, penalty=1.0, iters=60)
     model.fit(samples, (16, 16))
     beta, theta = model.coefficient_maps()
     assert np.all(np.abs(beta - 2.0) < 0.1)
@@ -285,7 +297,7 @@ def test_spline_huge_penalty_approaches_pooled_constant_fit():
         rng, 10, 10, lambda y, x: 1.5 + 0 * x, lambda y, x: 0.8 + 0 * x,
         levels=[0.85, 0.92, 0.97], reps=3, noise=0.4,
     )
-    model = SplineMerModel(knots_x=5, knots_y=5, penalty=1e9, iters=900, seed=0)
+    model = SplineMerModel(knots_x=5, knots_y=5, penalty=1e9, iters=900)
     model.fit(samples, (10, 10))
     beta, theta = model.coefficient_maps()
     assert beta.max() - beta.min() < 1e-6
@@ -318,7 +330,7 @@ def test_spline_smooth_truth_recovery():
     samples = _samples_from_surface(
         rng, 24, 24, beta_fn, theta_fn, levels=[0.85, 0.9, 0.95, 0.98], reps=4, noise=0.2,
     )
-    model = SplineMerModel(knots_x=6, knots_y=6, penalty=0.5, iters=60, seed=0)
+    model = SplineMerModel(knots_x=6, knots_y=6, penalty=0.5, iters=60)
     model.fit(samples, (24, 24))
     beta, theta = model.coefficient_maps()
     yy, xx = np.mgrid[0:24, 0:24]
@@ -340,14 +352,13 @@ def test_spline_degenerate_inputs():
         model_small.fit(one_level, (20, 20))
 
 
-def test_spline_get_set_params():
-    model = SplineMerModel()
-    params = model.get_params()
-    assert params["knots_x"] == 8 and params["penalty"] == 1.0
-    model.set_params(penalty=3.0, iters=100)
-    assert model.penalty == 3.0 and model.iters == 100
+@pytest.mark.parametrize("params", [
+    dict(knots_x=3), dict(knots_y=2), dict(iters=2), dict(penalty=-0.1),
+    dict(penalty=float("nan")), dict(penalty=float("inf")),
+])
+def test_spline_rejects_unusable_settings(params):
     with pytest.raises(ValueError):
-        model.set_params(nope=1)
+        SplineMerModel(**params)
 
 
 def test_pixel_map_fit():
@@ -498,7 +509,7 @@ def test_spline_pixel_normal_equations_match_sample_design():
     model = SplineMerModel(knots_x=6, knots_y=5)
     w = rng.uniform(0.1, 5.0, samples.n)
     data_block, rhs = _pixel_normal_equations(
-        model._pixel_basis((ny, nx)), samples.pixel_y * nx + samples.pixel_x,
+        *model._grid_bases((ny, nx)), samples.pixel_y * nx + samples.pixel_x,
         samples.x, samples.y, w,
     )
     d = model._design(samples, (ny, nx)).toarray()
