@@ -15,8 +15,11 @@ stages and each stage descends by reweighted penalized least squares with
 a fixed iteration budget, so a fit is a pure function of its inputs. Every
 sample at one pixel shares that pixel's design row kron(By[iy], Bx[ix]),
 so the reweighted normal equations are summed per pixel rather than per
-sample, from By and Bx alone; the sample-wise design ``_design`` stays as
-the reference the objective, its gradient and the tests are written on.
+sample, from By and Bx alone. By and Bx are dense, from a numpy Cox-de Boor
+recursion, and the roughness penalty is a dense Kronecker product, so the
+fit needs no scipy. The sample-wise sparse design ``_design`` stays as the
+reference the objective, its gradient and the tests are written on, and
+only it imports ``scipy.sparse``.
 
 The per-pixel LAD needs no optimizer either: some optimal line interpolates
 two samples, so the fit is the best line through a sample pair (smallest
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateFitError
 from .raster import DomainMask, RasterStack
@@ -252,38 +254,44 @@ def _clamped_knots(lo: float, hi: float, n_basis: int, degree: int = 3) -> np.nd
     return np.r_[[lo] * (degree + 1), interior, [hi] * (degree + 1)]
 
 
-def _basis_1d(coords: np.ndarray, lo: float, hi: float, n_basis: int) -> sparse.csr_matrix:
-    from scipy.interpolate import BSpline  # here, not at start-up: ~0.3 s `--fit pixel` skips
+def _basis_1d(coords: np.ndarray, lo: float, hi: float, n_basis: int) -> np.ndarray:
+    """Dense (len(coords), n_basis) cubic B-spline basis on ``_clamped_knots``,
+    by the Cox-de Boor recursion (de Boor, A Practical Guide to Splines, 1978).
+
+    Coordinates are clipped to [lo, hi], and the last span is closed at hi,
+    so every row sums to 1. Degree d is built from degree d-1 as
+    B[i] / (t[i+d] - t[i]) * (x - t[i]) + B[i+1] / (t[i+d+1] - t[i+1]) * (t[i+d+1] - x),
+    the operation order of scipy's ``BSpline.design_matrix``, whose values it
+    reproduces; a term over an empty knot span is 0.
+    """
     t = _clamped_knots(lo, hi, n_basis)
-    x = np.clip(np.asarray(coords, dtype=np.float64), lo, hi)
-    return BSpline.design_matrix(x, t, 3).tocsr()
+    x = np.clip(np.asarray(coords, dtype=np.float64), lo, hi)[:, None]
+    b = ((t[:-1] <= x) & (x < t[1:])).astype(np.float64)   # degree 0: span indicators
+    b[x[:, 0] == t[n_basis], n_basis - 1] = 1.0
+    for d in range(1, 4):
+        width = t[d:] - t[:-d]
+        scaled = b / np.where(width > 0, width, 1.0)
+        b = scaled[:, :-1] * (x - t[:-d - 1]) + scaled[:, 1:] * (t[d + 1:] - x)
+    return b
 
 
-def _difference_operator(n: int, order: int) -> sparse.csr_matrix:
-    if n <= order:
-        return sparse.csr_matrix((0, n))
-    stencil = {1: [-1.0, 1.0], 2: [1.0, -2.0, 1.0]}[order]
-    m = n - order
-    rows = np.repeat(np.arange(m), order + 1)
-    cols = (np.arange(m)[:, None] + np.arange(order + 1)[None, :]).ravel()
-    vals = np.tile(stencil, m)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
+def _difference_operator(n: int, order: int) -> np.ndarray:
+    return np.diff(np.eye(n), order, axis=0)
 
 
-def _roughness_penalty(nby: int, nbx: int) -> sparse.csr_matrix:
+def _roughness_penalty(nby: int, nbx: int) -> np.ndarray:
     """Gram matrix of first and second differences along the rows and
     columns of an nby-by-nbx coefficient grid.
 
     Including first differences makes the null space exactly the constant
     surfaces, so an infinite penalty reproduces the pooled constant fit.
     """
-    total = None
+    total = np.zeros((nby * nbx, nby * nbx))
     for order in (1, 2):
-        drow = sparse.kron(sparse.identity(nby), _difference_operator(nbx, order), format="csr")
-        dcol = sparse.kron(_difference_operator(nby, order), sparse.identity(nbx), format="csr")
-        gram = drow.T @ drow + dcol.T @ dcol
-        total = gram if total is None else total + gram
-    return total.tocsr()
+        drow = np.kron(np.eye(nby), _difference_operator(nbx, order))
+        dcol = np.kron(_difference_operator(nby, order), np.eye(nbx))
+        total += drow.T @ drow + dcol.T @ dcol
+    return total
 
 
 @dataclass(frozen=True)
@@ -291,16 +299,12 @@ class MerSurface:
     """Fitted coefficient maps of the median-extremal-range model.
 
     ``beta`` and ``theta`` are per-pixel evaluations of the fitted
-    surfaces (or the raw per-pixel estimates in PerPixel mode);
-    ``se_beta`` and ``se_theta`` hold jackknife standard errors when
-    computed, else NaN.
+    surfaces (or the raw per-pixel estimates in PerPixel mode).
     """
 
     beta: np.ndarray
     theta: np.ndarray
     fit_mode: str
-    se_beta: np.ndarray | None = None
-    se_theta: np.ndarray | None = None
     knots: tuple[int, int] | None = None
     penalty: float | None = None
     coef_beta: np.ndarray | None = field(default=None, repr=False)
@@ -398,25 +402,17 @@ class SplineMerModel:
         self.penalty = penalty
         self.iters = iters
 
-    # sample-wise design matrix: the reference for objective_and_grad
-    def _design(self, samples: RangeSamples, shape: tuple[int, int]) -> sparse.csr_matrix:
-        ny, nx = shape
-        by = _basis_1d(samples.pixel_y, 0.0, float(ny - 1), self.knots_y)
-        bx = _basis_1d(samples.pixel_x, 0.0, float(nx - 1), self.knots_x)
-        n = samples.n
-        by_idx = by.indices.reshape(n, -1)
-        by_val = by.data.reshape(n, -1)
-        bx_idx = bx.indices.reshape(n, -1)
-        bx_val = bx.data.reshape(n, -1)
-        cols = (by_idx[:, :, None] * self.knots_x + bx_idx[:, None, :]).reshape(n, -1)
-        vals = (by_val[:, :, None] * bx_val[:, None, :]).reshape(n, -1)
-        rows = np.repeat(np.arange(n), cols.shape[1])
-        nb = self.knots_x * self.knots_y
-        return sparse.csr_matrix(
-            (vals.ravel(), (rows, cols.ravel())), shape=(n, nb)
-        )
+    def _design(self, samples: RangeSamples, shape: tuple[int, int]):
+        """Sample-wise design, a scipy.sparse CSR matrix whose row for a sample
+        at (iy, ix) is kron(By[iy], Bx[ix]): the reference that
+        ``objective_and_grad`` and the tests are written on."""
+        from scipy import sparse
 
-    def _data_loss_and_grad(self, params: np.ndarray, design: sparse.csr_matrix,
+        by, bx = self._grid_bases(shape)
+        rows = by[samples.pixel_y][:, :, None] * bx[samples.pixel_x][:, None, :]
+        return sparse.csr_matrix(rows.reshape(samples.n, -1))
+
+    def _data_loss_and_grad(self, params: np.ndarray, design,
                             x: np.ndarray, y: np.ndarray,
                             kappa: float) -> tuple[float, np.ndarray]:
         """Smoothed median pinball loss with its exact gradient. The
@@ -435,9 +431,9 @@ class SplineMerModel:
         grad_c = design.T @ (w * x)
         return loss, np.concatenate([grad_b, grad_c])
 
-    def objective_and_grad(self, params: np.ndarray, design: sparse.csr_matrix,
+    def objective_and_grad(self, params: np.ndarray, design,
                            x: np.ndarray, y: np.ndarray, kappa: float,
-                           penalty_mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
+                           penalty_mat: np.ndarray) -> tuple[float, np.ndarray]:
         """Full objective (smoothed pinball plus roughness penalty) and its
         exact gradient."""
         loss, grad = self._data_loss_and_grad(params, design, x, y, kappa)
@@ -453,11 +449,10 @@ class SplineMerModel:
 
     def _grid_bases(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Row basis By (ny, knots_y) and column basis Bx (nx, knots_x) at
-        the pixel centers, dense."""
+        the pixel centers."""
         ny, nx = shape
-        by = _basis_1d(np.arange(ny, dtype=np.float64), 0.0, float(ny - 1), self.knots_y)
-        bx = _basis_1d(np.arange(nx, dtype=np.float64), 0.0, float(nx - 1), self.knots_x)
-        return by.toarray(), bx.toarray()
+        return (_basis_1d(np.arange(ny), 0.0, float(ny - 1), self.knots_y),
+                _basis_1d(np.arange(nx), 0.0, float(nx - 1), self.knots_x))
 
     def fit(self, samples: RangeSamples, shape: tuple[int, int]) -> "SplineMerModel":
         """Minimize the annealed smoothed-pinball objective by
@@ -482,7 +477,7 @@ class SplineMerModel:
         by, bx = self._grid_bases(shape)
         pix = samples.pixel_y.astype(np.int64) * shape[1] + samples.pixel_x
         pen = _roughness_penalty(self.knots_y, self.knots_x)
-        pen_block = sparse.block_diag([pen, pen]).toarray()
+        pen_block = np.kron(np.eye(2), pen)
         x, y = samples.x, samples.y
         beta0, theta0 = _pooled_median_line(samples)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
@@ -570,7 +565,8 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
     """Independent exact LAD fit at every pixel with enough observations.
 
     Pixels with fewer than ``min_samples`` observations or a single
-    distinct level get NaN coefficients.
+    distinct level get NaN coefficients; DegenerateFitError when no pixel
+    is left to fit.
     """
     ny, nx = shape
     beta = np.full(shape, np.nan)
@@ -592,6 +588,10 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
         pix = flat[s]
         beta[pix // nx, pix % nx] = b
         theta[pix // nx, pix % nx] = t
+    if np.isnan(beta).all():
+        raise DegenerateFitError(
+            f"no pixel has min_samples={min_samples} samples at two distinct levels"
+        )
     return MerSurface(beta=beta, theta=theta, fit_mode="pixel")
 
 

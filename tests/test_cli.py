@@ -273,6 +273,49 @@ def test_import_cli_skips_fit_and_simulation_only_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_cli_and_spline_pipeline_skip_scipy_fit_modules(tmp_path):
+    # the spline fit builds its basis and penalty with numpy: neither the
+    # import nor a spline pipeline run loads scipy.interpolate or scipy.sparse
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import exrange
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "12", "--ny", "12", "--n", "30", "--ell", "4",
+                 "--seed", "5", "--out", str(sim)]) == 0
+    src = str(Path(exrange.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import exrange.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "code = exrange.cli.main(['pipeline', '--in', sys.argv[2], '--out', sys.argv[3], "
+            "'--fit', 'spline', '--knots', '4x4', '--levels', '0.8,0.9', '--threads', '1']); "
+            "print(code, sorted(m for m in ('scipy.interpolate', 'scipy.sparse') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(sim), str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, timeout=120)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+    assert (tmp_path / "out" / "mer_beta.f32").exists()
+
+
+@pytest.mark.parametrize("command", ["mer", "pipeline"])
+def test_pixel_fit_without_fitted_pixel_exits_compute(tmp_path, capsys, command):
+    # 60 slices at levels 0.97 and 0.98 give every pixel 2 samples, below the
+    # 3 a pixel LAD needs: no pixel has a fit, which is a compute error (exit 5)
+    # with no mer_* output, not an all-nodata map
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "gaussian", "--nx", "10", "--ny", "10",
+                 "--n", "60", "--ell", "4", "--seed", "3", "--out", str(sim)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--in", str(sim), "--out", str(out), "--fit", "pixel",
+                 "--levels", "0.97,0.98"]) == 5
+    assert "min_samples=3" in capsys.readouterr().err
+    assert not list(out.glob("mer_*"))
+
+
 def test_level_without_exceedance_is_nodata(tmp_path, capsys):
     # the 0.999 level of 40 slices has no exceedance: its ECDF rows are 0/0
     # and its median map has no positive value, so neither F nor theta exists;

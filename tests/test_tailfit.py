@@ -521,6 +521,50 @@ def test_spline_pixel_normal_equations_match_sample_design():
     assert np.abs(rhs - expected_rhs).max() <= 1e-10 * np.abs(expected_rhs).max()
 
 
+def test_basis_matches_scipy_design_matrix():
+    # the numpy Cox-de Boor basis against scipy's B-spline design matrix on
+    # the same clamped knots: random spans, coordinates at lo, at hi, on the
+    # knots and outside [lo, hi] (clipped), and a one-pixel axis
+    from scipy.interpolate import BSpline
+
+    from exrange.tailfit import _basis_1d, _clamped_knots
+
+    rng = np.random.default_rng(57)
+    for case in range(2000):
+        n_basis = int(rng.integers(4, 25))
+        if case % 4 == 0:           # a pixel axis 0..n-1, one pixel included
+            lo, hi = 0.0, float(rng.integers(0, 130))
+        else:
+            lo = rng.uniform(-100.0, 100.0)
+            hi = lo + rng.uniform(1e-3, 300.0)
+        t = _clamped_knots(lo, hi, n_basis)
+        coords = np.r_[lo, hi, t[3:-3], rng.uniform(lo - 10.0, hi + 10.0, 20),
+                       np.arange(np.floor(lo), np.floor(hi) + 1.0)[:40]]
+        basis = _basis_1d(coords, lo, hi, n_basis)
+        expected = BSpline.design_matrix(np.clip(coords, lo, hi), t, 3).toarray()
+        assert basis.shape == (coords.size, n_basis)
+        assert np.abs(basis - expected).max() <= 1e-15, (case, lo, hi, n_basis)
+        assert np.abs(basis.sum(axis=1) - 1.0).max() <= 1e-14
+
+
+def test_roughness_penalty_matches_sparse_construction():
+    from scipy import sparse
+
+    from exrange.tailfit import _roughness_penalty
+
+    def diff_op(n, order):
+        stencil = {1: [-1.0, 1.0], 2: [1.0, -2.0, 1.0]}[order]
+        return sparse.diags(stencil, range(order + 1), shape=(n - order, n))
+
+    for nby, nbx in [(4, 4), (5, 6), (9, 4), (12, 12)]:
+        expected = sparse.csr_matrix((nby * nbx, nby * nbx))
+        for order in (1, 2):
+            drow = sparse.kron(sparse.identity(nby), diff_op(nbx, order))
+            dcol = sparse.kron(diff_op(nby, order), sparse.identity(nbx))
+            expected = expected + drow.T @ drow + dcol.T @ dcol
+        assert np.array_equal(_roughness_penalty(nby, nbx), expected.toarray())
+
+
 def test_spline_mm_iterations_never_increase_objective(monkeypatch):
     # the MM guarantee, checked on the live fitter's iterates with the
     # sample-wise objective that the gradient tests validate
