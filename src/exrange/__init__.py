@@ -26,6 +26,7 @@ from .ranges import (
     gaussian_cdf_approx,
     median_range,
     median_range_map,
+    range_cube,
     range_field,
     tail_dependence,
 )

@@ -18,7 +18,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -130,20 +129,6 @@ def _threads(args) -> int:
     return n
 
 
-def _pmap(fn, items, n_threads: int) -> list:
-    """``[fn(x) for x in items]`` on up to ``n_threads`` threads. Each worker
-    takes one contiguous run of items: one task per item costs more than a
-    small range field."""
-    items = list(items)
-    n_workers = min(n_threads, len(items))
-    if n_workers <= 1:
-        return [fn(x) for x in items]
-    bounds = [len(items) * k // n_workers for k in range(n_workers + 1)]
-    runs = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return [r for run in ex.map(lambda run: [fn(x) for x in run], runs) for r in run]
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -161,32 +146,23 @@ def _save_map_with_csv(out_dir: Path, name: str, grid: np.ndarray,
     filled = np.asarray(grid, dtype=np.float64).copy()
     filled[~domain.inside] = raster.DEFAULT_NODATA
     filled[~np.isfinite(filled)] = raster.DEFAULT_NODATA
-    raster.save_map(out_dir / f"{name}.f32", filled.astype(np.float32), dx=dx, unit=unit)
-    _write_csv(
-        out_dir / f"{name}.csv",
-        ["x_index", "y_index", "value"],
-        (
-            (x, y, float(np.float32(v)))
-            for x, y, v in raster.map_to_csv_rows(filled.astype(np.float32), domain)
-            if np.float32(v) != np.float32(raster.DEFAULT_NODATA)
-        ),
-    )
+    grid32 = filled.astype(np.float32)
+    raster.save_map(out_dir / f"{name}.f32", grid32, dx=dx, unit=unit)
+    # every pixel outside the domain holds nodata, so the valued pixels lie inside it
+    valued = raster.DomainMask(grid32 != np.float32(raster.DEFAULT_NODATA))
+    _write_csv(out_dir / f"{name}.csv", ["x_index", "y_index", "value"],
+               raster.map_to_csv_rows(grid32, valued))
 
 
 def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
-def _range_fields_for_level(stack: raster.RasterStack, p: float,
-                            policy: BoundaryPolicy, n_threads: int):
+def _range_cube_for_level(stack: raster.RasterStack, p: float,
+                          policy: BoundaryPolicy, n_threads: int):
+    """One level's threshold field and its (nt, ny, nx) range array."""
     thr = thresholds.quantile_field(stack, p)
-    domain = stack.domain()
-
-    def one(t: int):
-        mask = thresholds.excursion_mask(stack, t, thr, policy)
-        return ranges.range_field(mask, domain, stack.dx, edge_fallback=True)
-
-    return thr, _pmap(one, range(stack.nt), n_threads)
+    return thr, ranges.range_cube(stack, thr, policy, n_threads)
 
 
 def _default_radii(stack: raster.RasterStack) -> list[float]:
@@ -198,10 +174,10 @@ def _default_radii(stack: raster.RasterStack) -> list[float]:
     return radii
 
 
-def _cdf_rows(fields, domain: raster.DomainMask, radii, dx: float) -> list:
+def _cdf_rows(cube: np.ndarray, domain: raster.DomainMask, radii, dx: float) -> list:
     """One level's ECDF: r, F(r) and the exceedance count behind F(r); F is
     nan where that count is 0."""
-    est = ranges.ecdf(fields, domain, radii, dx)
+    est = ranges.ecdf(cube, domain, radii, dx)
     return [[float(r), float(f) if n else math.nan, int(n)]
             for r, f, n in zip(est.radii, est.F, est.n_exceed)]
 
@@ -211,10 +187,10 @@ def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
     return np.arange(0.0, r_max + stack.dx, stack.dx)
 
 
-def _hist_rows(p: float, fields, domain: raster.DomainMask, edges: np.ndarray) -> list:
+def _hist_rows(p: float, cube: np.ndarray, domain: raster.DomainMask,
+               edges: np.ndarray) -> list:
     """One level's histogram of the pooled positive in-domain ranges."""
-    vals = np.concatenate([rf.r[domain.inside & (rf.r > 0)] for rf in fields])
-    counts, _ = np.histogram(vals, bins=edges)
+    counts, _ = np.histogram(cube[(cube > 0) & domain.inside], bins=edges)
     return [[_fmt_p(p), float(lo), float(hi), int(c)]
             for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
 
@@ -247,12 +223,12 @@ def _save_theta_map(out: Path, stack: raster.RasterStack, p1: float, med1: np.nd
                        stack.domain(), stack.dx, "theta")
 
 
-def _level_samples(p: float, fields, domain: raster.DomainMask, blocks,
+def _level_samples(p: float, cube: np.ndarray, domain: raster.DomainMask, blocks,
                    min_range: float) -> tailfit.RangeSamples | None:
     """One level's samples, or None when the level has no positive range
     (a high level can have no exceedance at all)."""
     try:
-        part = tailfit.collect_samples({p: fields}, domain, blocks=blocks)
+        part = tailfit.collect_samples({p: cube}, domain, blocks=blocks)
     except DegenerateFitError:
         return None
     return part.select(part.y >= math.log(min_range)) if min_range > 0 else part
@@ -339,12 +315,10 @@ def _cmd_range(args) -> int:
     n_threads = _threads(args)
     out = Path(args.out)
     for p in _parse_levels(args.p):
-        _, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        for t, rf in enumerate(fields):
-            raster.save_map(
-                out / f"range_p{_fmt_p(p)}_t{t}.f32",
-                rf.r.astype(np.float32), dx=stack.dx, unit=stack.unit,
-            )
+        _, cube = _range_cube_for_level(stack, p, policy, n_threads)
+        for t in range(stack.nt):
+            raster.save_map(out / f"range_p{_fmt_p(p)}_t{t}.f32",
+                            cube[t].astype(np.float32), dx=stack.dx, unit=stack.unit)
     return 0
 
 
@@ -356,9 +330,9 @@ def _cmd_cdf(args) -> int:
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
     out = Path(args.out)
     for p in _parse_levels(args.p):
-        _, fields = _range_fields_for_level(stack, p, policy, n_threads)
+        _, cube = _range_cube_for_level(stack, p, policy, n_threads)
         _write_csv(out / f"cdf_p{_fmt_p(p)}.csv", ["r", "F", "n_exceed"],
-                   _cdf_rows(fields, domain, radii, stack.dx))
+                   _cdf_rows(cube, domain, radii, stack.dx))
     return 0
 
 
@@ -370,8 +344,8 @@ def _cmd_hist(args) -> int:
     edges = _hist_edges(stack)
     rows = []
     for p in _parse_levels(args.p):
-        _, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        rows += _hist_rows(p, fields, domain, edges)
+        _, cube = _range_cube_for_level(stack, p, policy, n_threads)
+        rows += _hist_rows(p, cube, domain, edges)
     _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, rows)
     return 0
 
@@ -408,9 +382,9 @@ def _cmd_theta(args) -> int:
         raise ValueError("--p1 and --p2 must differ")
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
-    # one level's fields at a time: each list is dropped once its median map is taken
+    # one level's ranges at a time: each cube is dropped once its median map is taken
     med1, med2 = (
-        ranges.median_range_map(_range_fields_for_level(stack, p, policy, n_threads)[1],
+        ranges.median_range_map(_range_cube_for_level(stack, p, policy, n_threads)[1],
                                 stack.domain())
         for p in (args.p1, args.p2)
     )
@@ -422,16 +396,18 @@ def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
                          policy: BoundaryPolicy, n_threads: int,
                          blocks=None, min_range: float = 0.0) -> tailfit.RangeSamples:
     return _pool_samples([
-        _level_samples(p, _range_fields_for_level(stack, p, policy, n_threads)[1],
+        _level_samples(p, _range_cube_for_level(stack, p, policy, n_threads)[1],
                        stack.domain(), blocks, min_range)
         for p in levels
     ])
 
 
-def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args):
+def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args,
+                 fit_options: tuple[int, int, float | None]):
+    """The ``args.fit`` surface; ``fit_options`` is ``_parse_fit_options(args)``."""
     if args.fit == "pixel":
         return tailfit.fit_mer_pixel_map(samples, (stack.ny, stack.nx))
-    ky, kx, penalty = _parse_fit_options(args)
+    ky, kx, penalty = fit_options
     if penalty is None:
         penalty = tailfit.choose_penalty(samples, (stack.ny, stack.nx), ky, kx, args.iters)
     model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=penalty,
@@ -442,20 +418,21 @@ def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args)
 def _cmd_mer(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
-    _parse_fit_options(args)
+    fit_options = _parse_fit_options(args)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
     samples = _collect_all_samples(stack, levels, policy, n_threads, blocks,
                                    args.min_range)
-    _save_fit_maps(Path(args.out), _fit_surface(stack, samples, args), stack, args.predict_p)
+    _save_fit_maps(Path(args.out), _fit_surface(stack, samples, args, fit_options), stack,
+                   args.predict_p)
     return 0
 
 
 def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
-    _parse_fit_options(args)
+    fit_options = _parse_fit_options(args)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
@@ -464,7 +441,7 @@ def _cmd_jackknife(args) -> int:
     def estimator(sub: raster.RasterStack) -> np.ndarray:
         samples = _collect_all_samples(sub, levels, policy, n_threads,
                                        min_range=args.min_range)
-        surface = _fit_surface(sub, samples, args)
+        surface = _fit_surface(sub, samples, args, fit_options)
         return np.stack([surface.beta, surface.theta])
 
     se = tailfit.jackknife(stack, block_ids, estimator)
@@ -477,7 +454,7 @@ def _cmd_jackknife(args) -> int:
 def _cmd_pipeline(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
-    _parse_fit_options(args)
+    fit_options = _parse_fit_options(args)
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     domain = stack.domain()
@@ -489,14 +466,14 @@ def _cmd_pipeline(args) -> int:
     cdf_rows, hist_rows, iv_rows, sample_parts = [], [], [], []
     med_maps = {}
     for p in levels:
-        thr, fields = _range_fields_for_level(stack, p, policy, n_threads)
-        cdf_rows += [[_fmt_p(p), *row] for row in _cdf_rows(fields, domain, radii, stack.dx)]
-        hist_rows += _hist_rows(p, fields, domain, hist_edges)
+        thr, cube = _range_cube_for_level(stack, p, policy, n_threads)
+        cdf_rows += [[_fmt_p(p), *row] for row in _cdf_rows(cube, domain, radii, stack.dx)]
+        hist_rows += _hist_rows(p, cube, domain, hist_edges)
         iv_rows.append(_ivdens_row(stack, p, thr))
         if p in (levels[0], levels[-1]):
-            med_maps[p] = ranges.median_range_map(fields, domain)
-        sample_parts.append(_level_samples(p, fields, domain, blocks, args.min_range))
-        del fields
+            med_maps[p] = ranges.median_range_map(cube, domain)
+        sample_parts.append(_level_samples(p, cube, domain, blocks, args.min_range))
+        del cube
 
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
     _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)
@@ -505,7 +482,7 @@ def _cmd_pipeline(args) -> int:
     p_lo, p_hi = levels[0], levels[-1]
     _save_theta_map(out, stack, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
 
-    surface = _fit_surface(stack, _pool_samples(sample_parts), args)
+    surface = _fit_surface(stack, _pool_samples(sample_parts), args, fit_options)
     _save_fit_maps(out, surface, stack, args.predict_p)
     print(f"pipeline outputs written to {out}")
     return 0

@@ -36,9 +36,6 @@ class RangeField:
 
     r: np.ndarray          # (ny, nx) float64
     dx: float
-    p: float | None = None
-    t_index: int | None = None
-    policy: str | None = None
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)

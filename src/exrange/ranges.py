@@ -7,18 +7,25 @@ non-exceedance pixel center, so the estimator, the eroded-area identity
 and the erosion routine all agree pixel for pixel. CDF counts are
 restricted to the eroded domain T_{-r}, so a pixel only contributes at
 radii for which the whole disk around it stays inside the domain.
+
+A level's ranges are one float64 (nt, ny, nx) array, slice t holding the
+range field of slice t; ``range_cube`` builds it, and ``ecdf``,
+``median_range`` and ``median_range_map`` read it whole. They also accept
+a sequence of ``RangeField``, which is stacked once.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .morphology import RangeField, distance_transform, distance_transform_squared
 from .raster import DomainMask, RasterStack
-from .thresholds import ExcursionMask, quantile_field
+from .thresholds import (BoundaryPolicy, ExcursionMask, ThresholdField, excursion_mask,
+                         quantile_field)
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,52 @@ def range_field(mask: ExcursionMask, domain: DomainMask, dx: float,
             "mask has no non-exceedance pixel; pass edge_fallback=True to "
             "measure distances to the grid edge"
         )
-    field = distance_transform(exceed, dx=dx, edge_is_false=exceed.all())
-    return RangeField(r=field.r, dx=dx, p=mask.p, t_index=mask.t_index,
-                      policy=mask.policy.value)
+    return distance_transform(exceed, dx=dx, edge_is_false=exceed.all())
+
+
+def _pmap(fn, items, n_threads: int) -> list:
+    """``[fn(x) for x in items]`` on up to ``n_threads`` threads. Each worker
+    takes one contiguous run of items: one task per item costs more than a
+    small range field."""
+    items = list(items)
+    n_workers = min(n_threads, len(items))
+    if n_workers <= 1:
+        return [fn(x) for x in items]
+    bounds = [len(items) * k // n_workers for k in range(n_workers + 1)]
+    runs = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max_workers=n_workers) as ex:
+        return [r for run in ex.map(lambda run: [fn(x) for x in run], runs) for r in run]
+
+
+def range_cube(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolicy | str,
+               n_threads: int = 1) -> np.ndarray:
+    """The range fields of every slice at one threshold, as one float64
+    (nt, ny, nx) array: slice t is ``range_field`` of slice t's excursion
+    mask under ``policy``, with ``edge_fallback``. Up to ``n_threads``
+    workers each fill their own slices of the preallocated array."""
+    domain = stack.domain()
+    cube = np.empty((stack.nt, stack.ny, stack.nx))
+
+    def fill(t: int) -> None:
+        mask = excursion_mask(stack, t, thr, policy)
+        cube[t] = range_field(mask, domain, stack.dx, edge_fallback=True).r
+
+    _pmap(fill, range(stack.nt), n_threads)
+    return cube
+
+
+def _as_cube(ranges) -> np.ndarray:
+    """A level's ranges as a float64 (nt, ny, nx) array: an array is taken
+    as it is, a sequence of ``RangeField`` is stacked once."""
+    if not isinstance(ranges, np.ndarray):
+        ranges = [rf.r for rf in ranges]
+        if not ranges:
+            raise ValueError("need at least one range field")
+        ranges = np.stack(ranges)
+    cube = np.asarray(ranges, dtype=np.float64)
+    if cube.ndim != 3 or cube.shape[0] == 0:
+        raise ValueError(f"need an (nt, ny, nx) range array with nt >= 1, got {cube.shape}")
+    return cube
 
 
 def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
@@ -102,7 +152,8 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
 
     F(r) = sum_i #{t in T_{-r} : 0 < R_i(t) <= r} / sum_i #{t in T_{-r} :
     R_i(t) > 0}, with F(r) = 0 where the denominator vanishes. Radii must
-    lie strictly inside (0, r_max).
+    lie strictly inside (0, r_max). ``range_fields`` is a level's (nt, ny, nx)
+    range array or a sequence of ``RangeField``.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
@@ -115,22 +166,17 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
         raise ValueError(f"radii must be positive, got {radii[0]}")
     if radii[-1] >= r_max:
         raise ValueError(f"radius {radii[-1]} is not below the domain inradius {r_max}")
-    t_eroded = [domain_dist > r for r in radii]
-    num = np.zeros(radii.size, dtype=np.int64)
-    den = np.zeros(radii.size, dtype=np.int64)
-    n_fields = 0
-    for rf in range_fields:
-        rr = rf.r
-        if rr.shape != domain.inside.shape:
-            raise ValueError("range field does not match the domain grid")
-        pos = rr > 0
-        for j, r in enumerate(radii):
-            sel = t_eroded[j] & pos
-            den[j] += np.count_nonzero(sel)
-            num[j] += np.count_nonzero(sel & (rr <= r))
-        n_fields += 1
-    if n_fields == 0:
-        raise ValueError("need at least one range field")
+    cube = _as_cube(range_fields)
+    if cube.shape[1:] != domain.inside.shape:
+        raise ValueError("range field does not match the domain grid")
+    pos = cube > 0
+    values = cube[pos]
+    # the domain distance of each positive observation's pixel: it lies in
+    # T_{-r} iff that distance exceeds r
+    dist = np.broadcast_to(domain_dist, cube.shape)[pos]
+    den = np.array([np.count_nonzero(dist > r) for r in radii], dtype=np.int64)
+    num = np.array([np.count_nonzero((dist > r) & (values <= r)) for r in radii],
+                   dtype=np.int64)
     with np.errstate(invalid="ignore"):
         F = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     return CdfEstimate(radii=radii, F=F, n_exceed=den, r_max=r_max)
@@ -147,32 +193,23 @@ def _median_lower(sorted_values: np.ndarray) -> float:
 
 
 def median_range(range_fields, domain: DomainMask | None = None) -> float:
-    """Pooled median of the positive range values across fields and pixels.
+    """Pooled median of the positive range values across slices and pixels
+    (domain pixels only, when a domain is given).
 
     Returns 0 when there is no positive observation at all.
     """
-    chunks = []
-    for rf in range_fields:
-        rr = rf.r
-        if domain is not None:
-            rr = rr[domain.inside]
-        rr = rr[rr > 0]
-        if rr.size:
-            chunks.append(rr)
-    if not chunks:
-        return 0.0
-    return _median_lower(np.sort(np.concatenate(chunks)))
+    cube = _as_cube(range_fields)
+    sel = cube > 0
+    if domain is not None:
+        sel &= domain.inside
+    return _median_lower(np.sort(cube[sel]))
 
 
 def median_range_map(range_fields, domain: DomainMask) -> np.ndarray:
     """Per-pixel median of positive range values; 0 where none exist."""
-    fields = list(range_fields)
-    if not fields:
-        raise ValueError("need at least one range field")
-    cube = np.stack([rf.r for rf in fields])
+    cube = _as_cube(range_fields)
     nt = cube.shape[0]
-    flat = cube.reshape(nt, -1)
-    flat = np.sort(flat, axis=0)
+    flat = np.sort(cube.reshape(nt, -1), axis=0)
     counts = (flat > 0).sum(axis=0)
     first_pos = nt - counts
     med_idx = np.where(

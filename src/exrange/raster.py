@@ -203,13 +203,11 @@ def load_map(path) -> tuple[np.ndarray, RasterStack]:
     return stack.values[0], stack
 
 
-def map_to_csv_rows(grid: np.ndarray, domain: DomainMask):
-    """Yield (x_index, y_index, value) for every domain pixel, row-major."""
+def map_to_csv_rows(grid: np.ndarray, domain: DomainMask) -> list:
+    """(x_index, y_index, value) for every domain pixel, row-major, as
+    Python ints and floats."""
     grid = np.asarray(grid)
     if grid.shape != domain.inside.shape:
         raise ValueError(f"grid shape {grid.shape} != domain shape {domain.inside.shape}")
-    for y in range(domain.ny):
-        row_inside = domain.inside[y]
-        for x in range(domain.nx):
-            if row_inside[x]:
-                yield x, y, grid[y, x]
+    iy, ix = np.nonzero(domain.inside)
+    return list(zip(ix.tolist(), iy.tolist(), grid[iy, ix].tolist()))

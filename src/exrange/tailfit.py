@@ -36,13 +36,15 @@ estimation chain per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateFitError
+from .ranges import _as_cube, median_range, range_cube
 from .raster import DomainMask, RasterStack
+from .thresholds import BoundaryPolicy, quantile_field
 
 
 def loglog_level(p: float) -> float:
@@ -108,36 +110,26 @@ class RangeSamples:
 def collect_samples(range_fields_by_level: dict[float, Sequence],
                     domain: DomainMask,
                     blocks: Sequence[int] | None = None) -> RangeSamples:
-    """Build regression samples from per-level lists of range fields.
+    """Build regression samples from each level's ranges: an (nt, ny, nx)
+    range array or a sequence of range fields.
 
-    Only strictly positive ranges inside the domain become samples.
-    ``blocks`` assigns a block id to each slice index (defaults to the
-    slice index itself).
+    Only strictly positive ranges inside the domain become samples, in
+    (level, slice, row, column) order. ``blocks`` assigns a block id to each
+    slice index (defaults to the slice index itself).
     """
-    ys, xs, covs, resp, blk = [], [], [], [], []
-    inside = domain.inside
-    for p, fields in range_fields_by_level.items():
-        cov = loglog_level(p)
-        for t, rf in enumerate(fields):
-            sel = (rf.r > 0) & inside
-            if not sel.any():
-                continue
-            iy, ix = np.nonzero(sel)
-            ys.append(iy)
-            xs.append(ix)
-            covs.append(np.full(iy.size, cov))
-            resp.append(np.log(rf.r[sel]))
-            b = blocks[t] if blocks is not None else t
-            blk.append(np.full(iy.size, b, dtype=np.int64))
-    if not ys:
+    parts = []
+    for p, level_ranges in range_fields_by_level.items():
+        cube = _as_cube(level_ranges)
+        sel = (cube > 0) & domain.inside
+        t, iy, ix = np.nonzero(sel)
+        if t.size == 0:
+            continue
+        block = t if blocks is None else np.asarray(blocks)[t]
+        parts.append(RangeSamples(pixel_y=iy, pixel_x=ix, x=np.full(t.size, loglog_level(p)),
+                                  y=np.log(cube[sel]), block=block.astype(np.int64, copy=False)))
+    if not parts:
         raise DegenerateFitError("no positive range observations to fit")
-    return RangeSamples(
-        pixel_y=np.concatenate(ys),
-        pixel_x=np.concatenate(xs),
-        x=np.concatenate(covs),
-        y=np.concatenate(resp),
-        block=np.concatenate(blk),
-    )
+    return RangeSamples.concat(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +297,6 @@ class MerSurface:
     beta: np.ndarray
     theta: np.ndarray
     fit_mode: str
-    knots: tuple[int, int] | None = None
-    penalty: float | None = None
-    coef_beta: np.ndarray | None = field(default=None, repr=False)
-    coef_theta: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.beta.shape != self.theta.shape:
@@ -506,11 +494,7 @@ class SplineMerModel:
 
     def to_surface(self) -> MerSurface:
         beta, theta = self.coefficient_maps()
-        return MerSurface(
-            beta=beta, theta=theta, fit_mode="spline",
-            knots=(self.knots_y, self.knots_x), penalty=self.penalty,
-            coef_beta=self.coef_beta_, coef_theta=self.coef_theta_,
-        )
+        return MerSurface(beta=beta, theta=theta, fit_mode="spline")
 
 
 def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: int,
@@ -649,9 +633,6 @@ def consistency_check_theta(simulate: Callable[[int], RasterStack],
     ``simulate`` maps a slice count to a stack; the level sequence
     p_n = 1 - n^-gamma keeps n*(1-p_n) growing for gamma in (0,1).
     """
-    from .ranges import median_range, range_field
-    from .thresholds import BoundaryPolicy, excursion_mask, quantile_field
-
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     rows = []
@@ -662,15 +643,11 @@ def consistency_check_theta(simulate: Callable[[int], RasterStack],
         if not p_n > p0:
             raise ValueError(f"p_n={p_n} must exceed p0={p0}; increase n or gamma")
         stack = simulate(n)
-        domain = stack.domain()
-        medians = {}
-        for p in (p0, p_n):
-            thr = quantile_field(stack, p)
-            fields = []
-            for t in range(stack.nt):
-                mask = excursion_mask(stack, t, thr, BoundaryPolicy.FILL_EXCEED)
-                fields.append(range_field(mask, domain, stack.dx, edge_fallback=True))
-            medians[p] = median_range(fields, domain)
+        medians = {
+            p: median_range(range_cube(stack, quantile_field(stack, p),
+                                       BoundaryPolicy.FILL_EXCEED), stack.domain())
+            for p in (p0, p_n)
+        }
         rows.append(ThetaConsistencyRow(
             n=n, p_n=p_n, theta=theta_hat(medians[p0], medians[p_n], p0, p_n)
         ))

@@ -169,6 +169,21 @@ def test_pipeline_outputs_and_determinism(sim_dir, tmp_path):
     assert not list(out1.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("command", [
+    ["range", "--p", "0.9,0.95"],
+    ["cdf", "--p", "0.9,0.95", "--radii", "1,2,3"],
+], ids=["range", "cdf"])
+def test_range_and_cdf_outputs_identical_across_thread_counts(sim_dir, tmp_path, command):
+    # the worker threads fill one level's range array slice by slice
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for out, n in zip(outs, ("1", "2")):
+        assert main(command + ["--in", str(sim_dir), "--out", str(out), "--threads", n]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_jackknife_subcommand(sim_dir, tmp_path):
     blocks = tmp_path / "blocks.txt"
     blocks.write_text("\n".join(str(i // 10) for i in range(40)))

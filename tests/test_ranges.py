@@ -6,6 +6,7 @@ from exrange import (
     DomainMask,
     ExcursionMask,
     RasterStack,
+    collect_samples,
     domain_inradius,
     ecdf,
     erode,
@@ -14,9 +15,12 @@ from exrange import (
     matern_alpha,
     median_range,
     median_range_map,
+    quantile_field,
+    range_cube,
     range_field,
     tail_dependence,
 )
+from exrange.thresholds import excursion_mask
 from exrange.morphology import RangeField
 
 
@@ -224,6 +228,58 @@ def test_median_map_matches_pooled_per_pixel():
                 assert med_map[y, x] == vals[vals.size // 2]
             else:
                 assert med_map[y, x] == vals[vals.size // 2 - 1]
+
+
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_range_cube_matches_list_of_range_fields(policy):
+    # a ragged domain with holes; slice 0 has no exceedance, and slice 1
+    # exceeds at every domain pixel (an edge-fallback slice under fill-exceed)
+    rng = np.random.default_rng(43)
+    nt, ny, nx = 7, 14, 17
+    inside = np.ones((ny, nx), dtype=bool)
+    inside[:2, :4] = False
+    inside[6, 5:8] = False
+    inside[10:, 13:] = False
+    values = rng.standard_normal((nt, ny, nx)).astype(np.float32)
+    values[0], values[1] = -10.0, 10.0
+    values[:, ~inside] = -9999.0
+    stack = RasterStack(values)
+    dom = stack.domain()
+    cubes, lists = {}, {}
+    for p in (0.7, 0.85):
+        thr = quantile_field(stack, p)
+        cubes[p] = range_cube(stack, thr, policy, n_threads=3)
+        lists[p] = [range_field(excursion_mask(stack, t, thr, policy), dom, stack.dx,
+                                edge_fallback=True) for t in range(nt)]
+        assert np.array_equal(cubes[p], np.stack([rf.r for rf in lists[p]]))
+        assert not cubes[p][0][inside].any() and cubes[p][1][inside].all()
+    cube, fields = cubes[0.7], lists[0.7]
+
+    radii = [1.0, np.sqrt(2), 2.0, 3.0]
+    est_cube, est_list = ecdf(cube, dom, radii, 1.0), ecdf(fields, dom, radii, 1.0)
+    assert (est_cube.F == est_list.F).all() and est_cube.F.any()
+    assert (est_cube.n_exceed == est_list.n_exceed).all()
+    for d in (dom, None):
+        assert median_range(cube, d) == median_range(fields, d) > 0
+    assert (median_range_map(cube, dom) == median_range_map(fields, dom)).all()
+
+    blocks = [3, 3, 5, 5, 8, 8, 9]
+    s_cube = collect_samples(cubes, dom, blocks=blocks)
+    s_list = collect_samples(lists, dom, blocks=blocks)
+    # (level, slice, row, column) order, each sample carrying its slice's block
+    ref = {"pixel_y": [], "pixel_x": [], "block": [], "y": []}
+    for p in (0.7, 0.85):
+        for t, rf in enumerate(lists[p]):
+            iy, ix = np.nonzero((rf.r > 0) & inside)
+            ref["pixel_y"] += iy.tolist()
+            ref["pixel_x"] += ix.tolist()
+            ref["block"] += [blocks[t]] * iy.size
+            ref["y"] += np.log(rf.r[iy, ix]).tolist()
+    for name, want in ref.items():
+        assert getattr(s_cube, name).tolist() == want
+        assert (getattr(s_cube, name) == getattr(s_list, name)).all()
+    assert (s_cube.x == s_list.x).all()
+    assert s_cube.block.dtype == np.int64
 
 
 def test_tail_dependence_lag_zero_is_one():
