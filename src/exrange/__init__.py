@@ -3,13 +3,10 @@
 from .errors import DegenerateFitError, ExrangeError, StackFormatError
 from .geometry import (
     IntrinsicDensities,
-    area_density,
     cdf_slope,
     euler_characteristic,
-    euler_density,
     intrinsic_densities,
     level_curve_length,
-    perimeter_density,
 )
 from .morphology import (
     RangeField,

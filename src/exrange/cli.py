@@ -197,15 +197,9 @@ def _hist_rows(p: float, cube: np.ndarray, domain: raster.DomainMask,
 
 def _ivdens_row(stack: raster.RasterStack, p: float,
                 thr: thresholds.ThresholdField) -> list:
-    """One level's intrinsic-volume densities of the ERODE masks and the
-    CDF slope they predict."""
-    masks = [
-        thresholds.excursion_mask(stack, t, thr, BoundaryPolicy.ERODE)
-        for t in range(stack.nt)
-    ]
-    dens = geometry.intrinsic_densities(
-        (stack.values[t] for t in range(stack.nt)), masks, thr, stack.domain(), stack.dx
-    )
+    """One level's intrinsic-volume densities of the in-domain excursion
+    sets and the CDF slope they predict."""
+    dens = geometry.intrinsic_densities(stack, thr)
     slope = geometry.cdf_slope(dens.c1, dens.c2) if dens.c2 > 0 else float("nan")
     return [_fmt_p(p), dens.c0, dens.c1, dens.c2, slope]
 
@@ -437,9 +431,13 @@ def _cmd_jackknife(args) -> int:
     n_threads = _threads(args)
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
+    dropped = iter(np.unique(block_ids))
 
     def estimator(sub: raster.RasterStack) -> np.ndarray:
-        samples = _collect_all_samples(sub, levels, policy, n_threads,
+        # the i-th replicate leaves out the i-th smallest block; its samples
+        # keep the block ids of the slices left, for the block-wise CV
+        kept = block_ids[block_ids != next(dropped)]
+        samples = _collect_all_samples(sub, levels, policy, n_threads, kept,
                                        min_range=args.min_range)
         surface = _fit_surface(sub, samples, args, fit_options)
         return np.stack([surface.beta, surface.theta])

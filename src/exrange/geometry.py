@@ -8,17 +8,24 @@ holes. The perimeter is the total length of the interpolated level curve
 {X = u} from marching squares on the continuous field, which is free of
 the 4/pi overestimation bias of boundary-edge counting. Saddle cells are
 resolved by the sign of the cell-center average, deterministically.
+
+A level's densities come from its whole (nt, ny, nx) stack: one threshold
+comparison, and marching squares over the whole (nt, ny-1, nx-1) cell
+block. The output bytes fix each slice's float sums: one numpy ``.sum()``
+per (slice, table row) over that slice's cells in row-major order, added
+to the slice's length in ``_CASE_TABLE`` order (a saddle row's two segment
+sums added to each other first); the slice densities are then added in
+slice order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .raster import DomainMask
-from .thresholds import ExcursionMask, ThresholdField
+from .raster import DomainMask, RasterStack
+from .thresholds import ThresholdField
 
 
 @dataclass(frozen=True)
@@ -26,14 +33,12 @@ class IntrinsicDensities:
     """Estimated curvature densities of an excursion set.
 
     c0: Euler characteristic per unit area, c1: half boundary length per
-    unit area, c2: area fraction. Averaged over ``n_slices`` slices.
+    unit area, c2: area fraction. Averaged over the slices of a stack.
     """
 
     c0: float
     c1: float
     c2: float
-    domain_area: float
-    n_slices: int
 
     def __post_init__(self):
         if not (0.0 <= self.c2 <= 1.0):
@@ -45,80 +50,125 @@ class IntrinsicDensities:
                 raise ValueError(f"{name} is not finite")
 
 
-def area_density(masks: Iterable[ExcursionMask], domain: DomainMask) -> float:
-    """Mean fraction of domain pixels that are exceedances (estimates the
-    marginal exceedance probability under stationarity)."""
-    masks = list(masks)
-    if not masks:
-        raise ValueError("need at least one mask")
-    inside = domain.inside
-    n_dom = domain.n_pixels
-    frac = 0.0
-    for m in masks:
-        if m.exceed.shape != inside.shape:
-            raise ValueError(
-                f"mask shape {m.exceed.shape} != domain shape {inside.shape}"
-            )
-        frac += np.count_nonzero(m.exceed & inside) / n_dom
-    return frac / len(masks)
+def euler_characteristic(mask: np.ndarray) -> int | np.ndarray:
+    """chi = V - E + F of the union of closed pixels of each (ny, nx) mask.
 
-
-def euler_characteristic(mask: np.ndarray) -> int:
-    """chi = V - E + F of the union of closed pixels of the mask.
-
-    Equals (8-connected foreground components) - (4-connected holes).
+    Equals (8-connected foreground components) - (4-connected holes). A 2-d
+    mask gives an int; a (..., ny, nx) stack gives an int array over the
+    leading axes.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-d, got shape {mask.shape}")
-    ny, nx = mask.shape
-    pad = np.zeros((ny + 2, nx + 2), dtype=bool)
-    pad[1:-1, 1:-1] = mask
-    faces = int(np.count_nonzero(mask))
+    if mask.ndim < 2:
+        raise ValueError(f"mask must be at least 2-d, got shape {mask.shape}")
+    ny, nx = mask.shape[-2:]
+    pad = np.zeros(mask.shape[:-2] + (ny + 2, nx + 2), dtype=bool)
+    pad[..., 1:-1, 1:-1] = mask
+
+    def count(a):
+        return np.count_nonzero(a, axis=(-2, -1))
+
+    faces = count(mask)
     # a lattice vertex exists if any of its 4 incident pixels is set
-    vert = pad[:-1, :-1] | pad[:-1, 1:] | pad[1:, :-1] | pad[1:, 1:]
-    vertices = int(np.count_nonzero(vert))
-    # a horizontal lattice edge exists if either pixel above/below it is set
-    eh = pad[:-1, 1:-1] | pad[1:, 1:-1]
-    ev = pad[1:-1, :-1] | pad[1:-1, 1:]
-    edges = int(np.count_nonzero(eh)) + int(np.count_nonzero(ev))
-    return vertices - edges + faces
+    vertices = count(pad[..., :-1, :-1] | pad[..., :-1, 1:] | pad[..., 1:, :-1] | pad[..., 1:, 1:])
+    # a lattice edge exists if either pixel beside it is set (horizontal, vertical)
+    edges = (count(pad[..., :-1, 1:-1] | pad[..., 1:, 1:-1])
+             + count(pad[..., 1:-1, :-1] | pad[..., 1:-1, 1:]))
+    chi = vertices - edges + faces
+    return int(chi) if mask.ndim == 2 else chi
 
 
-def euler_density(mask: ExcursionMask | np.ndarray, domain: DomainMask, dx: float) -> float:
-    """Euler characteristic of the in-domain excursion set per unit area."""
-    exceed = mask.exceed if isinstance(mask, ExcursionMask) else np.asarray(mask, dtype=bool)
-    if exceed.shape != domain.inside.shape:
-        raise ValueError(f"mask shape {exceed.shape} != domain shape {domain.inside.shape}")
-    area = domain.area(dx)
-    if area <= 0:
-        raise ValueError("empty domain")
-    return euler_characteristic(exceed & domain.inside) / area
+# Marching-squares case table. The case index is bit0*f00 + bit1*f01 +
+# bit2*f11 + bit3*f10, where fab are the corners (row offset a, col offset
+# b) and a corner is set iff field > threshold. Edges are named T (between
+# 00 and 01), R (01 to 11), B (10 to 11), L (00 to 10). A row is (case,
+# cell-center average > 0 or None for either sign, segments); the saddles
+# 5 and 10 have a row per center sign. Rows are added to a slice's length
+# in table order.
+_CASE_TABLE = (
+    (1, None, ("LT",)),
+    (2, None, ("TR",)),
+    (4, None, ("RB",)),
+    (8, None, ("BL",)),
+    (3, None, ("LR",)),
+    (12, None, ("LR",)),
+    (6, None, ("TB",)),
+    (9, None, ("TB",)),
+    (7, None, ("LB",)),
+    (14, None, ("LT",)),
+    (11, None, ("BR",)),
+    (13, None, ("TR",)),
+    (5, True, ("TR", "BL")),
+    (5, False, ("LT", "RB")),
+    (10, True, ("LT", "RB")),
+    (10, False, ("TR", "BL")),
+)
+# table row of each key 2*case + (center > 0); cases 0 and 15 are never looked up
+_ROW = np.array([next((r for r, (c, pos, _) in enumerate(_CASE_TABLE)
+                       if c == key // 2 and pos in (None, key % 2 == 1)), 0)
+                 for key in range(32)])
+# where each edge's crossing point is found in the rows of ``pts`` (see
+# _curve_lengths): (x, y) in cell units, x along columns, y along rows
+_EDGE_PTS = {"T": (2, 0), "R": (1, 3), "B": (4, 1), "L": (0, 5)}
+# (x1, y1, x2, y2) rows of each table row's first and second segment; a row
+# with one segment repeats it and its second is never added
+_SEG_PTS = np.array([[[*_EDGE_PTS[e1], *_EDGE_PTS[e2]] for e1, e2 in (segs[0], segs[-1])]
+                     for _, _, segs in _CASE_TABLE], dtype=np.int8)
+_TWO_SEGMENTS = [len(segs) == 2 for _, _, segs in _CASE_TABLE]
 
 
-# marching-squares segment table: case index is bit0*f00 + bit1*f01 +
-# bit2*f11 + bit3*f10 where fab are the corners (row offset a, col offset b)
-# and a corner is set iff field - threshold > 0. Edges are named T (between
-# 00 and 01), R (01 to 11), B (10 to 11), L (00 to 10). Cases 5 and 10 are
-# saddles and get resolved by the cell-center average.
-_SEGMENTS = {
-    1: (("L", "T"),),
-    2: (("T", "R"),),
-    4: (("R", "B"),),
-    8: (("B", "L"),),
-    3: (("L", "R"),),
-    12: (("L", "R"),),
-    6: (("T", "B"),),
-    9: (("T", "B"),),
-    7: (("L", "B"),),
-    14: (("L", "T"),),
-    11: (("B", "R"),),
-    13: (("T", "R"),),
-}
-_SADDLE = {
-    5: ((("T", "R"), ("B", "L")), (("L", "T"), ("R", "B"))),
-    10: ((("L", "T"), ("R", "B")), (("T", "R"), ("B", "L"))),
-}
+def _curve_lengths(values: np.ndarray, u: np.ndarray, above: np.ndarray,
+                   inside: np.ndarray) -> tuple[np.ndarray, int]:
+    """Marching-squares length, in cell units, of {values[t] = u} in every
+    slice t, and the number of cells per slice whose four corners are inside.
+
+    ``values`` is (nt, ny, nx), ``u`` is (ny, nx) and ``above`` is
+    ``values > u`` at least at the inside pixels. Corner differences are
+    formed in float64 only for the cells the curve crosses.
+    """
+    valid = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
+    a = above.view(np.uint8)
+    case = a[:, :-1, :-1] + 2 * a[:, :-1, 1:] + 4 * a[:, 1:, 1:] + 8 * a[:, 1:, :-1]
+    case *= valid
+    case %= 15  # the uncrossed cases 0 and 15 both become 0, in place
+    t, i, j = np.nonzero(case)
+    lengths = np.zeros(values.shape[0])
+    n_cells = int(np.count_nonzero(valid))
+    if t.size == 0:
+        return lengths, n_cells
+    u = np.asarray(u, dtype=np.float64)
+    f00, f01, f10, f11 = (values[t, i + di, j + dj] - u[i + di, j + dj]
+                          for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    row = _ROW[2 * case[t, i, j] + ((f00 + f01 + f10 + f11) > 0)]
+    del case, i, j  # the cell block goes before the per-cell arrays come
+    # the constants 0 and 1, then the crossing points along T, R, B and L
+    pts = np.empty((6, t.size))
+    pts[0], pts[1] = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts[2] = f00 / (f00 - f01)
+        pts[3] = f01 / (f01 - f11)
+        pts[4] = f10 / (f10 - f11)
+        pts[5] = f00 / (f00 - f10)
+    del f00, f01, f10, f11
+    cell = np.arange(t.size)
+
+    def segment_lengths(k):
+        x1, y1, x2, y2 = _SEG_PTS[row, k].T
+        ddx = pts[x1, cell] - pts[x2, cell]
+        ddy = pts[y1, cell] - pts[y2, cell]
+        return np.sqrt(ddx * ddx + ddy * ddy)
+
+    first, second = segment_lengths(0), segment_lengths(1)
+    del pts, cell
+    # one group per (slice, table row), its cells kept in row-major order
+    key = t * len(_CASE_TABLE) + row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key)) + 1
+    for k, one, two in zip(key[np.r_[0, starts]].tolist(),
+                           np.split(first[order], starts), np.split(second[order], starts)):
+        s, r = divmod(k, len(_CASE_TABLE))
+        lengths[s] += one.sum() + two.sum() if _TWO_SEGMENTS[r] else one.sum()
+    return lengths, n_cells
 
 
 def level_curve_length(field: np.ndarray, threshold: np.ndarray | float,
@@ -132,74 +182,10 @@ def level_curve_length(field: np.ndarray, threshold: np.ndarray | float,
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 2:
         raise ValueError(f"field must be 2-d, got shape {field.shape}")
-    f = field - np.asarray(threshold, dtype=np.float64)
-    f00 = f[:-1, :-1]
-    f01 = f[:-1, 1:]
-    f10 = f[1:, :-1]
-    f11 = f[1:, 1:]
-    if domain is not None:
-        ins = domain.inside
-        valid = ins[:-1, :-1] & ins[:-1, 1:] & ins[1:, :-1] & ins[1:, 1:]
-    else:
-        valid = np.ones(f00.shape, dtype=bool)
-    case = (
-        (f00 > 0).astype(np.int8)
-        + 2 * (f01 > 0).astype(np.int8)
-        + 4 * (f11 > 0).astype(np.int8)
-        + 8 * (f10 > 0).astype(np.int8)
-    )
-    case[~valid] = 0
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_t = f00 / (f00 - f01)
-        t_r = f01 / (f01 - f11)
-        t_b = f10 / (f10 - f11)
-        t_l = f00 / (f00 - f10)
-    ones = np.ones_like(t_t)
-    zeros = np.zeros_like(t_t)
-    # (x, y) in cell units; x along columns, y along rows
-    points = {
-        "T": (t_t, zeros),
-        "R": (ones, t_r),
-        "B": (t_b, ones),
-        "L": (zeros, t_l),
-    }
-
-    def _sum_len(cells: np.ndarray, segments) -> float:
-        total = 0.0
-        for e1, e2 in segments:
-            x1, y1 = points[e1]
-            x2, y2 = points[e2]
-            ddx = x1[cells] - x2[cells]
-            ddy = y1[cells] - y2[cells]
-            total += float(np.sqrt(ddx * ddx + ddy * ddy).sum())
-        return total
-
-    total = 0.0
-    for c, segs in _SEGMENTS.items():
-        cells = case == c
-        if cells.any():
-            total += _sum_len(cells, segs)
-    saddle_any = (case == 5) | (case == 10)
-    if saddle_any.any():
-        center_pos = (f00 + f01 + f10 + f11) > 0
-        for c, (segs_pos, segs_neg) in _SADDLE.items():
-            cells = case == c
-            if not cells.any():
-                continue
-            total += _sum_len(cells & center_pos, segs_pos)
-            total += _sum_len(cells & ~center_pos, segs_neg)
-    return total * dx, int(np.count_nonzero(valid))
-
-
-def perimeter_density(field_slice: np.ndarray, thr: ThresholdField | np.ndarray | float,
-                      domain: DomainMask, dx: float) -> float:
-    """Half the level-curve length per unit area of the evaluated cells."""
-    threshold = thr.u if isinstance(thr, ThresholdField) else thr
-    length, n_cells = level_curve_length(field_slice, threshold, domain=domain, dx=dx)
-    if n_cells == 0:
-        raise ValueError("domain has no interior 2x2 cell")
-    return length / (2.0 * n_cells * dx * dx)
+    u = np.broadcast_to(np.asarray(threshold, dtype=np.float64), field.shape)
+    inside = np.ones(field.shape, dtype=bool) if domain is None else domain.inside
+    lengths, n_cells = _curve_lengths(field[None], u, (field > u)[None], inside)
+    return float(lengths[0]) * dx, n_cells
 
 
 def cdf_slope(c1: float, c2: float) -> float:
@@ -209,25 +195,28 @@ def cdf_slope(c1: float, c2: float) -> float:
     return 2.0 * c1 / c2
 
 
-def intrinsic_densities(field_slices: Iterable[np.ndarray],
-                        masks: Iterable[ExcursionMask],
-                        thr: ThresholdField,
-                        domain: DomainMask, dx: float) -> IntrinsicDensities:
-    """Slice-averaged curvature densities of the excursion set at one level."""
-    c0_sum = 0.0
-    c1_sum = 0.0
-    c2_sum = 0.0
-    n = 0
-    inside = domain.inside
-    n_dom = domain.n_pixels
-    for field, mask in zip(field_slices, masks):
-        c0_sum += euler_density(mask, domain, dx)
-        c1_sum += perimeter_density(field, thr, domain, dx)
-        c2_sum += np.count_nonzero(mask.exceed & inside) / n_dom
-        n += 1
-    if n == 0:
-        raise ValueError("need at least one slice")
-    return IntrinsicDensities(
-        c0=c0_sum / n, c1=c1_sum / n, c2=c2_sum / n,
-        domain_area=domain.area(dx), n_slices=n,
-    )
+def intrinsic_densities(stack: RasterStack, thr: ThresholdField) -> IntrinsicDensities:
+    """Slice-averaged curvature densities of the in-domain excursion sets
+    {X(t) > u} at one level.
+
+    c1 is half the level-curve length per unit area of the cells whose four
+    corners lie inside the domain.
+    """
+    if thr.u.shape != (stack.ny, stack.nx):
+        raise ValueError(f"threshold grid {thr.u.shape} does not match stack grid "
+                         f"{(stack.ny, stack.nx)}")
+    domain = stack.domain()
+    dx = stack.dx
+    with np.errstate(invalid="ignore"):
+        exceed = stack.values > thr.u
+    exceed &= domain.inside
+    c0 = euler_characteristic(exceed) / domain.area(dx)
+    c2 = np.count_nonzero(exceed, axis=(1, 2)) / domain.n_pixels
+    lengths, n_cells = _curve_lengths(stack.values, thr.u, exceed, domain.inside)
+    if n_cells == 0:
+        raise ValueError("domain has no interior 2x2 cell")
+    c1 = lengths * dx / (2.0 * n_cells * dx * dx)
+    # each mean adds its slices left to right (a cumulative sum); the output
+    # bytes depend on that order, which a pairwise or compensated sum changes
+    c0, c1, c2 = (float(np.add.accumulate(c)[-1]) / stack.nt for c in (c0, c1, c2))
+    return IntrinsicDensities(c0=c0, c1=c1, c2=c2)

@@ -586,7 +586,11 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
 def jackknife_estimates(stack: RasterStack, block_ids: Sequence[int],
                         estimator: Callable[[RasterStack], np.ndarray]) -> np.ndarray:
     """Delete-one-block estimates of a full-chain estimator, one row per
-    block (useful for sign diagnostics on top of the standard errors)."""
+    block (useful for sign diagnostics on top of the standard errors).
+
+    The blocks are left out in sorted order: the i-th call of ``estimator``
+    gets the slices outside the i-th smallest block id, in slice order.
+    """
     block_ids = np.asarray(block_ids)
     if block_ids.shape != (stack.nt,):
         raise ValueError(f"need one block id per slice, got {block_ids.shape}")

@@ -112,6 +112,19 @@ def test_ivdens_csv(sim_dir, tmp_path):
     assert c2[1] < c2[0]
 
 
+@pytest.mark.parametrize("policy", ["erode", "fill-exceed"])
+def test_ivdens_and_pipeline_write_the_same_ivdens_csv(sim_dir, tmp_path, policy):
+    levels = "0.85,0.9,0.95"
+    assert main(["ivdens", "--in", str(sim_dir), "--out", str(tmp_path / "iv"),
+                 "--p", levels]) == 0
+    assert main(["pipeline", "--in", str(sim_dir), "--out", str(tmp_path / "pipe"),
+                 "--levels", levels, "--knots", "4x4", "--iters", "30",
+                 "--policy", policy]) == 0
+    iv = (tmp_path / "iv" / "ivdens.csv").read_bytes()
+    assert iv == (tmp_path / "pipe" / "ivdens.csv").read_bytes()
+    assert len(_read_csv(tmp_path / "iv" / "ivdens.csv")) == 4
+
+
 def test_hist_counts_match_exceedances(sim_dir, tmp_path):
     code = main(["hist", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.9"])
     assert code == 0
@@ -194,6 +207,26 @@ def test_jackknife_subcommand(sim_dir, tmp_path):
     se, _ = load_map(tmp_path / "se_theta.f32")
     assert (se >= 0).all()
     assert se.max() > 0
+
+
+def test_jackknife_penalty_cv_folds_by_block(sim_dir, tmp_path, monkeypatch):
+    from exrange import tailfit
+
+    seen = []
+
+    def recording_choose(samples, *args, **kwargs):
+        seen.append(set(np.unique(samples.block).tolist()))
+        return 1.0
+
+    monkeypatch.setattr(tailfit, "choose_penalty", recording_choose)
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(10 + i // 10) for i in range(40)))
+    code = main(["jackknife", "--in", str(sim_dir), "--out", str(tmp_path),
+                 "--levels", "0.85,0.9", "--blocks-by", str(blocks),
+                 "--knots", "4x4", "--iters", "20", "--penalty", "auto"])
+    assert code == 0
+    # each replicate's CV sees the B-1 blocks it keeps, not its slice indices
+    assert seen == [{10, 11, 12, 13} - {b} for b in (10, 11, 12, 13)]
 
 
 @pytest.mark.parametrize("command", [

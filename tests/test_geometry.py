@@ -3,16 +3,13 @@ import pytest
 from scipy import ndimage
 
 from exrange import (
-    BoundaryPolicy,
     DomainMask,
-    ExcursionMask,
+    RasterStack,
     ThresholdField,
-    area_density,
     cdf_slope,
     euler_characteristic,
-    euler_density,
+    intrinsic_densities,
     level_curve_length,
-    perimeter_density,
 )
 
 STREL_8 = np.ones((3, 3), dtype=int)
@@ -33,9 +30,12 @@ def euler_oracle(mask):
     return n_comp - n_holes
 
 
-def _mask(m, p=0.9, t=0):
-    return ExcursionMask(exceed=np.asarray(m, dtype=bool), policy=BoundaryPolicy.ERODE,
-                         p=p, t_index=t)
+def _stack_of_masks(masks, dx=1.0):
+    """A stack whose values are the masks and a threshold field at 0.5,
+    so that each slice's excursion set is its mask."""
+    values = np.asarray(masks, dtype=np.float32)
+    thr = ThresholdField(p=0.9, u=np.full(values.shape[1:], 0.5, dtype=np.float32))
+    return RasterStack(values, dx=dx), thr
 
 
 def full_domain(ny, nx):
@@ -81,18 +81,17 @@ def test_chi_additive_over_far_components():
 def test_euler_density_normalization():
     m = np.zeros((10, 10), dtype=bool)
     m[2:5, 2:5] = True
-    dom = full_domain(10, 10)
-    assert euler_density(_mask(m), dom, dx=2.0) == pytest.approx(1 / (100 * 4.0))
+    stack, thr = _stack_of_masks([m], dx=2.0)
+    assert intrinsic_densities(stack, thr).c0 == pytest.approx(1 / (100 * 4.0))
 
 
 def test_area_density_counting():
-    dom = full_domain(10, 10)
-    full = _mask(np.ones((10, 10), dtype=bool))
-    assert area_density([full], dom) == 1.0
+    full = np.ones((10, 10), dtype=bool)
     quarter = np.zeros((10, 10), dtype=bool)
     quarter[:5, :5] = True
-    assert area_density([_mask(quarter)], dom) == 0.25
-    assert area_density([full, _mask(quarter)], dom) == pytest.approx(0.625)
+    assert intrinsic_densities(*_stack_of_masks([full])).c2 == 1.0
+    assert intrinsic_densities(*_stack_of_masks([quarter])).c2 == 0.25
+    assert intrinsic_densities(*_stack_of_masks([full, quarter])).c2 == pytest.approx(0.625)
 
 
 def test_perimeter_disk_within_one_percent():
@@ -151,12 +150,42 @@ def test_perimeter_affine_invariance():
 def test_perimeter_density_pairs_with_threshold_field():
     rng = np.random.default_rng(23)
     f = ndimage.gaussian_filter(rng.standard_normal((30, 30)), 2).astype(np.float32)
-    dom = full_domain(30, 30)
     thr = ThresholdField(p=0.5, u=np.zeros((30, 30), dtype=np.float32))
-    c1 = perimeter_density(f, thr, dom, dx=1.0)
+    c1 = intrinsic_densities(RasterStack(f[None]), thr).c1
     assert c1 > 0
-    c1_same = perimeter_density(f, 0.0, dom, dx=1.0)
-    assert c1 == c1_same
+    length, n_cells = level_curve_length(f, 0.0, domain=full_domain(30, 30), dx=1.0)
+    assert c1 == length / (2.0 * n_cells)
+
+
+def test_batched_densities_equal_slice_by_slice():
+    rng = np.random.default_rng(24)
+    nt, ny, nx, dx = 6, 26, 21, 2.5
+    inside = rng.random((ny, nx)) > 0.1  # ragged, with holes
+    inside[:4, :5] = False
+    values = ndimage.gaussian_filter(rng.standard_normal((nt, ny, nx)), (0, 1.5, 1.5))
+    values[3] = -5.0  # no exceedance
+    values[4] = 5.0  # every in-domain pixel exceeds
+    sign = (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
+    values[5, 10:18, 8:16] = sign * rng.uniform(0.5, 1.5, (8, 8))  # saddle cells
+    values = values.astype(np.float32)
+    values[:, ~inside] = -9999.0
+    stack = RasterStack(values, dx=dx)
+    domain = stack.domain()
+    thr = ThresholdField(p=0.7, u=np.where(inside, 0.05, np.nan).astype(np.float32))
+
+    exceed = (values > thr.u) & inside
+    chi = [euler_characteristic(exceed[t]) for t in range(nt)]
+    assert all(type(c) is int for c in chi)
+    assert euler_characteristic(exceed).tolist() == chi
+    c0 = c1 = c2 = 0.0
+    for t in range(nt):
+        length, n_cells = level_curve_length(values[t], thr.u, domain=domain, dx=dx)
+        c0 += chi[t] / domain.area(dx)
+        c1 += length / (2.0 * n_cells * dx * dx)
+        c2 += np.count_nonzero(exceed[t]) / domain.n_pixels
+    dens = intrinsic_densities(stack, thr)
+    assert (dens.c0, dens.c1, dens.c2) == (c0 / nt, c1 / nt, c2 / nt)
+    assert 0.0 < dens.c2 < 1.0 and dens.c1 > 0
 
 
 def test_saddle_rule_is_deterministic():
