@@ -62,6 +62,7 @@ from .thresholds import (
     BoundaryPolicy,
     ExcursionMask,
     ThresholdField,
+    exceedance_stack,
     excursion_mask,
     quantile_field,
 )

@@ -119,13 +119,20 @@ def _resolve_input(path_arg: str) -> Path:
 
 
 def _threads(args) -> int:
+    """--threads, else the EXRANGE_THREADS variable, else the core count."""
     if args.threads is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("EXRANGE_THREADS")
-        n = int(env) if env else (os.cpu_count() or 1)
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        return args.threads
+    env = os.environ.get("EXRANGE_THREADS")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValueError(f"--threads must be at least 1, got {n}")
+        raise ValueError(f"EXRANGE_THREADS must be an integer of at least 1, got {env!r}")
     return n
 
 
@@ -293,13 +300,10 @@ def _cmd_excursion(args) -> int:
     policy = BoundaryPolicy(args.policy)
     out = Path(args.out)
     for p in _parse_levels(args.p):
-        thr = thresholds.quantile_field(stack, p)
+        exceed = thresholds.exceedance_stack(stack, thresholds.quantile_field(stack, p), policy)
         for t in range(stack.nt):
-            mask = thresholds.excursion_mask(stack, t, thr, policy)
-            raster.save_map(
-                out / f"excursion_p{_fmt_p(p)}_t{t}.f32",
-                mask.exceed.astype(np.float32), dx=stack.dx, unit="bool",
-            )
+            raster.save_map(out / f"excursion_p{_fmt_p(p)}_t{t}.f32",
+                            exceed[t].astype(np.float32), dx=stack.dx, unit="bool")
     return 0
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import DomainMask, RasterStack
-from .thresholds import ThresholdField
+from .thresholds import BoundaryPolicy, ThresholdField, exceedance_stack
 
 
 @dataclass(frozen=True)
@@ -202,14 +202,9 @@ def intrinsic_densities(stack: RasterStack, thr: ThresholdField) -> IntrinsicDen
     c1 is half the level-curve length per unit area of the cells whose four
     corners lie inside the domain.
     """
-    if thr.u.shape != (stack.ny, stack.nx):
-        raise ValueError(f"threshold grid {thr.u.shape} does not match stack grid "
-                         f"{(stack.ny, stack.nx)}")
+    exceed = exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
     domain = stack.domain()
     dx = stack.dx
-    with np.errstate(invalid="ignore"):
-        exceed = stack.values > thr.u
-    exceed &= domain.inside
     c0 = euler_characteristic(exceed) / domain.area(dx)
     c2 = np.count_nonzero(exceed, axis=(1, 2)) / domain.n_pixels
     lengths, n_cells = _curve_lengths(stack.values, thr.u, exceed, domain.inside)

@@ -10,16 +10,27 @@ radius, so the cardinality identity
 
 holds exactly for every radius, which downstream CDF estimation relies on.
 
-The transform is the feature transform of ``scipy.ndimage.distance_transform_edt``
-(the linear-time algorithm of Maurer et al., 2003), which returns, for every
-pixel, the indices (iy, ix) of a nearest false pixel. Its float distances
-are not used: the squared distance is rebuilt in int64 from the indices,
-(y - iy)^2 + (x - ix)^2. The feature transform's Voronoi tests combine
-integer pixel coordinates only (products of order side^3, exact in float64
-for sides up to about 10^5 pixels), so the returned feature is a true
-nearest one. All nearest features of a pixel lie at the same squared
-distance, so d^2 is the exact integer minimum whatever the tie-break
-between equidistant features. Work is O(nx*ny).
+The squared transform is separable (Saito & Toriwaki, 1994; Meijster et
+al., 2000): the squared distance to the nearest false pixel is
+
+    d^2(y, x) = min over x' of  g(y, x')^2 + (x - x')^2,
+
+where g(y, x') is the distance along column x' from row y to the nearest
+false pixel of that column. The column pass finds g from running maxima
+and minima of the false pixels' row indices. The row pass first takes the
+minimum over offsets k = 1, 2, ... in place, on rows that hold a true
+pixel, and stops once k^2 reaches the largest value still pending, since
+no offset at or beyond it can lower any value. That is cheap while ranges
+are short, but costs O(N * largest distance) for N pixels. So when values
+above (16 + 128)^2 are still pending after 16 offsets, the rows that hold
+them take the lower envelope of the parabolas g(x')^2 + (x - x')^2 over
+the columns that have a false pixel (Felzenszwalb & Huttenlocher, 2012),
+one stack per row advanced in lock step, which is O(N + rows * columns).
+One envelope costs about as much as 50 to 300 offsets on the same rows
+(measured from 16x16 to 1024x1024), so the row pass never runs more than
+144 offsets and the whole transform is O(N). Every step adds, multiplies and compares integers, so d^2 is exact,
+not rounded; the offset temporaries are int32 while no sum can reach 2^31
+(ny + nx below about 23,000) and int64 beyond, and the envelope is int64.
 """
 
 from __future__ import annotations
@@ -44,8 +55,14 @@ class RangeField:
         object.__setattr__(self, "r", r)
 
 
+# after this many offsets, pending values above (_SHORT_RUN + _ENVELOPE_COST)^2
+# go to the lower envelope, which costs about _ENVELOPE_COST offsets
+_SHORT_RUN = 16
+_ENVELOPE_COST = 128
+
+
 def distance_transform_squared(mask: np.ndarray, edge_is_false: bool = False) -> np.ndarray:
-    """Exact integer squared pixel distance to the nearest False pixel.
+    """Exact int64 squared pixel distance to the nearest False pixel.
 
     With ``edge_is_false`` the grid is treated as surrounded by a virtual
     ring of False pixels, so distances are additionally capped by the
@@ -56,18 +73,101 @@ def distance_transform_squared(mask: np.ndarray, edge_is_false: bool = False) ->
     if mask.ndim != 2:
         raise ValueError(f"mask must be 2-d, got shape {mask.shape}")
     if edge_is_false:
-        return distance_transform_squared(np.pad(mask, 1), edge_is_false=False)[1:-1, 1:-1]
+        return distance_transform_squared(np.pad(mask, 1))[1:-1, 1:-1]
     if mask.all():
         raise ValueError(
             "mask has no False pixel; distance is undefined "
             "(pass edge_is_false=True to measure distance to the grid edge)"
         )
-    from scipy import ndimage  # here, not at start-up: ~70 ms and 1.5 MB other commands skip
-    iy, ix = ndimage.distance_transform_edt(mask, return_distances=False,
-                                            return_indices=True)
-    yy = np.arange(mask.shape[0], dtype=np.int64)[:, None]
-    xx = np.arange(mask.shape[1], dtype=np.int64)[None, :]
-    return (yy - iy) ** 2 + (xx - ix) ** 2
+    d2 = np.zeros(mask.shape, dtype=np.int64)
+    rows = mask.any(axis=1)
+    if not rows.any():
+        return d2
+    ny, nx = mask.shape
+    # a column with no False pixel gets a gap of at least ny + nx, which no
+    # true distance reaches; every sum below stays under (2 (ny + nx))^2
+    far = ny + nx
+    dtype = np.int32 if (2 * far) ** 2 < 2 ** 31 else np.int64
+    y = np.arange(ny, dtype=dtype)[:, None]
+    above = np.maximum.accumulate(np.where(mask, -far, y), axis=0)
+    below = np.minimum.accumulate(np.where(mask, ny + far, y)[::-1], axis=0)
+    gap = np.minimum(y - above, below[::-1] - y)[rows]
+    gap *= gap
+    # each row padded by nx pixels of far^2 on both sides, so a shift by k
+    # is a slice; best(x) ends as the min over |k| < nx of gap(x + k) + k^2
+    padded = np.full((len(gap), 3 * nx), far * far, dtype=dtype)
+    padded[:, nx:2 * nx] = gap
+    best, shifted = gap, np.empty_like(gap)
+    k = 1
+    while k < nx and k * k < (pending := best.max()):
+        if k == _SHORT_RUN and pending > (k + _ENVELOPE_COST) ** 2:
+            slow = np.flatnonzero(best.max(axis=1) > k * k)
+            cols = np.flatnonzero(~mask.all(axis=0))
+            best[slow] = _lower_envelope(padded[np.ix_(slow, nx + cols)], cols, nx)
+            break
+        np.minimum(padded[:, nx - k:2 * nx - k], padded[:, nx + k:2 * nx + k], out=shifted)
+        shifted += k * k
+        np.minimum(best, shifted, out=best)
+        k += 1
+    d2[rows] = best
+    return d2
+
+
+def _lower_envelope(h: np.ndarray, cols: np.ndarray, nx: int) -> np.ndarray:
+    """min over j of h[:, j] + (x - cols[j])^2 for x in range(nx), exactly, for
+    every row of h; ``cols`` are increasing column indices.
+
+    Each row keeps a stack of the parabolas on its lower envelope so far;
+    parabola j pops the top b (below it a) while the two meet no later than
+    b meets a, (F_j - F_b) / 2(c_j - c_b) <= (F_b - F_a) / 2(c_b - c_a) with
+    F = h + c^2, compared cross-multiplied in int64. All rows take parabola
+    j together, and only the rows that pop loop further. A stack is kept as
+    a link to the entry below (``below``) plus which entries are still on
+    it (``kept``), both (columns, rows) so each step writes one contiguous
+    line.
+    """
+    m, s = h.shape
+    c = cols.astype(np.int64)
+    F = (h.astype(np.int64) + c * c).T.copy()
+    below = np.empty((s, m), dtype=np.intp)
+    kept = np.zeros((s, m), dtype=bool)
+    below[0] = -1
+    kept[0] = True
+    # the entry under the top (the top itself is always the last pushed)
+    a, fa, ca = np.full(m, -1, dtype=np.intp), np.zeros(m, np.int64), np.zeros(m, np.int64)
+    for j in range(1, s):
+        fj, cj, fb, cb = F[j], c[j], F[j - 1], c[j - 1]
+        pops = (a >= 0) & ((fj - fb) * (cb - ca) <= (fb - fa) * (cj - cb))
+        r = np.flatnonzero(pops)
+        if r.size:
+            kept[j - 1, r] = False
+            t, ft, ct, fjr = a[r], fa[r], ca[r], fj[r]
+            while r.size:
+                u = below[t, r]
+                fu, cu = F[u, r], c[u]
+                more = (u >= 0) & ((fjr - ft) * (ct - cu) <= (ft - fu) * (cj - ct))
+                done = ~more
+                a[r[done]], fa[r[done]], ca[r[done]] = t[done], ft[done], ct[done]
+                r = r[more]
+                kept[t[more], r] = False
+                t, ft, ct, fjr = u[more], fu[more], cu[more], fjr[more]
+        np.copyto(a, j - 1, where=~pops)
+        np.copyto(fa, fb, where=~pops)
+        np.copyto(ca, cb, where=~pops)
+        below[j] = a
+        kept[j] = True
+    # parabola i of a row owns the pixels from ceil of where it meets the
+    # one below it up to where the one above it takes over
+    row, j = np.nonzero(kept.T)
+    f, cj = F[j, row], c[j]
+    i = np.flatnonzero(row[1:] == row[:-1])
+    start = np.zeros(len(j), dtype=np.int64)
+    start[i + 1] = np.clip((f[i + 1] - f[i] - 1) // (2 * (cj[i + 1] - cj[i])) + 1, 0, nx)
+    stop = np.full(len(j), nx, dtype=np.int64)
+    stop[i] = start[i + 1]
+    owner_c = np.repeat(cj, stop - start).reshape(m, nx)
+    owner_h = np.repeat(f - cj * cj, stop - start).reshape(m, nx)
+    return (np.arange(nx) - owner_c) ** 2 + owner_h
 
 
 def distance_transform(mask: np.ndarray, dx: float = 1.0,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .morphology import RangeField, distance_transform, distance_transform_squared
 from .raster import DomainMask, RasterStack
-from .thresholds import (BoundaryPolicy, ExcursionMask, ThresholdField, excursion_mask,
+from .thresholds import (BoundaryPolicy, ExcursionMask, ThresholdField, exceedance_stack,
                          quantile_field)
 
 
@@ -120,13 +120,16 @@ def range_cube(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolicy |
                n_threads: int = 1) -> np.ndarray:
     """The range fields of every slice at one threshold, as one float64
     (nt, ny, nx) array: slice t is ``range_field`` of slice t's excursion
-    mask under ``policy``, with ``edge_fallback``. Up to ``n_threads``
-    workers each fill their own slices of the preallocated array."""
+    mask under ``policy``, with ``edge_fallback``. The masks come from one
+    comparison over the stack; up to ``n_threads`` workers each fill their
+    own slices of the preallocated array."""
+    policy = BoundaryPolicy(policy)
+    exceed = exceedance_stack(stack, thr, policy)
     domain = stack.domain()
-    cube = np.empty((stack.nt, stack.ny, stack.nx))
+    cube = np.empty(exceed.shape)
 
     def fill(t: int) -> None:
-        mask = excursion_mask(stack, t, thr, policy)
+        mask = ExcursionMask(exceed=exceed[t], policy=policy, p=thr.p, t_index=t)
         cube[t] = range_field(mask, domain, stack.dx, edge_fallback=True).r
 
     _pmap(fill, range(stack.nt), n_threads)

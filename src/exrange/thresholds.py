@@ -86,6 +86,23 @@ def quantile_field(stack: RasterStack, p: float) -> ThresholdField:
     return ThresholdField(p=p, u=u)
 
 
+def _exceedances(stack: RasterStack, slices, thr: ThresholdField,
+                 policy: BoundaryPolicy) -> np.ndarray:
+    """{X > u} on ``stack.values[slices]``, nodata pixels filled by ``policy``."""
+    if thr.u.shape != (stack.ny, stack.nx):
+        raise ValueError(
+            f"threshold grid {thr.u.shape} does not match stack grid {(stack.ny, stack.nx)}"
+        )
+    inside = stack.domain().inside
+    with np.errstate(invalid="ignore"):
+        exceed = stack.values[slices] > thr.u
+    if policy is BoundaryPolicy.FILL_EXCEED:
+        exceed |= ~inside
+    else:
+        exceed &= inside
+    return exceed
+
+
 def excursion_mask(stack: RasterStack, t_index: int, thr: ThresholdField,
                    policy: BoundaryPolicy | str = BoundaryPolicy.FILL_EXCEED) -> ExcursionMask:
     """Strict-exceedance mask {X(t) > u} of one slice.
@@ -96,15 +113,12 @@ def excursion_mask(stack: RasterStack, t_index: int, thr: ThresholdField,
     policy = BoundaryPolicy(policy)
     if not 0 <= t_index < stack.nt:
         raise ValueError(f"slice index {t_index} outside [0, {stack.nt})")
-    if thr.u.shape != (stack.ny, stack.nx):
-        raise ValueError(
-            f"threshold grid {thr.u.shape} does not match stack grid {(stack.ny, stack.nx)}"
-        )
-    inside = stack.domain().inside
-    with np.errstate(invalid="ignore"):
-        exceed = stack.values[t_index] > thr.u
-    if policy is BoundaryPolicy.FILL_EXCEED:
-        exceed = exceed | ~inside
-    else:
-        exceed = exceed & inside
-    return ExcursionMask(exceed=exceed, policy=policy, p=thr.p, t_index=t_index)
+    return ExcursionMask(exceed=_exceedances(stack, t_index, thr, policy), policy=policy,
+                         p=thr.p, t_index=t_index)
+
+
+def exceedance_stack(stack: RasterStack, thr: ThresholdField,
+                     policy: BoundaryPolicy | str) -> np.ndarray:
+    """The excursion masks of every slice as one (nt, ny, nx) bool array:
+    slice t is ``excursion_mask(stack, t, thr, policy).exceed``."""
+    return _exceedances(stack, slice(None), thr, BoundaryPolicy(policy))

@@ -348,6 +348,38 @@ def test_import_cli_and_spline_pipeline_skip_scipy_fit_modules(tmp_path):
     assert (tmp_path / "out" / "mer_beta.f32").exists()
 
 
+@pytest.mark.parametrize("fit", ["pixel", "spline"])
+def test_pipeline_loads_no_scipy(tmp_path, fit):
+    # the distance transform and both fits are numpy-only: scipy is for the
+    # simulator and the tests
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import exrange
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "12", "--ny", "12", "--n", "30", "--ell", "4",
+                 "--seed", "5", "--out", str(sim)]) == 0
+    src = str(Path(exrange.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import exrange.cli; "
+            "code = exrange.cli.main(['pipeline', '--in', sys.argv[2], '--out', sys.argv[3], "
+            "'--fit', sys.argv[4], '--knots', '4x4', '--levels', '0.8,0.9', '--threads', '2']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(sim), str(tmp_path / "out"), fit],
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "mer_beta.f32").exists()
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_bad_exrange_threads_names_the_variable(sim_dir, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("EXRANGE_THREADS", value)
+    assert main(["range", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert "EXRANGE_THREADS" in err and repr(value) in err
+
+
 @pytest.mark.parametrize("command", ["mer", "pipeline"])
 def test_pixel_fit_without_fitted_pixel_exits_compute(tmp_path, capsys, command):
     # 60 slices at levels 0.97 and 0.98 give every pixel 2 samples, below the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exrange import dilate, distance_transform, distance_transform_squared, erode
+from exrange import dilate, distance_transform, distance_transform_squared, erode, morphology
 
 
 def brute_force_sq(mask):
@@ -87,6 +87,65 @@ def test_matches_brute_force_on_random_masks():
         assert np.array_equal(distance_transform_squared(mask), brute_force_sq(mask))
     for mask in edge_shape_masks():
         assert np.array_equal(distance_transform_squared(mask), brute_force_sq(mask))
+
+
+def brute_force_sq_by_row(mask):
+    """brute_force_sq one row at a time, for masks too large for one block."""
+    mask = np.asarray(mask, dtype=bool)
+    fy, fx = np.nonzero(~mask)
+    x = np.arange(mask.shape[1])[:, None]
+    out = np.stack([((y - fy) ** 2 + (x - fx) ** 2).min(axis=1) for y in range(mask.shape[0])])
+    out[~mask] = 0
+    return out
+
+
+def long_range_masks():
+    """Masks with distances above 144 (the most offsets the row pass takes
+    before the lower envelope), each with its ``edge_is_false`` flag."""
+    rng = np.random.default_rng(46)
+    yy, xx = np.mgrid[0:260, 0:300]
+    # a small domain under fill-exceed: false pixels only inside a disk
+    disk = (yy - 30) ** 2 + (xx - 40) ** 2 < 12 ** 2
+    yield ~(disk & (rng.random(disk.shape) < 0.3)), False
+    # an edge-fallback slice: no false pixel, distance to the grid edge
+    yield np.ones((300, 320), dtype=bool), True
+    # a wide domain next to a strip of nodata, measured with the edge ring
+    yield np.mgrid[0:320, 0:330][1] < 320, True
+    # false pixels scattered over the left quarter only, with ties
+    scattered = np.ones((260, 300), dtype=bool)
+    scattered[rng.integers(0, 260, 40), rng.integers(0, 75, 40)] = False
+    scattered[::37, 10] = False
+    yield scattered, False
+
+
+def test_long_ranges_take_the_lower_envelope_and_match_brute_force(monkeypatch):
+    calls = []
+    envelope = morphology._lower_envelope
+    monkeypatch.setattr(morphology, "_lower_envelope",
+                        lambda *args: calls.append(args[0].shape) or envelope(*args))
+    for mask, edge in long_range_masks():
+        expected = (brute_force_sq_by_row(np.pad(mask, 1))[1:-1, 1:-1] if edge
+                    else brute_force_sq_by_row(mask))
+        assert expected.max() > 144 ** 2
+        n_calls = len(calls)
+        d2 = distance_transform_squared(mask, edge_is_false=edge)
+        assert d2.dtype == np.int64 and np.array_equal(d2, expected)
+        assert len(calls) == n_calls + 1
+
+
+def test_lower_envelope_matches_brute_force():
+    # min over j of h[:, j] + (x - cols[j])^2, with ties, a single column,
+    # skipped columns and some values far above the rest
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        nx = int(rng.integers(1, 30))
+        cols = np.sort(rng.choice(nx, size=int(rng.integers(1, nx + 1)), replace=False))
+        h = rng.integers(0, int(rng.integers(1, 900)), size=(int(rng.integers(1, 7)), len(cols)))
+        h[rng.random(h.shape) < 0.2] *= 50
+        x = np.arange(nx)
+        expected = (h[:, None, :] + (x[:, None] - cols[None, :]) ** 2).min(axis=2)
+        got = morphology._lower_envelope(h, cols, nx)
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 8)],

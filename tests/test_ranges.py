@@ -230,6 +230,40 @@ def test_median_map_matches_pooled_per_pixel():
                 assert med_map[y, x] == vals[vals.size // 2 - 1]
 
 
+@pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes):
+    # one stack, dx != 1, with slices that exceed nowhere, somewhere and
+    # everywhere; on the full grid an everywhere slice takes the edge fallback
+    # under both policies, with holes only under fill-exceed
+    rng = np.random.default_rng(44)
+    nt, ny, nx, dx = 9, 11, 13, 2.5
+    inside = np.ones((ny, nx), dtype=bool)
+    if holes:
+        inside[0, :3] = inside[5:7, 6] = inside[-1, -1] = False
+    values = rng.standard_normal((nt, ny, nx)).astype(np.float32)
+    values[[0, 4]] = -10.0
+    values[[2, 7]] = 10.0
+    values[:, ~inside] = -9999.0
+    stack = RasterStack(values, dx=dx)
+    thr = quantile_field(stack, 0.6)
+    cube = range_cube(stack, thr, policy, n_threads=2)
+    assert cube.shape == (nt, ny, nx) and cube.dtype == np.float64
+    dom = stack.domain()
+    fill = BoundaryPolicy(policy) is BoundaryPolicy.FILL_EXCEED
+    for t in range(nt):
+        with np.errstate(invalid="ignore"):
+            exceed = values[t] > thr.u
+        exceed = exceed | ~inside if fill else exceed & inside
+        if exceed.all():
+            expected = brute_nearest_false(np.pad(exceed, 1), dx)[1:-1, 1:-1]
+        else:
+            expected = brute_nearest_false(exceed, dx)
+        rf = range_field(excursion_mask(stack, t, thr, policy), dom, dx, edge_fallback=True)
+        assert np.array_equal(cube[t], rf.r) and np.array_equal(cube[t], expected)
+    assert not cube[[0, 4]][:, inside].any() and cube[[2, 7]][:, inside].all()
+
+
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_matches_list_of_range_fields(policy):
     # a ragged domain with holes; slice 0 has no exceedance, and slice 1

@@ -42,6 +42,22 @@ def test_determinism_bit_for_bit():
     assert a.values.tobytes() != c.values.tobytes()
 
 
+def test_windowed_transform_matches_fft2_bit_for_bit():
+    # the full-torus fft2 cropped to the window is the oracle
+    from exrange.simgrf import _embedding_sqrt_eigs, _slice_rng
+
+    cfg = GaussianSimConfig(nx=13, ny=9, n_slices=5, nu=2.5, ell=3.0, dx=0.5, seed=4)
+    sqrt_eig, my, mx = _embedding_sqrt_eigs(cfg)
+    expected = []
+    for pair in range(3):
+        rng = _slice_rng(cfg.seed, 0, pair)
+        w = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
+        f = np.fft.fft2(sqrt_eig * w)[: cfg.ny, : cfg.nx]
+        expected += [f.real, f.imag]
+    expected = np.stack(expected[: cfg.n_slices]).astype(np.float32)
+    assert simulate_gaussian(cfg).values.tobytes() == expected.tobytes()
+
+
 def test_pixel_variance():
     cfg = GaussianSimConfig(nx=16, ny=16, n_slices=1000, nu=2.0, ell=3.0, seed=1)
     stack = simulate_gaussian(cfg)

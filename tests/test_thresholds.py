@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exrange import BoundaryPolicy, RasterStack, excursion_mask, quantile_field
+from exrange import BoundaryPolicy, RasterStack, exceedance_stack, excursion_mask, quantile_field
 from exrange.thresholds import order_statistic_index
 
 
@@ -121,6 +121,21 @@ def test_fill_exceed_marks_nodata_true():
     erode = excursion_mask(stack, 0, thr, BoundaryPolicy.ERODE)
     assert fill.exceed[1, 1]
     assert not erode.exceed[1, 1]
+
+
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_exceedance_stack_is_every_slice_mask(policy):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((6, 5, 7)).astype(np.float32)
+    values[:, 0, :2] = values[:, 3, 4] = -9999.0
+    stack = RasterStack(values)
+    thr = quantile_field(stack, 0.7)
+    exceed = exceedance_stack(stack, thr, policy)
+    assert exceed.shape == (6, 5, 7) and exceed.dtype == bool
+    for t in range(6):
+        assert np.array_equal(exceed[t], excursion_mask(stack, t, thr, policy).exceed)
+    with pytest.raises(ValueError, match="match"):
+        exceedance_stack(RasterStack(values[:, :4]), thr, policy)
 
 
 def test_dimension_mismatch():
