@@ -8,6 +8,11 @@ are either complete or absent. All randomness derives from simulate --seed.
 
 Exit codes: 0 success, 2 flag or value validation, 3 malformed input
 files, 4 I/O failure, 5 any other computation error.
+
+A process that imports this module before numpy runs numpy's OpenBLAS on
+one thread, unless the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS:
+the fit's matrices are too small for a second BLAS thread to save time, and
+idle OpenBLAS workers spin on the CPU after every call.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ import math
 import os
 import sys
 from pathlib import Path
+
+# OpenBLAS sizes its pool as numpy loads it; more threads only spin on the fit's small matrices.
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -119,13 +129,16 @@ def _resolve_input(path_arg: str) -> Path:
 
 
 def _threads(args) -> int:
-    """--threads, else the EXRANGE_THREADS variable, else the core count."""
+    """--threads, else the EXRANGE_THREADS variable, else the cores this
+    process may run on (its CPU-affinity mask, where the OS has one)."""
     if args.threads is not None:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("EXRANGE_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(env)
@@ -499,7 +512,7 @@ def _add_common_io(sub, with_policy: bool = True):
                      help="stack file (.f32) or directory holding one")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: EXRANGE_THREADS or all cores)")
+                     help="worker threads (default: EXRANGE_THREADS or all usable cores)")
     if with_policy:
         sub.add_argument("--policy", choices=[p.value for p in BoundaryPolicy],
                          default=BoundaryPolicy.FILL_EXCEED.value,

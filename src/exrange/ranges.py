@@ -59,8 +59,12 @@ class CdfEstimate:
 
 def _domain_distance(domain: DomainMask, dx: float) -> np.ndarray:
     """Distance from each pixel center to the nearest center outside the
-    domain, the region outside the grid counting as outside the domain."""
-    d2 = distance_transform_squared(domain.inside, edge_is_false=True)
+    domain, the region outside the grid counting as outside the domain.
+    The squared distances are computed once per domain and kept on it."""
+    d2 = domain._distance2
+    if d2 is None:
+        d2 = distance_transform_squared(domain.inside, edge_is_false=True)
+        object.__setattr__(domain, "_distance2", d2)
     return dx * np.sqrt(d2.astype(np.float64))
 
 

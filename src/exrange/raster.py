@@ -26,14 +26,19 @@ _SIDECAR_KEYS = ("nx", "ny", "nt", "dx", "nodata")
 class DomainMask:
     """Pixels whose centers belong to the study domain (time invariant)."""
 
-    inside: np.ndarray  # (ny, nx) bool
+    inside: np.ndarray  # (ny, nx) bool, a read-only copy
+    # squared distance to the nearest center outside the domain, set by the
+    # first ``ranges`` call that needs it
+    _distance2: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
-        inside = np.asarray(self.inside, dtype=bool)
+        inside = np.array(self.inside, dtype=bool)
         if inside.ndim != 2:
             raise ValueError(f"domain mask must be 2-d, got shape {inside.shape}")
         if not inside.any():
             raise ValueError("domain mask has no inside pixel")
+        inside.flags.writeable = False
         object.__setattr__(self, "inside", inside)
 
     @property

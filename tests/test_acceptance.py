@@ -11,13 +11,18 @@ analysis).
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.stats import norm
 
+import exrange
 from exrange import (
     AdSimConfig,
     GaussianSimConfig,
@@ -370,3 +375,32 @@ def test_a9_pipeline_determinism(tmp_path):
     assert rows[0] == ["p", "r", "F", "n_exceed"]
     _report("A9", True, f"{len(names)} CSVs byte-identical across reruns and "
                         f"thread counts [{time.time()-t0:.0f}s]")
+
+
+def test_a9_pipeline_identical_across_blas_threads(tmp_path):
+    # the float32 reference checks assume the fit does not depend on the BLAS
+    # reduction order a caller's OPENBLAS_NUM_THREADS might pick
+    t0 = time.time()
+    sim = tmp_path / "sim"
+    assert cli_main(["simulate", "--model", "gaussian", "--nx", "64", "--ny", "64",
+                     "--n", "60", "--nu", "2", "--ell", "8", "--seed", "7",
+                     "--out", str(sim)]) == 0
+    src = str(Path(exrange.__file__).resolve().parents[1])
+    outs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-m", "exrange.cli", "pipeline", "--in", str(sim),
+                        "--out", str(out), "--fit", "spline", "--threads", "1",
+                        "--levels", "0.85:0.95:0.05", "--predict-p", "0.989"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert any(name.startswith("mer_") for name in names)
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    _report("A9", True, f"{len(names)} files byte-identical on 1 and 2 BLAS threads "
+                        f"[{time.time()-t0:.0f}s]")

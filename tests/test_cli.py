@@ -1,12 +1,21 @@
 import csv
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exrange
 from exrange import load_map, load_stack
-from exrange.cli import main
+from exrange.cli import _threads, build_parser, main
+
+SRC = str(Path(exrange.__file__).resolve().parents[1])
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -305,44 +314,36 @@ def test_level_without_exceedance_is_skipped(tmp_path):
         assert (tmp_path / "three" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def _child(code: str, *args: str, **env: str) -> str:
+    """Stdout of ``python -c code args`` with this source tree first on the
+    path, no caller-set BLAS thread count, and ``env`` added."""
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child_env["PYTHONPATH"] = SRC + os.pathsep + child_env.get("PYTHONPATH", "")
+    child_env.update(env)
+    return subprocess.run([sys.executable, "-c", code, *args], env=child_env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
 def test_import_cli_skips_fit_and_simulation_only_modules():
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import exrange
-
-    src = str(Path(exrange.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import exrange.cli; "
+    code = ("import sys; import exrange.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.special') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _child(code).strip() == "[]"
 
 
 def test_import_cli_and_spline_pipeline_skip_scipy_fit_modules(tmp_path):
     # the spline fit builds its basis and penalty with numpy: neither the
     # import nor a spline pipeline run loads scipy.interpolate or scipy.sparse
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import exrange
-
     sim = tmp_path / "sim"
     assert main(["simulate", "--nx", "12", "--ny", "12", "--n", "30", "--ell", "4",
                  "--seed", "5", "--out", str(sim)]) == 0
-    src = str(Path(exrange.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import exrange.cli; "
+    code = ("import sys; import exrange.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "code = exrange.cli.main(['pipeline', '--in', sys.argv[2], '--out', sys.argv[3], "
+            "code = exrange.cli.main(['pipeline', '--in', sys.argv[1], '--out', sys.argv[2], "
             "'--fit', 'spline', '--knots', '4x4', '--levels', '0.8,0.9', '--threads', '1']); "
             "print(code, sorted(m for m in ('scipy.interpolate', 'scipy.sparse') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, src, str(sim), str(tmp_path / "out")],
-                         capture_output=True, text=True, check=True, timeout=120)
-    lines = out.stdout.strip().splitlines()
+    lines = _child(code, str(sim), str(tmp_path / "out")).strip().splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "0 []"
     assert (tmp_path / "out" / "mer_beta.f32").exists()
@@ -352,23 +353,15 @@ def test_import_cli_and_spline_pipeline_skip_scipy_fit_modules(tmp_path):
 def test_pipeline_loads_no_scipy(tmp_path, fit):
     # the distance transform and both fits are numpy-only: scipy is for the
     # simulator and the tests
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import exrange
-
     sim = tmp_path / "sim"
     assert main(["simulate", "--nx", "12", "--ny", "12", "--n", "30", "--ell", "4",
                  "--seed", "5", "--out", str(sim)]) == 0
-    src = str(Path(exrange.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import exrange.cli; "
-            "code = exrange.cli.main(['pipeline', '--in', sys.argv[2], '--out', sys.argv[3], "
-            "'--fit', sys.argv[4], '--knots', '4x4', '--levels', '0.8,0.9', '--threads', '2']); "
+    code = ("import sys; import exrange.cli; "
+            "code = exrange.cli.main(['pipeline', '--in', sys.argv[1], '--out', sys.argv[2], "
+            "'--fit', sys.argv[3], '--knots', '4x4', '--levels', '0.8,0.9', '--threads', '2']); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, src, str(sim), str(tmp_path / "out"), fit],
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    out = _child(code, str(sim), str(tmp_path / "out"), fit)
+    assert out.strip().splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "mer_beta.f32").exists()
 
 
@@ -413,3 +406,59 @@ def test_level_without_exceedance_is_nodata(tmp_path, capsys):
     assert not list(out.glob("theta_map*"))
     assert "theta_map not written: level 0.999" in capsys.readouterr().err
     assert (out / "mer_beta.f32").exists()
+
+
+def test_default_threads_are_the_usable_cores(monkeypatch):
+    # a CPU-affinity mask narrower than the host: the default is its size
+    monkeypatch.delenv("EXRANGE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    args = build_parser().parse_args(["range", "--in", "x", "--out", "y"])
+    assert _threads(args) == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _threads(args) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _threads(args) == 1
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, AttributeError):
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _numpy_uses_openblas(),
+                    reason="counts OpenBLAS threads in /proc/self/task")
+@pytest.mark.parametrize("caller", [None, "2"], ids=["default", "caller-set-2"])
+def test_cli_process_runs_one_blas_thread(caller):
+    # the console script's import: OpenBLAS reads its thread count once, as
+    # numpy loads it, so exrange.cli must set it above its numpy import
+    if caller and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts one thread per usable core at most")
+    code = ("import os; from exrange.cli import main; import numpy as np; "
+            "a = np.ones((256, 256)); a @ a; print(len(os.listdir('/proc/self/task')))")
+    env = {"OPENBLAS_NUM_THREADS": caller} if caller else {}
+    n_threads = int(_child(code, **env))
+    if caller:
+        assert n_threads > 1
+    else:
+        assert n_threads == 1
+
+
+def test_import_exrange_is_lazy():
+    # a submodule named on the package is imported on first access
+    code = ("import json, os, sys; import exrange; "
+            "print(json.dumps(['numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ, "
+            "exrange.tailfit.__name__]))")
+    assert json.loads(_child(code)) == [False, False, "exrange.tailfit"]
+    before = set(vars(exrange))
+    for name in exrange.__all__:
+        obj = getattr(exrange, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    # names resolve on every access and are never bound on the package
+    assert set(vars(exrange)) == before
+    assert sorted(dir(exrange)) == sorted(exrange.__all__)
+    with pytest.raises(AttributeError):
+        exrange.no_such_name

@@ -158,6 +158,29 @@ def test_ecdf_counts_on_ragged_domain_with_holes(dx):
         assert est.F[j] == num / den
 
 
+def test_domain_is_transformed_once(monkeypatch):
+    # ecdf at every level, domain_inradius and eroded_domain share one
+    # transform of a domain, at any dx; the domain's pixels are read-only
+    import exrange.ranges
+
+    calls = []
+    original = exrange.ranges.distance_transform_squared
+    monkeypatch.setattr(exrange.ranges, "distance_transform_squared",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    inside = np.ones((12, 12), dtype=bool)
+    inside[:3, :5] = False
+    dom = DomainMask(inside)
+    inside[:] = False  # the mask keeps its own copy
+    fields = [range_field(_mask(np.eye(12, dtype=bool) | ~dom.inside), dom, dx=1.0)]
+    for dx in (1.0, 2.0, 1.0):
+        est = ecdf(fields, dom, [1.0], dx=dx)
+        assert est.r_max == domain_inradius(dom, dx) == dx * domain_inradius(dom, 1.0)
+        assert eroded_domain(dom, 2.0 * dx, dx).sum() == eroded_domain(dom, 2.0, 1.0).sum()
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        dom.inside[0, 0] = True
+
+
 def test_cdf_monotone_and_bounded():
     rng = np.random.default_rng(32)
     dom = full_domain(30, 30)
