@@ -25,7 +25,7 @@ _EXPORTS = {
                 "jackknife", "jackknife_estimates", "loglog_level", "predict_mer",
                 "predict_mer_map", "theta_hat"),
     "thresholds": ("BoundaryPolicy", "ExcursionMask", "ThresholdField",
-                   "exceedance_stack", "excursion_mask", "quantile_field"),
+                   "exceedance_stack", "excursion_mask", "quantile_field", "quantile_fields"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -178,13 +178,6 @@ def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
-def _range_cube_for_level(stack: raster.RasterStack, p: float,
-                          policy: BoundaryPolicy, n_threads: int):
-    """One level's threshold field and its (nt, ny, nx) range array."""
-    thr = thresholds.quantile_field(stack, p)
-    return thr, ranges.range_cube(stack, thr, policy, n_threads)
-
-
 def _default_radii(stack: raster.RasterStack) -> list[float]:
     r_max = ranges.domain_inradius(stack.domain(), stack.dx)
     radii = [k * stack.dx for k in range(1, 9)]
@@ -215,13 +208,12 @@ def _hist_rows(p: float, cube: np.ndarray, domain: raster.DomainMask,
             for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
 
 
-def _ivdens_row(stack: raster.RasterStack, p: float,
-                thr: thresholds.ThresholdField) -> list:
+def _ivdens_row(stack: raster.RasterStack, thr: thresholds.ThresholdField) -> list:
     """One level's intrinsic-volume densities of the in-domain excursion
     sets and the CDF slope they predict."""
     dens = geometry.intrinsic_densities(stack, thr)
     slope = geometry.cdf_slope(dens.c1, dens.c2) if dens.c2 > 0 else float("nan")
-    return [_fmt_p(p), dens.c0, dens.c1, dens.c2, slope]
+    return [_fmt_p(thr.p), dens.c0, dens.c1, dens.c2, slope]
 
 
 def _save_theta_map(out: Path, stack: raster.RasterStack, p1: float, med1: np.ndarray,
@@ -302,9 +294,9 @@ def _cmd_quantiles(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     out = Path(args.out)
     domain = stack.domain()
-    for p in _parse_levels(args.p):
-        thr = thresholds.quantile_field(stack, p)
-        _save_map_with_csv(out, f"threshold_p{_fmt_p(p)}", thr.u, domain, stack.dx, stack.unit)
+    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+        _save_map_with_csv(out, f"threshold_p{_fmt_p(thr.p)}", thr.u, domain, stack.dx,
+                           stack.unit)
     return 0
 
 
@@ -312,10 +304,10 @@ def _cmd_excursion(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     policy = BoundaryPolicy(args.policy)
     out = Path(args.out)
-    for p in _parse_levels(args.p):
-        exceed = thresholds.exceedance_stack(stack, thresholds.quantile_field(stack, p), policy)
+    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+        exceed = thresholds.exceedance_stack(stack, thr, policy)
         for t in range(stack.nt):
-            raster.save_map(out / f"excursion_p{_fmt_p(p)}_t{t}.f32",
+            raster.save_map(out / f"excursion_p{_fmt_p(thr.p)}_t{t}.f32",
                             exceed[t].astype(np.float32), dx=stack.dx, unit="bool")
     return 0
 
@@ -325,10 +317,10 @@ def _cmd_range(args) -> int:
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
     out = Path(args.out)
-    for p in _parse_levels(args.p):
-        _, cube = _range_cube_for_level(stack, p, policy, n_threads)
+    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+        cube = ranges.range_cube(stack, thr, policy, n_threads)
         for t in range(stack.nt):
-            raster.save_map(out / f"range_p{_fmt_p(p)}_t{t}.f32",
+            raster.save_map(out / f"range_p{_fmt_p(thr.p)}_t{t}.f32",
                             cube[t].astype(np.float32), dx=stack.dx, unit=stack.unit)
     return 0
 
@@ -340,9 +332,9 @@ def _cmd_cdf(args) -> int:
     domain = stack.domain()
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
     out = Path(args.out)
-    for p in _parse_levels(args.p):
-        _, cube = _range_cube_for_level(stack, p, policy, n_threads)
-        _write_csv(out / f"cdf_p{_fmt_p(p)}.csv", ["r", "F", "n_exceed"],
+    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+        cube = ranges.range_cube(stack, thr, policy, n_threads)
+        _write_csv(out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
                    _cdf_rows(cube, domain, radii, stack.dx))
     return 0
 
@@ -354,9 +346,9 @@ def _cmd_hist(args) -> int:
     domain = stack.domain()
     edges = _hist_edges(stack)
     rows = []
-    for p in _parse_levels(args.p):
-        _, cube = _range_cube_for_level(stack, p, policy, n_threads)
-        rows += _hist_rows(p, cube, domain, edges)
+    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+        rows += _hist_rows(thr.p, ranges.range_cube(stack, thr, policy, n_threads), domain,
+                           edges)
     _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, rows)
     return 0
 
@@ -371,18 +363,21 @@ def _cmd_chi(args) -> int:
         for dy, dxp in lags:
             chi = ranges.tail_dependence(stack, p, (dy, dxp))
             rows.append([dxp, dy, float(chi)])
-            if args.per_pixel:
+            name = f"chi_p{_fmt_p(p)}_lag{dxp}x{dy}"
+            if args.per_pixel and math.isnan(chi):  # 0/0: a map would hold no value
+                print(f"exrange: {name} not written: no in-domain pair at lag {dxp}:{dy} "
+                      "has an exceeding reference pixel", file=sys.stderr)
+            elif args.per_pixel:
                 chi_map = ranges.tail_dependence(stack, p, (dy, dxp), per_pixel=True)
-                _save_map_with_csv(out, f"chi_p{_fmt_p(p)}_lag{dxp}x{dy}",
-                                   chi_map, domain, stack.dx, "chi")
+                _save_map_with_csv(out, name, chi_map, domain, stack.dx, "chi")
         _write_csv(out / f"chi_p{_fmt_p(p)}.csv", ["lag_x", "lag_y", "chi"], rows)
     return 0
 
 
 def _cmd_ivdens(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    rows = [_ivdens_row(stack, p, thresholds.quantile_field(stack, p))
-            for p in _parse_levels(args.p)]
+    rows = [_ivdens_row(stack, thr)
+            for thr in thresholds.quantile_fields(stack, _parse_levels(args.p))]
     _write_csv(Path(args.out) / "ivdens.csv", IVDENS_HEADER, rows)
     return 0
 
@@ -395,9 +390,9 @@ def _cmd_theta(args) -> int:
     n_threads = _threads(args)
     # one level's ranges at a time: each cube is dropped once its median map is taken
     med1, med2 = (
-        ranges.median_range_map(_range_cube_for_level(stack, p, policy, n_threads)[1],
+        ranges.median_range_map(ranges.range_cube(stack, thr, policy, n_threads),
                                 stack.domain())
-        for p in (args.p1, args.p2)
+        for thr in thresholds.quantile_fields(stack, (args.p1, args.p2))
     )
     _save_theta_map(Path(args.out), stack, args.p1, med1, args.p2, med2)
     return 0
@@ -407,9 +402,9 @@ def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
                          policy: BoundaryPolicy, n_threads: int,
                          blocks=None, min_range: float = 0.0) -> tailfit.RangeSamples:
     return _pool_samples([
-        _level_samples(p, _range_cube_for_level(stack, p, policy, n_threads)[1],
+        _level_samples(thr.p, ranges.range_cube(stack, thr, policy, n_threads),
                        stack.domain(), blocks, min_range)
-        for p in levels
+        for thr in thresholds.quantile_fields(stack, levels)
     ])
 
 
@@ -480,11 +475,11 @@ def _cmd_pipeline(args) -> int:
 
     cdf_rows, hist_rows, iv_rows, sample_parts = [], [], [], []
     med_maps = {}
-    for p in levels:
-        thr, cube = _range_cube_for_level(stack, p, policy, n_threads)
+    for p, thr in zip(levels, thresholds.quantile_fields(stack, levels)):
+        cube = ranges.range_cube(stack, thr, policy, n_threads)
         cdf_rows += [[_fmt_p(p), *row] for row in _cdf_rows(cube, domain, radii, stack.dx)]
         hist_rows += _hist_rows(p, cube, domain, hist_edges)
-        iv_rows.append(_ivdens_row(stack, p, thr))
+        iv_rows.append(_ivdens_row(stack, thr))
         if p in (levels[0], levels[-1]):
             med_maps[p] = ranges.median_range_map(cube, domain)
         sample_parts.append(_level_samples(p, cube, domain, blocks, args.min_range))
@@ -507,12 +502,13 @@ def _cmd_pipeline(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common_io(sub, with_policy: bool = True):
+def _add_common_io(sub, with_policy: bool = True, with_threads: bool = True):
     sub.add_argument("--in", dest="input", required=True,
                      help="stack file (.f32) or directory holding one")
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: EXRANGE_THREADS or all usable cores)")
+    if with_threads:
+        sub.add_argument("--threads", type=int, default=None,
+                         help="worker threads (default: EXRANGE_THREADS or all usable cores)")
     if with_policy:
         sub.add_argument("--policy", choices=[p.value for p in BoundaryPolicy],
                          default=BoundaryPolicy.FILL_EXCEED.value,
@@ -551,12 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_simulate)
 
     s = subs.add_parser("quantiles", help="per-pixel threshold maps")
-    _add_common_io(s, with_policy=False)
+    _add_common_io(s, with_policy=False, with_threads=False)
     s.add_argument("--p", default=DEFAULT_LEVELS, help="levels as list or start:stop:step")
     s.set_defaults(func=_cmd_quantiles)
 
     s = subs.add_parser("excursion", help="excursion masks per slice and level")
-    _add_common_io(s)
+    _add_common_io(s, with_threads=False)
     s.add_argument("--p", default=DEFAULT_LEVELS)
     s.set_defaults(func=_cmd_excursion)
 
@@ -577,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_hist)
 
     s = subs.add_parser("chi", help="pairwise tail dependence at pixel lags")
-    _add_common_io(s, with_policy=False)
+    _add_common_io(s, with_policy=False, with_threads=False)
     s.add_argument("--p", default="0.9,0.95")
     s.add_argument("--lags", default="1:0,2:0,4:0,8:0,0:1,0:2,0:4,0:8",
                    help="comma list of x:y pixel offsets")
@@ -586,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_chi)
 
     s = subs.add_parser("ivdens", help="curvature densities per level")
-    _add_common_io(s, with_policy=False)
+    _add_common_io(s, with_policy=False, with_threads=False)
     s.add_argument("--p", default=DEFAULT_LEVELS)
     s.set_defaults(func=_cmd_ivdens)
 

@@ -235,17 +235,16 @@ def tail_dependence(stack: RasterStack, p: float, lag: tuple[int, int],
     chi_p = #{days and pairs with both pixels exceeding} / #{days and
     pairs with the reference pixel exceeding}. By default every in-domain
     pair at the given (row, column) offset is pooled (stationarity
-    assumed); with ``per_pixel`` the ratio is computed per reference pixel
-    over time only, returning a map with NaN where the pair leaves the
-    domain.
+    assumed), and chi_p is NaN when no pair has an exceeding reference
+    pixel (0/0); with ``per_pixel`` the ratio is computed per reference
+    pixel over time only, returning a map with NaN where the pair leaves
+    the domain or the reference pixel never exceeds.
     """
-    thr = quantile_field(stack, p)
     dy, dxp = int(lag[0]), int(lag[1])
     ny, nx = stack.ny, stack.nx
     if abs(dy) >= ny or abs(dxp) >= nx:
         raise ValueError(f"lag {lag} exceeds the grid size")
-    with np.errstate(invalid="ignore"):
-        exceed = stack.values > thr.u[None, :, :]
+    exceed = exceedance_stack(stack, quantile_field(stack, p), BoundaryPolicy.ERODE)
     inside = stack.domain().inside
     ref_rows = slice(max(0, -dy), ny - max(0, dy))
     ref_cols = slice(max(0, -dxp), nx - max(0, dxp))
@@ -264,9 +263,7 @@ def tail_dependence(stack: RasterStack, p: float, lag: tuple[int, int],
         out[ref_rows, ref_cols] = chi
         return out
     n_ref = int(np.count_nonzero(ref))
-    if n_ref == 0:
-        raise ValueError(f"no reference exceedances at p={p}")
-    return int(np.count_nonzero(ref & oth)) / n_ref
+    return int(np.count_nonzero(ref & oth)) / n_ref if n_ref else math.nan
 
 
 def gaussian_cdf_approx(alpha: float, u: float, r: float) -> float:

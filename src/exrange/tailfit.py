@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegenerateFitError
 from .ranges import _as_cube, median_range, range_cube
 from .raster import DomainMask, RasterStack
-from .thresholds import BoundaryPolicy, quantile_field
+from .thresholds import BoundaryPolicy, quantile_fields
 
 
 def loglog_level(p: float) -> float:
@@ -648,9 +648,9 @@ def consistency_check_theta(simulate: Callable[[int], RasterStack],
             raise ValueError(f"p_n={p_n} must exceed p0={p0}; increase n or gamma")
         stack = simulate(n)
         medians = {
-            p: median_range(range_cube(stack, quantile_field(stack, p),
-                                       BoundaryPolicy.FILL_EXCEED), stack.domain())
-            for p in (p0, p_n)
+            thr.p: median_range(range_cube(stack, thr, BoundaryPolicy.FILL_EXCEED),
+                                stack.domain())
+            for thr in quantile_fields(stack, (p0, p_n))
         }
         rows.append(ThetaConsistencyRow(
             n=n, p_n=p_n, theta=theta_hat(medians[p0], medians[p_n], p0, p_n)

@@ -68,22 +68,29 @@ class ExcursionMask:
         object.__setattr__(self, "policy", BoundaryPolicy(self.policy))
 
 
-def quantile_field(stack: RasterStack, p: float) -> ThresholdField:
-    """Pixelwise empirical p-quantile of the stack.
+def quantile_fields(stack: RasterStack, levels) -> list[ThresholdField]:
+    """Pixelwise empirical p-quantile of the stack at each of ``levels``, in order.
 
     Uses the left-continuous inverse ECDF: the ceil(p*nt)-th order
     statistic of each pixel series, with no interpolation, so the
-    threshold always equals one of the observed values.
+    threshold always equals one of the observed values. Every level is
+    checked before one sort along time serves them all.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
+    for p in levels:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must be in (0,1), got {p}")
     if stack.nt < 2:
         raise ValueError(f"need at least 2 time slices for a quantile, got nt={stack.nt}")
-    k = order_statistic_index(p, stack.nt)
-    u = np.partition(stack.values, k - 1, axis=0)[k - 1]
-    u = u.copy()
-    u[~stack.domain().inside] = np.nan
-    return ThresholdField(p=p, u=u)
+    ordered = np.sort(stack.values, axis=0)
+    ordered[:, ~stack.domain().inside] = np.nan
+    # each threshold is a copy, so the sorted stack is freed on return
+    return [ThresholdField(p=p, u=ordered[order_statistic_index(p, stack.nt) - 1].copy())
+            for p in levels]
+
+
+def quantile_field(stack: RasterStack, p: float) -> ThresholdField:
+    """Pixelwise empirical p-quantile of the stack: ``quantile_fields`` at one level."""
+    return quantile_fields(stack, [p])[0]
 
 
 def _exceedances(stack: RasterStack, slices, thr: ThresholdField,

@@ -5,8 +5,8 @@ Each test prints one line "Ax: PASS/FAIL <detail>" and asserts its stated
 tolerance. A1 and A2 encode finite-level targets that pixel-center
 distance quantization and slowly-converging normal quantiles place out of
 reach at the pinned configuration; they are implemented exactly as stated
-and report their measured values (see the repository notes for the
-analysis).
+and report their measured values (see docs/acceptance.md for the
+analysis, with reproducer scripts).
 """
 
 import csv

@@ -110,6 +110,39 @@ def test_chi_per_pixel_maps(sim_dir, tmp_path):
     assert np.all((grid[valid] >= 0) & (grid[valid] <= 1))
 
 
+def test_chi_level_without_exceedance_is_nan(tmp_path, capsys):
+    # 100 slices leave no exceedance above the 0.999 quantile: chi is 0/0 there,
+    # so its CSV holds nan, its per-pixel maps are not written, and the run
+    # succeeds with every other level's outputs
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "16", "--ny", "16", "--n", "100", "--ell", "8",
+                 "--seed", "7", "--out", str(sim)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["chi", "--in", str(sim), "--out", str(out), "--p", "0.9,0.999",
+                 "--lags", "1:0,0:2", "--per-pixel"]) == 0
+    rows = _read_csv(out / "chi_p0.999.csv")
+    assert rows == [["lag_x", "lag_y", "chi"], ["1", "0", "nan"], ["0", "2", "nan"]]
+    assert all(0 < float(row[2]) <= 1 for row in _read_csv(out / "chi_p0.9.csv")[1:])
+    assert sorted(p.name for p in out.glob("*.f32")) == ["chi_p0.9_lag0x2.f32",
+                                                         "chi_p0.9_lag1x0.f32"]
+    err = capsys.readouterr().err
+    assert "chi_p0.999_lag1x0 not written" in err and "chi_p0.999_lag0x2 not written" in err
+
+
+@pytest.mark.parametrize("command", ["quantiles", "excursion", "chi", "ivdens"])
+def test_threads_only_where_workers_run(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--in", "x", "--out", "y", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    required = {"theta": ["--p1", "0.9", "--p2", "0.95"], "jackknife": ["--blocks-by", "b"]}
+    for used in ("range", "cdf", "hist", "theta", "mer", "jackknife", "pipeline"):
+        args = build_parser().parse_args([used, "--in", "x", "--out", "y", "--threads", "2",
+                                          *required.get(used, [])])
+        assert args.threads == 2
+
+
 def test_ivdens_csv(sim_dir, tmp_path):
     code = main(["ivdens", "--in", str(sim_dir), "--out", str(tmp_path),
                  "--p", "0.9,0.95"])
@@ -216,6 +249,31 @@ def test_jackknife_subcommand(sim_dir, tmp_path):
     se, _ = load_map(tmp_path / "se_theta.f32")
     assert (se >= 0).all()
     assert se.max() > 0
+
+
+def test_one_threshold_sort_per_chain(sim_dir, tmp_path, monkeypatch):
+    # every level's threshold comes from one sort: once per pipeline run,
+    # once per jackknife replicate
+    from exrange import thresholds
+
+    calls = []
+    quantile_fields = thresholds.quantile_fields
+
+    def counting(stack, levels):
+        calls.append((stack.nt, list(levels)))
+        return quantile_fields(stack, levels)
+
+    monkeypatch.setattr(thresholds, "quantile_fields", counting)
+    assert main(["pipeline", "--in", str(sim_dir), "--out", str(tmp_path / "pipe"),
+                 "--levels", "0.85,0.9,0.95", "--knots", "4x4", "--iters", "20"]) == 0
+    assert calls == [(40, [0.85, 0.9, 0.95])]
+    calls.clear()
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(40)))
+    assert main(["jackknife", "--in", str(sim_dir), "--out", str(tmp_path / "jk"),
+                 "--levels", "0.85,0.9", "--blocks-by", str(blocks),
+                 "--knots", "4x4", "--iters", "20"]) == 0
+    assert calls == [(30, [0.85, 0.9])] * 4
 
 
 def test_jackknife_penalty_cv_folds_by_block(sim_dir, tmp_path, monkeypatch):

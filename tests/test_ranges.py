@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 
@@ -372,6 +373,21 @@ def test_tail_dependence_per_pixel_mode():
     # pooled value is the exceedance-weighted mean of per-pixel values
     pooled = tail_dependence(stack, 0.8, (0, 1))
     assert 0 <= pooled <= 1
+
+
+def test_tail_dependence_without_reference_pair_is_nan():
+    rng = np.random.default_rng(39)
+    values = rng.standard_normal((20, 4, 3)).astype(np.float32)
+    stack = RasterStack(values)
+    # the 0.99 quantile of 20 values is the largest: nothing exceeds it
+    assert math.isnan(tail_dependence(stack, 0.99, (0, 1)))
+    assert np.isnan(tail_dependence(stack, 0.99, (0, 1), per_pixel=True)).all()
+    # a one-column domain has no in-domain pair at a horizontal lag
+    values[:, :, 1:] = -9999.0
+    column = RasterStack(values)
+    assert math.isnan(tail_dependence(column, 0.5, (0, 1)))
+    assert np.isnan(tail_dependence(column, 0.5, (0, 1), per_pixel=True)).all()
+    assert tail_dependence(column, 0.5, (1, 0)) <= 1.0
 
 
 def test_tail_dependence_errors():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from exrange import BoundaryPolicy, RasterStack, exceedance_stack, excursion_mask, quantile_field
+from exrange import (BoundaryPolicy, RasterStack, exceedance_stack, excursion_mask,
+                     quantile_field, quantile_fields)
 from exrange.thresholds import order_statistic_index
 
 
@@ -65,6 +66,44 @@ def test_quantile_validation():
     single = RasterStack(np.zeros((1, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="nt"):
         quantile_field(single, 0.5)
+
+
+def test_quantile_fields_match_brute_force_and_single_levels():
+    rng = np.random.default_rng(14)
+    nt = 100
+    # few distinct values, so every series has ties
+    values = rng.integers(0, 7, size=(nt, 4, 5)).astype(np.float32)
+    values[:, 0] = rng.standard_normal((nt, 5)).astype(np.float32)
+    values[:, 3, 4] = -9999.0
+    stack = RasterStack(values)
+    # unsorted and repeated; 0.981 and 0.985 share the 99th order statistic
+    levels = [0.985, 0.5, 0.981, 0.02, 0.5, 0.999, 0.75]
+    assert order_statistic_index(0.981, nt) == order_statistic_index(0.985, nt) == 99
+    fields = quantile_fields(stack, levels)
+    assert [f.p for f in fields] == levels
+    inside = stack.domain().inside
+    for p, field in zip(levels, fields):
+        assert np.array_equal(field.u, quantile_field(stack, p).u, equal_nan=True)
+        assert np.isnan(field.u[3, 4]) and not np.isnan(field.u[inside]).any()
+        for i, j in zip(*np.nonzero(inside)):
+            assert field.u[i, j] == np.float32(brute_quantile(values[:, i, j].tolist(), p))
+    assert np.array_equal(fields[0].u, fields[2].u, equal_nan=True)
+
+
+def test_quantile_fields_check_every_level_before_sorting(monkeypatch):
+    import exrange.thresholds as thresholds
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted before the levels were checked")
+
+    monkeypatch.setattr(thresholds.np, "sort", no_sort)
+    stack = _stack_from_series([[1, 2, 3]])
+    for levels in ([0.5, 1.0], [0.9, 0.0, 0.5], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="p must be"):
+            quantile_fields(stack, levels)
+    single = RasterStack(np.zeros((1, 2, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="nt"):
+        quantile_fields(single, [0.5, 0.9])
 
 
 def test_monotone_in_p():
