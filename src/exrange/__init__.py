@@ -20,10 +20,10 @@ _EXPORTS = {
                "save_stack"),
     "simgrf": ("AdSimConfig", "GaussianSimConfig", "matern_alpha", "matern_correlation",
                "simulate_ad_field", "simulate_gaussian"),
-    "tailfit": ("MerSurface", "RangeSamples", "SplineMerModel", "collect_samples",
-                "consistency_check_theta", "fit_mer_pixel", "fit_mer_pixel_map",
-                "jackknife", "jackknife_estimates", "loglog_level", "predict_mer",
-                "predict_mer_map", "theta_hat"),
+    "tailfit": ("MerSurface", "RangeSamples", "SamplePool", "SplineMerModel",
+                "collect_samples", "consistency_check_theta", "fit_mer_pixel",
+                "fit_mer_pixel_map", "jackknife", "jackknife_estimates", "loglog_level",
+                "predict_mer", "predict_mer_map", "theta_hat"),
     "thresholds": ("BoundaryPolicy", "ExcursionMask", "ThresholdField",
                    "exceedance_stack", "excursion_mask", "quantile_field", "quantile_fields"),
 }

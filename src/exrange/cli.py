@@ -33,7 +33,7 @@ if "numpy" not in sys.modules and not any(
 import numpy as np
 
 from . import geometry, ranges, raster, simgrf, tailfit, thresholds
-from .errors import DegenerateFitError, ExrangeError, StackFormatError
+from .errors import ExrangeError, StackFormatError
 from .thresholds import BoundaryPolicy
 
 EXIT_VALIDATION = 2
@@ -229,26 +229,6 @@ def _save_theta_map(out: Path, stack: raster.RasterStack, p1: float, med1: np.nd
                        stack.domain(), stack.dx, "theta")
 
 
-def _level_samples(p: float, cube: np.ndarray, domain: raster.DomainMask, blocks,
-                   min_range: float) -> tailfit.RangeSamples | None:
-    """One level's samples, or None when the level has no positive range
-    (a high level can have no exceedance at all)."""
-    try:
-        part = tailfit.collect_samples({p: cube}, domain, blocks=blocks)
-    except DegenerateFitError:
-        return None
-    return part.select(part.y >= math.log(min_range)) if min_range > 0 else part
-
-
-def _pool_samples(parts) -> tailfit.RangeSamples:
-    """The samples of every level that has any; the fit fails only when no
-    level has a sample."""
-    parts = [part for part in parts if part is not None and part.n > 0]
-    if not parts:
-        raise DegenerateFitError("no positive range observations to fit")
-    return tailfit.RangeSamples.concat(parts)
-
-
 def _save_fit_maps(out: Path, surface: tailfit.MerSurface, stack: raster.RasterStack,
                    predict_p: float | None) -> None:
     domain = stack.domain()
@@ -358,19 +338,22 @@ def _cmd_chi(args) -> int:
     lags = _parse_lags(args.lags)
     out = Path(args.out)
     domain = stack.domain()
-    for p in _parse_levels(args.p):
+    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+        # one level's exceedances serve every lag and map
+        exceed = thresholds.exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
         rows = []
         for dy, dxp in lags:
-            chi = ranges.tail_dependence(stack, p, (dy, dxp))
+            chi = ranges._tail_dependence(exceed, domain.inside, (dy, dxp))
             rows.append([dxp, dy, float(chi)])
-            name = f"chi_p{_fmt_p(p)}_lag{dxp}x{dy}"
+            name = f"chi_p{_fmt_p(thr.p)}_lag{dxp}x{dy}"
             if args.per_pixel and math.isnan(chi):  # 0/0: a map would hold no value
                 print(f"exrange: {name} not written: no in-domain pair at lag {dxp}:{dy} "
                       "has an exceeding reference pixel", file=sys.stderr)
             elif args.per_pixel:
-                chi_map = ranges.tail_dependence(stack, p, (dy, dxp), per_pixel=True)
+                chi_map = ranges._tail_dependence(exceed, domain.inside, (dy, dxp),
+                                                  per_pixel=True)
                 _save_map_with_csv(out, name, chi_map, domain, stack.dx, "chi")
-        _write_csv(out / f"chi_p{_fmt_p(p)}.csv", ["lag_x", "lag_y", "chi"], rows)
+        _write_csv(out / f"chi_p{_fmt_p(thr.p)}.csv", ["lag_x", "lag_y", "chi"], rows)
     return 0
 
 
@@ -401,11 +384,12 @@ def _cmd_theta(args) -> int:
 def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
                          policy: BoundaryPolicy, n_threads: int,
                          blocks=None, min_range: float = 0.0) -> tailfit.RangeSamples:
-    return _pool_samples([
-        _level_samples(thr.p, ranges.range_cube(stack, thr, policy, n_threads),
-                       stack.domain(), blocks, min_range)
-        for thr in thresholds.quantile_fields(stack, levels)
-    ])
+    thrs = thresholds.quantile_fields(stack, levels)
+    pool = tailfit.SamplePool.for_thresholds(stack, thrs)
+    for thr in thrs:
+        tailfit.collect_samples({thr.p: ranges.range_cube(stack, thr, policy, n_threads)},
+                                stack.domain(), blocks, min_range, pool)
+    return pool.samples()
 
 
 def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args,
@@ -473,16 +457,18 @@ def _cmd_pipeline(args) -> int:
     hist_edges = _hist_edges(stack)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
 
-    cdf_rows, hist_rows, iv_rows, sample_parts = [], [], [], []
+    cdf_rows, hist_rows, iv_rows = [], [], []
     med_maps = {}
-    for p, thr in zip(levels, thresholds.quantile_fields(stack, levels)):
+    thrs = thresholds.quantile_fields(stack, levels)
+    pool = tailfit.SamplePool.for_thresholds(stack, thrs)
+    for p, thr in zip(levels, thrs):
         cube = ranges.range_cube(stack, thr, policy, n_threads)
         cdf_rows += [[_fmt_p(p), *row] for row in _cdf_rows(cube, domain, radii, stack.dx)]
         hist_rows += _hist_rows(p, cube, domain, hist_edges)
         iv_rows.append(_ivdens_row(stack, thr))
         if p in (levels[0], levels[-1]):
             med_maps[p] = ranges.median_range_map(cube, domain)
-        sample_parts.append(_level_samples(p, cube, domain, blocks, args.min_range))
+        tailfit.collect_samples({p: cube}, domain, blocks, args.min_range, pool)
         del cube
 
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
@@ -492,7 +478,7 @@ def _cmd_pipeline(args) -> int:
     p_lo, p_hi = levels[0], levels[-1]
     _save_theta_map(out, stack, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
 
-    surface = _fit_surface(stack, _pool_samples(sample_parts), args, fit_options)
+    surface = _fit_surface(stack, pool.samples(), args, fit_options)
     _save_fit_maps(out, surface, stack, args.predict_p)
     print(f"pipeline outputs written to {out}")
     return 0

@@ -213,19 +213,37 @@ def median_range(range_fields, domain: DomainMask | None = None) -> float:
 
 
 def median_range_map(range_fields, domain: DomainMask) -> np.ndarray:
-    """Per-pixel median of positive range values; 0 where none exist."""
+    """Per-pixel lower median of the positive range values of domain
+    pixels; 0 where a pixel has none, and outside the domain.
+
+    Only the positive in-domain ranges are sorted, never the whole range
+    array: one ``nonzero`` finds them, they are sorted by (pixel, value),
+    and the per-pixel counts place pixel i's lower median at
+    start_i + (count_i - 1) // 2 of that order.
+    """
     cube = _as_cube(range_fields)
-    nt = cube.shape[0]
-    flat = np.sort(cube.reshape(nt, -1), axis=0)
-    counts = (flat > 0).sum(axis=0)
-    first_pos = nt - counts
-    med_idx = np.where(
-        counts == 0, 0, first_pos + np.where(counts % 2 == 1, counts // 2, counts // 2 - 1)
-    )
-    med = flat[med_idx, np.arange(flat.shape[1])]
-    med = np.where(counts == 0, 0.0, med).reshape(cube.shape[1:])
-    med[~domain.inside] = 0.0
-    return med
+    if cube.shape[1:] != domain.inside.shape:
+        raise ValueError("range field does not match the domain grid")
+    npix = domain.inside.size
+    flat = cube.reshape(-1)
+    pixel = np.flatnonzero(flat)            # positions of the nonzero ranges,
+    values = flat[pixel]
+    np.remainder(pixel, npix, out=pixel)    # made their pixels in place
+    keep = values > 0
+    keep &= domain.inside.reshape(-1)[pixel]
+    # the narrowest unsigned key: numpy's stable sort radix-sorts 8- and 16-bit keys
+    pixel = pixel.astype(np.min_scalar_type(npix - 1))
+    if not keep.all():
+        values, pixel = values[keep], pixel[keep]
+    del keep
+    counts = np.bincount(pixel, minlength=npix)
+    order = np.lexsort((values, pixel))
+    del pixel
+    has = counts > 0
+    lower_median = (np.cumsum(counts) - counts + (counts - 1) // 2)[has]
+    med = np.zeros(npix)
+    med[has] = values[order[lower_median]]
+    return med.reshape(domain.inside.shape)
 
 
 def tail_dependence(stack: RasterStack, p: float, lag: tuple[int, int],
@@ -240,12 +258,19 @@ def tail_dependence(stack: RasterStack, p: float, lag: tuple[int, int],
     pixel over time only, returning a map with NaN where the pair leaves
     the domain or the reference pixel never exceeds.
     """
+    exceed = exceedance_stack(stack, quantile_field(stack, p), BoundaryPolicy.ERODE)
+    return _tail_dependence(exceed, stack.domain().inside, lag, per_pixel)
+
+
+def _tail_dependence(exceed: np.ndarray, inside: np.ndarray, lag: tuple[int, int],
+                     per_pixel: bool = False):
+    """``tail_dependence`` from one level's in-domain exceedances, the
+    (nt, ny, nx) ``exceedance_stack`` under ERODE, which every lag of the
+    level can share."""
     dy, dxp = int(lag[0]), int(lag[1])
-    ny, nx = stack.ny, stack.nx
+    ny, nx = inside.shape
     if abs(dy) >= ny or abs(dxp) >= nx:
         raise ValueError(f"lag {lag} exceeds the grid size")
-    exceed = exceedance_stack(stack, quantile_field(stack, p), BoundaryPolicy.ERODE)
-    inside = stack.domain().inside
     ref_rows = slice(max(0, -dy), ny - max(0, dy))
     ref_cols = slice(max(0, -dxp), nx - max(0, dxp))
     oth_rows = slice(max(0, dy), ny - max(0, -dy))

@@ -27,7 +27,16 @@ theta, then smallest beta, among ties). Scoring all O(n^2) pair lines
 against n samples costs O(n^3), so ``fit_mer_pixel`` first brackets the
 slope on the convex profiled objective, then scores only the pair lines
 inside the bracket with the float expression of the full enumeration; its
-docstring says why the winner is bit-identical.
+docstring says why the winner is bit-identical. A pixel map's fits mostly
+share a few sample counts, so the pair indices of the last few counts are
+cached (``_pair_indices``), and the map finds the pixels it can fit (enough
+samples, two distinct levels) in one vectorized pass, calling
+``fit_mer_pixel`` once per fitted pixel.
+
+The pooled samples of many levels exist in one copy: ``SamplePool`` sizes
+them from the in-domain exceedance counts, and ``collect_samples`` writes
+each level into it. The IRLS of the spline fit keeps two per-sample arrays,
+reused by every iteration.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -35,6 +44,7 @@ estimation chain per block.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -44,7 +54,7 @@ import numpy as np
 from .errors import DegenerateFitError
 from .ranges import _as_cube, median_range, range_cube
 from .raster import DomainMask, RasterStack
-from .thresholds import BoundaryPolicy, quantile_fields
+from .thresholds import BoundaryPolicy, exceedance_stack, quantile_fields
 
 
 def loglog_level(p: float) -> float:
@@ -78,8 +88,8 @@ class RangeSamples:
     """Flat sample arrays for the regression: one entry per positive range
     observation (pixel, slice, level)."""
 
-    pixel_y: np.ndarray   # int, row index
-    pixel_x: np.ndarray   # int, column index
+    pixel_y: np.ndarray   # int, row index (int32 from ``collect_samples``)
+    pixel_x: np.ndarray   # int, column index (int32 from ``collect_samples``)
     x: np.ndarray         # log(-log(1-p))
     y: np.ndarray         # log range (physical units)
     block: np.ndarray     # block id of the originating slice
@@ -107,29 +117,93 @@ class RangeSamples:
         return RangeSamples(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
+# dtype of each RangeSamples field as ``collect_samples`` stores it: the grid
+# bounds the pixel indices, while a block id is any integer
+_SAMPLE_DTYPES = {"pixel_y": np.int32, "pixel_x": np.int32, "x": np.float64,
+                  "y": np.float64, "block": np.int64}
+
+
+class SamplePool:
+    """Arrays sized once that ``collect_samples`` fills level by level, so the
+    pooled samples of many levels exist in one copy only.
+
+    A domain pixel has a positive range exactly where it exceeds the
+    threshold, under either boundary policy, so before any ``min_range``
+    cut a level has as many samples as in-domain exceedances:
+    ``for_thresholds`` sizes a pool from the thresholds alone, before any
+    range is computed.
+    """
+
+    def __init__(self, capacity: int):
+        self._arrays = {name: np.empty(capacity, dtype)
+                        for name, dtype in _SAMPLE_DTYPES.items()}
+        self.n = 0
+
+    @classmethod
+    def for_thresholds(cls, stack: RasterStack, thrs) -> "SamplePool":
+        """A pool for every sample of ``stack`` at the thresholds ``thrs``."""
+        erode = BoundaryPolicy.ERODE
+        return cls(sum(int(np.count_nonzero(exceedance_stack(stack, thr, erode)))
+                       for thr in thrs))
+
+    def _claim(self, k: int) -> dict[str, np.ndarray]:
+        """Views of the next ``k`` free entries of every field."""
+        if self.n + k > self._arrays["y"].size:
+            raise ValueError(f"{self.n + k} samples overflow a pool of "
+                             f"{self._arrays['y'].size}")
+        part = {name: a[self.n:self.n + k] for name, a in self._arrays.items()}
+        self.n += k
+        return part
+
+    def samples(self) -> RangeSamples:
+        """The samples written so far, in order, viewing the pool's arrays."""
+        if self.n == 0:
+            raise DegenerateFitError("no positive range observations to fit")
+        return RangeSamples(**{name: a[:self.n] for name, a in self._arrays.items()})
+
+
 def collect_samples(range_fields_by_level: dict[float, Sequence],
                     domain: DomainMask,
-                    blocks: Sequence[int] | None = None) -> RangeSamples:
+                    blocks: Sequence[int] | None = None,
+                    min_range: float = 0.0,
+                    pool: SamplePool | None = None) -> RangeSamples:
     """Build regression samples from each level's ranges: an (nt, ny, nx)
     range array or a sequence of range fields.
 
     Only strictly positive ranges inside the domain become samples, in
-    (level, slice, row, column) order. ``blocks`` assigns a block id to each
-    slice index (defaults to the slice index itself).
+    (level, slice, row, column) order, and a positive ``min_range`` drops
+    those with log range below log(min_range). ``blocks`` assigns a block id
+    to each slice index (defaults to the slice index itself).
+
+    The samples are written into ``pool`` after those already in it, and
+    this call's samples, possibly none, are returned as views of the pool.
+    Without a pool, one is sized to the positive ranges and its samples are
+    returned: DegenerateFitError when there are none.
     """
-    parts = []
+    if pool is None:
+        pool = SamplePool(sum(int(np.count_nonzero((_as_cube(r) > 0) & domain.inside))
+                              for r in range_fields_by_level.values()))
+        collect_samples(range_fields_by_level, domain, blocks, min_range, pool)
+        return pool.samples()
+    start = pool.n
     for p, level_ranges in range_fields_by_level.items():
         cube = _as_cube(level_ranges)
         sel = (cube > 0) & domain.inside
         t, iy, ix = np.nonzero(sel)
-        if t.size == 0:
-            continue
-        block = t if blocks is None else np.asarray(blocks)[t]
-        parts.append(RangeSamples(pixel_y=iy, pixel_x=ix, x=np.full(t.size, loglog_level(p)),
-                                  y=np.log(cube[sel]), block=block.astype(np.int64, copy=False)))
-    if not parts:
-        raise DegenerateFitError("no positive range observations to fit")
-    return RangeSamples.concat(parts)
+        part = pool._claim(t.size)
+        np.log(cube[sel], out=part["y"])
+        del sel
+        part["x"][:] = loglog_level(p)
+        part["pixel_y"][:] = iy
+        part["pixel_x"][:] = ix
+        part["block"][:] = t if blocks is None else np.asarray(blocks)[t]
+        if min_range > 0:
+            keep = part["y"] >= math.log(min_range)
+            kept = int(np.count_nonzero(keep))
+            for a in part.values():
+                a[:kept] = a[keep]
+            pool.n -= t.size - kept  # hand the dropped entries back
+    return RangeSamples(**{name: a[start:pool.n] for name, a in pool._arrays.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +226,16 @@ def _lad_profile(x: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray
     k = (x.size - 1) // 2
     med = np.partition(z, k, axis=1)[:, k]
     return np.abs(z - med[:, None]).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only. A pixel map's fits mostly share
+    a few sample counts, so a few entries serve it; one entry takes
+    8 n (n-1) bytes, 16 MB at n = 1400."""
+    ii, jj = np.triu_indices(n, k=1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
 
 
 def fit_mer_pixel(x, y) -> tuple[float, float]:
@@ -192,11 +276,12 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 2:
         raise DegenerateFitError("need at least two samples")
-    if np.unique(x).size < 2:
-        raise DegenerateFitError("all samples share one covariate value; slope unidentifiable")
     n = x.size
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = _pair_indices(n)
     keep = x[ii] != x[jj]
+    # NaN differs from itself, but NaN covariates carry one (unusable) value
+    if not keep.any() or np.isnan(x).all():
+        raise DegenerateFitError("all samples share one covariate value; slope unidentifiable")
     ii, jj = ii[keep], jj[keep]
     theta_c = -(y[jj] - y[ii]) / (x[jj] - x[ii])
     beta_c = y[ii] + theta_c * x[ii]
@@ -326,7 +411,8 @@ def _surface(by: np.ndarray, bx: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def _pixel_normal_equations(by: np.ndarray, bx: np.ndarray, pix: np.ndarray, x: np.ndarray,
-                            y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                            y: np.ndarray, w: np.ndarray, work: np.ndarray | None = None,
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted normal equations D^T W D and D^T W z of the model
     y = D b - x * (D c), with D the sample design whose row for a sample at
     flat pixel index ``pix`` = iy*nx + ix is kron(by[iy], bx[ix]).
@@ -338,6 +424,10 @@ def _pixel_normal_equations(by: np.ndarray, bx: np.ndarray, pix: np.ndarray, x: 
     sum_iy (by[iy] by[iy]^T) kron (bx^T diag(S[iy]) bx) without forming Phi.
     The right-hand side is by^T R bx, R the per-pixel sums of w*y and w*x*y.
     Returns the (2nb, 2nb) data block and the (2nb,) right-hand side.
+
+    Given ``work``, a float64 array of the sample length, the products are
+    formed in ``work`` and in ``w``, which is overwritten; otherwise ``w``
+    is left as it is and two arrays are allocated.
     """
     (ny, ky), (nx, kx) = by.shape, bx.shape
     # row iy holds the outer product by[iy] by[iy]^T, flattened
@@ -354,11 +444,15 @@ def _pixel_normal_equations(by: np.ndarray, bx: np.ndarray, pix: np.ndarray, x: 
     def project(v: np.ndarray) -> np.ndarray:
         return (by.T @ per_pixel(v) @ bx).ravel()
 
-    wx = w * x
+    if work is None:
+        w, work = w.copy(), np.empty_like(w)
+    rhs_b = project(np.multiply(w, y, out=work))
+    g_bb = gram(w)
+    wx = np.multiply(w, x, out=work)
     m_bc = -gram(wx)
-    data_block = np.block([[gram(w), m_bc], [m_bc.T, gram(wx * x)]])
-    rhs = np.concatenate([project(w * y), -project(wx * y)])
-    return data_block, rhs
+    g_cc = gram(np.multiply(wx, x, out=w))
+    rhs_c = -project(np.multiply(wx, y, out=w))
+    return np.block([[g_bb, m_bc], [m_bc.T, g_cc]]), np.concatenate([rhs_b, rhs_c])
 
 
 def check_fit_options(knots_y: int, knots_x: int, iters: int,
@@ -460,23 +554,35 @@ class SplineMerModel:
             raise DegenerateFitError(
                 f"{samples.n} samples cannot identify {2 * nb} spline coefficients"
             )
-        if np.unique(samples.x).size < 2:
+        if samples.x.min() == samples.x.max():
             raise DegenerateFitError("all samples share one level; slope unidentifiable")
         by, bx = self._grid_bases(shape)
-        pix = samples.pixel_y.astype(np.int64) * shape[1] + samples.pixel_x
+        pix = samples.pixel_y.astype(np.int64)   # flat pixel index, built in place
+        pix *= shape[1]
+        pix += samples.pixel_x
         pen = _roughness_penalty(self.knots_y, self.knots_x)
         pen_block = np.kron(np.eye(2), pen)
         x, y = samples.x, samples.y
         beta0, theta0 = _pooled_median_line(samples)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
+        # the only per-sample arrays of an iteration: w, and one for products
+        w, work = np.empty(samples.n), np.empty(samples.n)
         for kappa, n_iter in _kappa_stages(self.iters):
             for _ in range(n_iter):
                 b = _surface(by, bx, params[:nb]).ravel()
                 c = _surface(by, bx, params[nb:]).ravel()
-                e = y - (b[pix] - x * c[pix])
-                # quadratic majorizer weight of the smoothed pinball at e
-                w = 1.0 / (2.0 * np.maximum(np.abs(e), kappa))
-                data_block, rhs = _pixel_normal_equations(by, bx, pix, x, y, w)
+                # the residual e = y - (b[pix] - x * c[pix]) in w, then over it the
+                # quadratic majorizer weight of the smoothed pinball at e,
+                # 1 / (2 max(|e|, kappa)): the float operations of the plain
+                # expressions, in the same order. take's default mode would
+                # buffer its output; every pix is a grid pixel, which the
+                # bincounts check
+                np.multiply(x, np.take(c, pix, out=work, mode="clip"), out=work)
+                np.subtract(np.take(b, pix, out=w, mode="clip"), work, out=w)
+                np.subtract(y, w, out=w)
+                np.maximum(np.abs(w, out=w), kappa, out=w)
+                np.divide(1.0, np.multiply(2.0, w, out=w), out=w)
+                data_block, rhs = _pixel_normal_equations(by, bx, pix, x, y, w, work)
                 mat = data_block + 2.0 * self.penalty * pen_block
                 # tiny ridge at the data scale only; the penalty trace can be
                 # arbitrarily large and must not leak into the null space
@@ -560,15 +666,14 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
     flat = flat[order]
     xs = samples.x[order]
     ys = samples.y[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(flat) > 0])
-    ends = np.r_[starts[1:], flat.size]
-    for s, e in zip(starts, ends):
-        if e - s < min_samples:
-            continue
-        xv = xs[s:e]
-        if np.unique(xv).size < 2:
-            continue
-        b, t = fit_mer_pixel(xv, ys[s:e])
+    # each pixel's run in the sorted ids; -1 differs from every id
+    bounds = np.flatnonzero(np.diff(flat, prepend=-1, append=-1))
+    starts, ends = bounds[:-1], bounds[1:]
+    # a pixel is fitted with enough samples at two or more distinct levels
+    fitted = ((ends - starts >= min_samples)
+              & (np.minimum.reduceat(xs, starts) != np.maximum.reduceat(xs, starts)))
+    for s, e in zip(starts[fitted], ends[fitted]):
+        b, t = fit_mer_pixel(xs[s:e], ys[s:e])
         pix = flat[s]
         beta[pix // nx, pix % nx] = b
         theta[pix // nx, pix % nx] = t

@@ -276,6 +276,84 @@ def test_one_threshold_sort_per_chain(sim_dir, tmp_path, monkeypatch):
     assert calls == [(30, [0.85, 0.9])] * 4
 
 
+def test_chi_sorts_the_stack_once(sim_dir, tmp_path, monkeypatch):
+    # every level's exceedances come from one threshold sort, shared by all
+    # lags and per-pixel maps
+    from exrange import thresholds
+
+    calls = []
+    quantile_fields = thresholds.quantile_fields
+
+    def counting(stack, levels):
+        calls.append(list(levels))
+        return quantile_fields(stack, levels)
+
+    monkeypatch.setattr(thresholds, "quantile_fields", counting)
+    assert main(["chi", "--in", str(sim_dir), "--out", str(tmp_path), "--per-pixel"]) == 0
+    assert calls == [[0.9, 0.95]]
+    assert len(list(tmp_path.glob("chi_p*_lag*.f32"))) == 16
+
+
+SAMPLE_FIELDS = ("pixel_y", "pixel_x", "x", "y", "block")
+
+
+def _concatenated_levels(stack, levels, blocks=None, min_range=0.0):
+    """Per-level ``collect_samples``, cut at ``min_range`` and concatenated,
+    skipping levels without samples: what the pooled samples must equal."""
+    from exrange import collect_samples, quantile_fields, range_cube
+    from exrange.tailfit import RangeSamples
+
+    parts = []
+    for thr in quantile_fields(stack, levels):
+        cube = range_cube(stack, thr, "fill-exceed")
+        if not (cube > 0).any():
+            continue
+        part = collect_samples({thr.p: cube}, stack.domain(), blocks=blocks)
+        parts.append(part.select(part.y >= math.log(min_range)) if min_range > 0 else part)
+    return RangeSamples.concat(parts)
+
+
+def test_pooled_samples_equal_concatenated_levels(sim_dir, tmp_path, monkeypatch):
+    from exrange import cli
+
+    seen = []
+    fit_surface = cli._fit_surface
+
+    def recording(stack, samples, *args):
+        seen.append((stack, {f: getattr(samples, f).copy() for f in SAMPLE_FIELDS}))
+        return fit_surface(stack, samples, *args)
+
+    def check(stack, got, want):
+        for f in SAMPLE_FIELDS:
+            assert np.array_equal(got[f], getattr(want, f)), f
+        assert got["pixel_y"].dtype == got["pixel_x"].dtype == np.int32
+        assert got["block"].dtype == np.int64
+
+    monkeypatch.setattr(cli, "_fit_surface", recording)
+    stack = load_stack(sim_dir / "stack.f32")
+    fit = ["--knots", "4x4", "--iters", "9", "--penalty", "1.0"]
+    # 0.99 leaves no exceedance at nt = 40
+    assert main(["pipeline", "--in", str(sim_dir), "--out", str(tmp_path / "pipe"),
+                 "--levels", "0.85,0.9,0.99", *fit]) == 0
+    check(*seen.pop(), _concatenated_levels(stack, [0.85, 0.9, 0.99]))
+
+    block_ids = np.arange(40) // 10 + 7
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(map(str, block_ids)))
+    assert main(["mer", "--in", str(sim_dir), "--out", str(tmp_path / "mer"),
+                 "--levels", "0.85,0.9", "--min-range", "1.5", "--blocks-by", str(blocks),
+                 *fit]) == 0
+    check(*seen.pop(), _concatenated_levels(stack, [0.85, 0.9], block_ids, 1.5))
+
+    assert main(["jackknife", "--in", str(sim_dir), "--out", str(tmp_path / "jk"),
+                 "--levels", "0.85,0.9", "--blocks-by", str(blocks), *fit]) == 0
+    assert len(seen) == 4
+    for dropped, (sub, got) in zip(np.unique(block_ids), seen):
+        kept = block_ids[block_ids != dropped]
+        assert np.array_equal(sub.values, stack.values[block_ids != dropped])
+        check(sub, got, _concatenated_levels(sub, [0.85, 0.9], kept))
+
+
 def test_jackknife_penalty_cv_folds_by_block(sim_dir, tmp_path, monkeypatch):
     from exrange import tailfit
 

@@ -254,6 +254,62 @@ def test_median_map_matches_pooled_per_pixel():
                 assert med_map[y, x] == vals[vals.size // 2 - 1]
 
 
+def full_sort_median_map(cube, inside):
+    """Lower median of each domain pixel's positive ranges, by sorting its
+    whole series; 0 where there is none and outside the domain."""
+    out = np.zeros(inside.shape)
+    for iy, ix in zip(*np.nonzero(inside)):
+        series = np.sort(cube[:, iy, ix])
+        positive = series[series > 0]
+        if positive.size:
+            out[iy, ix] = positive[(positive.size - 1) // 2]
+    return out
+
+
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_median_range_map_matches_full_sort_on_ragged_cases(policy):
+    rng = np.random.default_rng(36)
+    nt, ny, nx = 9, 6, 7
+    inside = np.ones((ny, nx), dtype=bool)
+    inside[0, 4:] = inside[3:5, 2] = False
+    values = rng.standard_normal((nt, ny, nx)).astype(np.float32)
+    values[:, ~inside] = -9999.0
+    stack = RasterStack(values)
+    dom = stack.domain()
+    cube = range_cube(stack, quantile_field(stack, 0.6), policy)
+    # fill-exceed gives nodata pixels a positive range in every slice
+    assert (cube[:, ~inside] > 0).all() == (policy is BoundaryPolicy.FILL_EXCEED)
+    cube[:, 1, 1] = 0.0                                  # no positive range
+    cube[:, 1, 2] = [0, 2, 0, 2, 1, 0, 0, 3, 0]          # even count, tied median
+    cube[:, 1, 3] = [0, 0, 5, 0, 1, 0, 1, 0, 0]          # odd count, tied median
+    cube[:, 2, 1] = [0, 0, 0, 0, 0, 0, 0, 0, 4]          # one positive range
+    assert np.unique(cube[cube > 0]).size < np.count_nonzero(cube > 0)   # ties
+    for c in (cube, cube[:1], cube[4:5]):                # and single slices
+        want = full_sort_median_map(c, inside)
+        assert (median_range_map(c, dom) == want).all()
+        assert (median_range_map([RangeField(r=r, dx=1.0) for r in c], dom) == want).all()
+    assert full_sort_median_map(cube, inside)[1, 2:4].tolist() == [2.0, 1.0]
+
+
+def test_median_range_map_memory_follows_positive_ranges():
+    # only the positive ranges are sorted: a sorted copy of the cube, as a
+    # full sort makes, is the cube's size
+    import tracemalloc
+
+    rng = np.random.default_rng(37)
+    shape = (200, 64, 64)
+    cube = np.where(rng.random(shape) < 0.1, np.sqrt(rng.integers(1, 50, shape)), 0.0)
+    dom = full_domain(64, 64)
+    tracemalloc.start()
+    try:
+        got = median_range_map(cube, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.nbytes / 4
+    assert (got == full_sort_median_map(cube, dom.inside)).all()
+
+
 @pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes):

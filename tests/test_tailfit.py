@@ -212,6 +212,52 @@ def test_pixel_map_fit_ragged_pixels_match_enumeration():
     assert np.isnan(surf.beta).sum() == (counts < 3).sum() + len(single)
 
 
+def test_pixel_map_fit_matches_enumeration_across_cached_pair_counts(monkeypatch):
+    # one map whose pixels straddle the bracketing threshold, hold more
+    # distinct sample counts than the pair-index cache keeps, and include a
+    # single-level pixel and pixels below min_samples; every fitted pixel
+    # costs exactly one fit_mer_pixel call
+    from exrange import tailfit
+
+    rng = np.random.default_rng(66)
+    levels = np.array([loglog_level(p) for p in (0.85, 0.9, 0.95, 0.98)])
+    ny, nx = 4, 6
+    counts = np.r_[0, 1, 2, 40, 3, 4, 7, 12, 20, 26, 31, 36, 45, 60, 75, 90,
+                   28, 33, 41, 52, 66, 9, 17, 110]
+    single = 12                                 # 45 samples at one level
+    pix = np.repeat(np.arange(ny * nx), counts)
+    x = rng.choice(levels, pix.size)
+    x[pix == single] = levels[2]
+    y = np.log(np.sqrt(rng.integers(1, 40, pix.size)))
+    order = rng.permutation(pix.size)
+    pix, x, y = pix[order], x[order], y[order]
+    samples = RangeSamples(pixel_y=pix // nx, pixel_x=pix % nx, x=x, y=y,
+                           block=np.zeros(pix.size, dtype=np.int64))
+    calls = []
+    fit = tailfit.fit_mer_pixel
+
+    def counting(xv, yv):
+        calls.append(xv.size)
+        return fit(xv, yv)
+
+    monkeypatch.setattr(tailfit, "fit_mer_pixel", counting)
+    tailfit._pair_indices.cache_clear()
+    surf = fit_mer_pixel_map(samples, (ny, nx))
+    fitted = [f for f in range(ny * nx) if counts[f] >= 3 and f != single]
+    assert sorted(calls) == sorted(counts[fitted].tolist())
+    cache = tailfit._pair_indices.cache_info()
+    assert len(set(calls)) > cache.maxsize >= cache.currsize
+    pairs = [n * (n - 1) // 2 * n for n in calls]
+    assert min(pairs) <= tailfit._LAD_BLOCK < max(pairs)
+    for f in range(ny * nx):
+        b, t = surf.beta[f // nx, f % nx], surf.theta[f // nx, f % nx]
+        sel = np.flatnonzero(pix == f)           # stable: the order the map fit sees
+        if f in fitted:
+            assert (b, t) == lad_enumeration_oracle(x[sel], y[sel]), f
+        else:
+            assert np.isnan(b) and np.isnan(t), f
+
+
 def test_lad_overflowing_slope_matches_enumeration():
     # x = 0 and the smallest subnormal: their pair slope overflows to inf,
     # so no bracket tolerance is finite and every line must be scored
@@ -227,6 +273,9 @@ def test_lad_unidentifiable():
         fit_mer_pixel(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DegenerateFitError):
         fit_mer_pixel(np.array([1.0]), np.array([1.0]))
+    # NaN differs from itself, yet NaN covariates give no slope either
+    with pytest.raises(DegenerateFitError, match="one covariate value"):
+        fit_mer_pixel(np.array([np.nan, np.nan, np.nan]), np.array([1.0, 2.0, 3.0]))
 
 
 def _samples_from_surface(rng, ny, nx, beta_fn, theta_fn, levels, reps, noise=0.0):
