@@ -25,13 +25,21 @@ The per-pixel LAD needs no optimizer either: some optimal line interpolates
 two samples, so the fit is the best line through a sample pair (smallest
 theta, then smallest beta, among ties). Scoring all O(n^2) pair lines
 against n samples costs O(n^3), so ``fit_mer_pixel`` first brackets the
-slope on the convex profiled objective, then scores only the pair lines
-inside the bracket with the float expression of the full enumeration; its
-docstring says why the winner is bit-identical. A pixel map's fits mostly
-share a few sample counts, so the pair indices of the last few counts are
-cached (``_pair_indices``), and the map finds the pixels it can fit (enough
-samples, two distinct levels) in one vectorized pass, calling
-``fit_mer_pixel`` once per fitted pixel.
+slope on the convex profiled objective, in small rounds over the sorted pair
+slopes, then scores only the distinct pair lines inside the bracket with the
+float expression of the full enumeration; its docstring says why the winner
+is bit-identical whatever the round size. Which pairs have distinct
+covariates, and their covariate differences, depend on the covariates only,
+so this pair design is cached keyed by the covariate vector
+(``_pair_design``). A pixel map's fits mostly share one vector: each
+threshold is an order statistic of the pixel's series, so every domain pixel
+exceeds a level's threshold in the same number of slices, each exceedance
+is one positive range under either boundary policy, and the map takes each
+pixel's samples in pooled (level, slice) order. Ties within a series or a
+``min_range`` cut give a pixel other covariates, and then its design is
+built anew. The map finds the pixels it can fit (enough samples, two
+distinct levels) in one vectorized pass, calling ``fit_mer_pixel`` once per
+fitted pixel.
 
 The pooled samples of many levels exist in one copy: ``SamplePool`` sizes
 them from the in-domain exceedance counts, and ``collect_samples`` writes
@@ -214,9 +222,10 @@ def lad_objective(beta: float, theta: float, x: np.ndarray, y: np.ndarray) -> fl
     return float(np.abs(y - (beta - theta * x)).sum())
 
 
-# Elements (lines x samples) of one block of the LAD search: bounds the
-# temporaries of both the profile sampling and the line scoring.
-_LAD_BLOCK = 1 << 15
+# Elements (lines x samples) of one round of the LAD search: the profile
+# samples of a bracketing round, the bracket small enough to stop at, and one
+# block of line scoring. Any value gives the same fits (``fit_mer_pixel``).
+_LAD_BLOCK = 1 << 12
 
 
 def _lad_profile(x: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -228,14 +237,33 @@ def _lad_profile(x: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray
     return np.abs(z - med[:, None]).sum(axis=1)
 
 
+def _lad_scores(x: np.ndarray, y: np.ndarray, thetas: np.ndarray,
+                betas: np.ndarray) -> np.ndarray:
+    """LAD objective of each line y = beta - theta*x, by the float expression
+    of the full enumeration."""
+    return np.abs(y[None, :] - (betas[:, None] - thetas[:, None] * x[None, :])).sum(axis=1)
+
+
 @functools.lru_cache(maxsize=4)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, read-only. A pixel map's fits mostly share
-    a few sample counts, so a few entries serve it; one entry takes
-    8 n (n-1) bytes, 16 MB at n = 1400."""
-    ii, jj = np.triu_indices(n, k=1)
-    ii.flags.writeable = jj.flags.writeable = False
-    return ii, jj
+def _pair_design(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair lines of the covariates x = ``np.frombuffer(key)``: the pairs
+    i < j in ``np.triu_indices`` order with x[i] != x[j], as read-only int32
+    ``ii``, ``jj`` and float64 ``x[jj] - x[ii]``. NaN differs from itself,
+    but covariates that are all NaN carry one (unusable) value: no pairs.
+
+    Keyed by the covariate vector, so fits with equal covariates share one
+    entry whatever their responses: a pixel map's fits mostly do (see the
+    module docstring), and a few entries serve it. One entry takes 16 bytes
+    a pair, at most 8 n (n-1) bytes: 16 MB at n = 1400.
+    """
+    x = np.frombuffer(key)
+    ii, jj = np.triu_indices(x.size, k=1)
+    keep = (x[ii] != x[jj]) & ~np.isnan(x).all()
+    ii, jj = ii[keep].astype(np.int32), jj[keep].astype(np.int32)
+    dx = x[jj] - x[ii]
+    for a in (ii, jj, dx):
+        a.flags.writeable = False
+    return ii, jj, dx
 
 
 def fit_mer_pixel(x, y) -> tuple[float, float]:
@@ -248,27 +276,33 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
 
     The pair lines are not all scored. With beta profiled out, the
     objective g(theta) = sum |z - median(z)|, z = y + theta*x, is convex, so
-    {g <= g* + tol} is an interval around its minimizers. While the lines
-    in the bracket times n exceed ``_LAD_BLOCK``, g is sampled at about
-    ``_LAD_BLOCK / n`` evenly spaced sorted unique slopes of the bracket;
-    the bracket shrinks to the outer neighbours of the samples within
-    ``tol`` of the sampled minimum, and the search stops when a step does
-    not shrink it (a flat profile). Every pair line whose slope lies in the
-    bracket is then scored with the expression of the full enumeration, in
-    blocks of ``_LAD_BLOCK`` elements.
+    {g <= g* + tol} is an interval around its minimizers. The pair slopes
+    are sorted once, and the bracket is a range of indices into them. While
+    it holds more than ``_LAD_BLOCK`` / n slopes, g is sampled at
+    m = max(3, ``_LAD_BLOCK`` // n) evenly spaced slopes of the bracket; the
+    bracket shrinks to the outer neighbours of the samples within ``tol`` of
+    the sampled minimum, and the search stops when a round does not shrink
+    it (a flat profile). Every pair line whose slope lies in the bracket is
+    then scored with the expression of the full enumeration, in blocks of
+    ``_LAD_BLOCK`` elements. A flat profile can leave many lines, most of
+    them repeats of a few: lines of equal theta and beta score equally, so
+    only the first of each, in pair order, is scored when they fill more
+    than one block.
 
-    The result is bit-identical to scoring every pair line. The line that
-    full scoring picks has an exact profile value at most its exact line
-    objective; that is within float error of its computed objective, which
-    is at most the computed objective of an exactly optimal pair line, in
-    turn within float error of g*. So its slope lies in {g <= g* + slack}.
-    With M = max|y| + max|theta|*max|x| over the candidates, each of those
-    errors, and the error of a computed g, is below about 6*n^2*eps*M, and
-    tol = 32*n^2*eps*M exceeds the slack plus twice the error of a computed
-    g. A dropped sample therefore has g above g* + slack, and convexity puts
-    the minimizers, and with them that line's slope, between the dropped
-    samples. The final bracket thus holds that line, every line in it is
-    scored with the same float expression, and the lexmin picks it again.
+    The result is bit-identical to scoring every pair line, for any round
+    size m >= 3. The line that full scoring picks has an exact profile value
+    at most its exact line objective; that is within float error of its
+    computed objective, which is at most the computed objective of an
+    exactly optimal pair line, in turn within float error of g*. So its
+    slope lies in {g <= g* + slack}. With M = max|y| + max|theta|*max|x|
+    over the candidates, each of those errors, and the error of a computed
+    g, is below about 6*n^2*eps*M, and tol = 32*n^2*eps*M exceeds the slack
+    plus twice the error of a computed g. A dropped sample therefore has g
+    above g* + slack, and convexity puts the minimizers, and with them that
+    line's slope, between the dropped samples. The final bracket thus holds
+    that line. Every line in it, or the first in pair order of each set of
+    equal lines, is scored with the same float expression, and the lexmin
+    picks that line again.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -277,24 +311,20 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
     if x.size < 2:
         raise DegenerateFitError("need at least two samples")
     n = x.size
-    ii, jj = _pair_indices(n)
-    keep = x[ii] != x[jj]
-    # NaN differs from itself, but NaN covariates carry one (unusable) value
-    if not keep.any() or np.isnan(x).all():
+    ii, jj, dx = _pair_design(x.tobytes())
+    if not ii.size:
         raise DegenerateFitError("all samples share one covariate value; slope unidentifiable")
-    ii, jj = ii[keep], jj[keep]
-    theta_c = -(y[jj] - y[ii]) / (x[jj] - x[ii])
-    beta_c = y[ii] + theta_c * x[ii]
+    theta_c = -(y[jj] - y[ii]) / dx
+    bracketed = False
     if theta_c.size * n > _LAD_BLOCK:
-        slopes, counts = np.unique(theta_c, return_counts=True)
-        lines_before = np.r_[0, np.cumsum(counts)]
+        slopes = np.sort(theta_c)
         scale = np.abs(y).max() + max(-slopes[0], slopes[-1]) * np.abs(x).max()
         tol = 32.0 * n * n * np.finfo(np.float64).eps * scale
-        lo, hi = 0, slopes.size - 1
         # an overflowing slope (or a non-finite sample) makes tol non-finite:
         # then every line is scored, as by the full enumeration
-        while (np.isfinite(tol) and hi > lo
-               and (lines_before[hi + 1] - lines_before[lo]) * n > _LAD_BLOCK):
+        bracketed = bool(np.isfinite(tol))
+        lo, hi = 0, slopes.size - 1
+        while bracketed and hi > lo and (hi - lo + 1) * n > _LAD_BLOCK:
             m = min(max(3, _LAD_BLOCK // n), hi - lo + 1)
             idx = lo + np.arange(m) * (hi - lo) // (m - 1)
             g = _lad_profile(x, y, slopes[idx])
@@ -304,14 +334,24 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
             if (new_lo, new_hi) == (lo, hi):
                 break
             lo, hi = new_lo, new_hi
-        inside = (theta_c >= slopes[lo]) & (theta_c <= slopes[hi])
-        theta_c, beta_c = theta_c[inside], beta_c[inside]
-    best = (math.inf, math.inf, math.inf)
+        if bracketed:
+            inside = (theta_c >= slopes[lo]) & (theta_c <= slopes[hi])
+            theta_c, ii = theta_c[inside], ii[inside]
+    beta_c = y[ii] + theta_c * x[ii]
     chunk = max(1, _LAD_BLOCK // n)
+    if bracketed and theta_c.size > chunk:
+        # the first in pair order of each set of equal lines (every line is
+        # finite here, and equal lines are equal complex numbers); no two
+        # lines left are equal, so their order no longer matters
+        lines = np.empty(theta_c.size, np.complex128)
+        lines.real, lines.imag = theta_c, beta_c
+        first = np.unique(lines, return_index=True)[1]
+        theta_c, beta_c = theta_c[first], beta_c[first]
+    best = (math.inf, math.inf, math.inf)
     for start in range(0, theta_c.size, chunk):
         tc = theta_c[start:start + chunk]
         bc = beta_c[start:start + chunk]
-        obj = np.abs(y[None, :] - (bc[:, None] - tc[:, None] * x[None, :])).sum(axis=1)
+        obj = _lad_scores(x, y, tc, bc)
         k = int(np.lexsort((bc, tc, obj))[0])
         cand = (float(obj[k]), float(tc[k]), float(bc[k]))
         if cand < best:

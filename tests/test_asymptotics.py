@@ -21,6 +21,8 @@ from exrange import (
     level_curve_length,
     median_range,
     quantile_field,
+    quantile_fields,
+    range_cube,
     range_field,
     simulate_ad_field,
     simulate_gaussian,
@@ -71,6 +73,26 @@ def test_small_radius_slope_tracks_intrinsic_volume_ratio():
     for ratio in ratios:
         assert ratio == pytest.approx(1.0, abs=0.15)
     assert max(ratios) / min(ratios) < 1.05
+
+
+def test_ranges_and_pooled_medians_lie_on_the_pixel_lattice():
+    # the lattice lock behind A2a (docs/acceptance.md): a range is the
+    # distance between two pixel centres, dx*sqrt(k) for an integer k, so
+    # the pooled lower medians at 0.9 and 0.99 are such values too, and the
+    # two-level theta can take only the values two integers fix
+    stack = simulate_gaussian(GaussianSimConfig(nx=40, ny=40, n_slices=100, nu=2.0,
+                                                ell=3.0, dx=0.5, seed=29))
+    domain = stack.domain()
+    for policy in BoundaryPolicy:
+        for thr in quantile_fields(stack, (0.9, 0.99)):
+            cube = range_cube(stack, thr, policy)
+            r = cube[cube > 0]
+            k = np.rint((r / stack.dx) ** 2)
+            assert r.size > 0 and k.min() >= 1
+            np.testing.assert_array_equal(r, stack.dx * np.sqrt(k))
+            med = median_range(cube, domain)
+            k_med = np.rint((med / stack.dx) ** 2)
+            assert k_med >= 1 and med == stack.dx * np.sqrt(k_med), (policy, thr.p, med)
 
 
 def test_theta_two_level_trend_toward_gaussian_limit():

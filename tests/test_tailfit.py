@@ -179,7 +179,7 @@ def test_lad_bit_identical_to_full_enumeration(monkeypatch, block):
         assert math.copysign(1.0, theta) == math.copysign(1.0, theta_o)
         checked += 1
         bracketed += n * (n - 1) // 2 * n > tailfit._LAD_BLOCK
-    assert bracketed > 500
+    assert 500 < bracketed < checked
 
 
 def test_pixel_map_fit_ragged_pixels_match_enumeration():
@@ -214,9 +214,9 @@ def test_pixel_map_fit_ragged_pixels_match_enumeration():
 
 def test_pixel_map_fit_matches_enumeration_across_cached_pair_counts(monkeypatch):
     # one map whose pixels straddle the bracketing threshold, hold more
-    # distinct sample counts than the pair-index cache keeps, and include a
-    # single-level pixel and pixels below min_samples; every fitted pixel
-    # costs exactly one fit_mer_pixel call
+    # distinct covariate vectors than the pair-design cache keeps, and
+    # include a single-level pixel and pixels below min_samples; every
+    # fitted pixel costs exactly one fit_mer_pixel call
     from exrange import tailfit
 
     rng = np.random.default_rng(66)
@@ -237,17 +237,18 @@ def test_pixel_map_fit_matches_enumeration_across_cached_pair_counts(monkeypatch
     fit = tailfit.fit_mer_pixel
 
     def counting(xv, yv):
-        calls.append(xv.size)
+        calls.append(xv.tobytes())
         return fit(xv, yv)
 
     monkeypatch.setattr(tailfit, "fit_mer_pixel", counting)
-    tailfit._pair_indices.cache_clear()
+    tailfit._pair_design.cache_clear()
     surf = fit_mer_pixel_map(samples, (ny, nx))
     fitted = [f for f in range(ny * nx) if counts[f] >= 3 and f != single]
-    assert sorted(calls) == sorted(counts[fitted].tolist())
-    cache = tailfit._pair_indices.cache_info()
+    sizes = [len(c) // 8 for c in calls]
+    assert sorted(sizes) == sorted(counts[fitted].tolist())
+    cache = tailfit._pair_design.cache_info()
     assert len(set(calls)) > cache.maxsize >= cache.currsize
-    pairs = [n * (n - 1) // 2 * n for n in calls]
+    pairs = [n * (n - 1) // 2 * n for n in sizes]
     assert min(pairs) <= tailfit._LAD_BLOCK < max(pairs)
     for f in range(ny * nx):
         b, t = surf.beta[f // nx, f % nx], surf.theta[f // nx, f % nx]
@@ -256,6 +257,87 @@ def test_pixel_map_fit_matches_enumeration_across_cached_pair_counts(monkeypatch
             assert (b, t) == lad_enumeration_oracle(x[sel], y[sel]), f
         else:
             assert np.isnan(b) and np.isnan(t), f
+
+
+def test_pixel_map_fit_pair_design_cache_is_sound():
+    # every pixel has 119 samples, as at 14 pipeline levels over 100 slices,
+    # but the covariate vectors differ: pixels 0-4 share the pipeline's
+    # vector (level by level, 15 down to 2 samples), pixels 5-8 have other
+    # level mixes and pixels 9-11 the pipeline's levels in another order.
+    # A shared pair design must never serve a pixel with other covariates
+    from exrange import tailfit
+
+    rng = np.random.default_rng(67)
+    levels = np.array([loglog_level(p) for p in np.round(np.arange(0.85, 0.985, 0.01), 2)])
+    pipeline = np.repeat(levels, np.arange(15, 1, -1))
+    vectors = [pipeline] * 5
+    vectors += [np.sort(rng.choice(levels, pipeline.size)) for _ in range(4)]
+    vectors += [rng.permutation(pipeline) for _ in range(3)]
+    ny, nx = 3, 4
+    n = pipeline.size
+    # samples arrive slice by slice, each pixel's in its own order
+    pix = np.tile(np.arange(ny * nx), n)
+    x = np.stack(vectors, axis=1).ravel()
+    y = np.log(np.sqrt(rng.choice([1, 2, 4, 5, 8, 9, 10], pix.size)))
+    samples = RangeSamples(pixel_y=pix // nx, pixel_x=pix % nx, x=x, y=y,
+                           block=np.zeros(pix.size, dtype=np.int64))
+    tailfit._pair_design.cache_clear()
+    surf = fit_mer_pixel_map(samples, (ny, nx))
+    cache = tailfit._pair_design.cache_info()
+    assert (cache.hits, cache.misses) == (4, 8)
+    for f in range(ny * nx):
+        sel = np.flatnonzero(pix == f)
+        assert x[sel].tobytes() == vectors[f].tobytes()
+        assert (surf.beta[f // nx, f % nx], surf.theta[f // nx, f % nx]) == \
+            lad_enumeration_oracle(x[sel], y[sel]), f
+    for a in tailfit._pair_design(pipeline.tobytes()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+
+
+def test_lad_work_on_a_pipeline_shaped_pixel():
+    # a pixel as the 14-level pipeline leaves it: 119 samples, 15 down to 2
+    # per level, lattice responses log(sqrt(k)). Full enumeration scores
+    # 6461 pair lines against 119 samples, 768,859 elements; the bracket
+    # rounds and the scoring of the distinct lines left in the bracket must
+    # stay far below that, whatever the time they take. The bound is about
+    # 1.3 times the largest count measured on these problems, 16,898
+    from exrange import tailfit
+
+    bound = 22_000
+    levels = np.array([loglog_level(p) for p in np.round(np.arange(0.85, 0.985, 0.01), 2)])
+    per_level = np.arange(15, 1, -1)
+    x = np.repeat(levels, per_level)
+    work = []
+    profile, scores = tailfit._lad_profile, tailfit._lad_scores
+
+    def counted_profile(xv, yv, thetas):
+        work[-1] += thetas.size * xv.size
+        return profile(xv, yv, thetas)
+
+    def counted_scores(xv, yv, thetas, betas):
+        work[-1] += thetas.size * xv.size
+        return scores(xv, yv, thetas, betas)
+
+    rng = np.random.default_rng(7)
+    problems = []
+    for _ in range(12):
+        # ranges shrinking with the level; few lattice values (a flat
+        # profile); a skewed spread of lattice values
+        problems.append(rng.integers(1, 1 + np.repeat(np.arange(30, 2, -2), per_level)))
+        problems.append(rng.choice([1, 2, 4, 5], x.size))
+        problems.append(rng.choice([1, 2, 4, 5, 8, 9, 10, 13, 16, 17], x.size,
+                                   p=np.r_[0.3, 0.2, 0.1, 0.1, [0.05] * 6]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tailfit, "_lad_profile", counted_profile)
+        mp.setattr(tailfit, "_lad_scores", counted_scores)
+        fits = []
+        for k in problems:
+            work.append(0)
+            fits.append(fit_mer_pixel(x, np.log(np.sqrt(k))))
+    assert max(work) <= bound, sorted(work)[-5:]
+    for k, fitted in zip(problems, fits):
+        assert fitted == lad_enumeration_oracle(x, np.log(np.sqrt(k)))
 
 
 def test_lad_overflowing_slope_matches_enumeration():
