@@ -13,8 +13,8 @@ _EXPORTS = {
                  "intrinsic_densities", "level_curve_length"),
     "morphology": ("RangeField", "dilate", "distance_transform",
                    "distance_transform_squared", "erode"),
-    "ranges": ("CdfEstimate", "domain_inradius", "ecdf", "eroded_domain",
-               "gaussian_cdf_approx", "median_range", "median_range_map", "range_cube",
+    "ranges": ("CdfEstimate", "RangeEntries", "domain_inradius", "ecdf", "eroded_domain",
+               "gaussian_cdf_approx", "median_range", "median_range_map", "range_entries",
                "range_field", "tail_dependence"),
     "raster": ("DomainMask", "RasterStack", "load_map", "load_stack", "save_map",
                "save_stack"),

@@ -187,10 +187,11 @@ def _default_radii(stack: raster.RasterStack) -> list[float]:
     return radii
 
 
-def _cdf_rows(cube: np.ndarray, domain: raster.DomainMask, radii, dx: float) -> list:
+def _cdf_rows(entries: ranges.RangeEntries, domain: raster.DomainMask, radii,
+              dx: float) -> list:
     """One level's ECDF: r, F(r) and the exceedance count behind F(r); F is
     nan where that count is 0."""
-    est = ranges.ecdf(cube, domain, radii, dx)
+    est = ranges.ecdf(entries, domain, radii, dx)
     return [[float(r), float(f) if n else math.nan, int(n)]
             for r, f, n in zip(est.radii, est.F, est.n_exceed)]
 
@@ -200,10 +201,10 @@ def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
     return np.arange(0.0, r_max + stack.dx, stack.dx)
 
 
-def _hist_rows(p: float, cube: np.ndarray, domain: raster.DomainMask,
+def _hist_rows(p: float, entries: ranges.RangeEntries, domain: raster.DomainMask,
                edges: np.ndarray) -> list:
     """One level's histogram of the pooled positive in-domain ranges."""
-    counts, _ = np.histogram(cube[(cube > 0) & domain.inside], bins=edges)
+    counts, _ = np.histogram(ranges._domain_values(entries, domain), bins=edges)
     return [[_fmt_p(p), float(lo), float(hi), int(c)]
             for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
 
@@ -298,10 +299,10 @@ def _cmd_range(args) -> int:
     n_threads = _threads(args)
     out = Path(args.out)
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        cube = ranges.range_cube(stack, thr, policy, n_threads)
-        for t in range(stack.nt):
-            raster.save_map(out / f"range_p{_fmt_p(thr.p)}_t{t}.f32",
-                            cube[t].astype(np.float32), dx=stack.dx, unit=stack.unit)
+        entries = ranges.range_entries(stack, thr, policy, n_threads)
+        for t, r in enumerate(ranges._slice_maps(entries, np.float32)):
+            raster.save_map(out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
+                            unit=stack.unit)
     return 0
 
 
@@ -313,9 +314,9 @@ def _cmd_cdf(args) -> int:
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
     out = Path(args.out)
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        cube = ranges.range_cube(stack, thr, policy, n_threads)
+        entries = ranges.range_entries(stack, thr, policy, n_threads)
         _write_csv(out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
-                   _cdf_rows(cube, domain, radii, stack.dx))
+                   _cdf_rows(entries, domain, radii, stack.dx))
     return 0
 
 
@@ -327,8 +328,8 @@ def _cmd_hist(args) -> int:
     edges = _hist_edges(stack)
     rows = []
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        rows += _hist_rows(thr.p, ranges.range_cube(stack, thr, policy, n_threads), domain,
-                           edges)
+        rows += _hist_rows(thr.p, ranges.range_entries(stack, thr, policy, n_threads),
+                           domain, edges)
     _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, rows)
     return 0
 
@@ -371,9 +372,9 @@ def _cmd_theta(args) -> int:
         raise ValueError("--p1 and --p2 must differ")
     policy = BoundaryPolicy(args.policy)
     n_threads = _threads(args)
-    # one level's ranges at a time: each cube is dropped once its median map is taken
+    # one level's ranges at a time: each is dropped once its median map is taken
     med1, med2 = (
-        ranges.median_range_map(ranges.range_cube(stack, thr, policy, n_threads),
+        ranges.median_range_map(ranges.range_entries(stack, thr, policy, n_threads),
                                 stack.domain())
         for thr in thresholds.quantile_fields(stack, (args.p1, args.p2))
     )
@@ -387,7 +388,7 @@ def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
     thrs = thresholds.quantile_fields(stack, levels)
     pool = tailfit.SamplePool.for_thresholds(stack, thrs)
     for thr in thrs:
-        tailfit.collect_samples({thr.p: ranges.range_cube(stack, thr, policy, n_threads)},
+        tailfit.collect_samples({thr.p: ranges.range_entries(stack, thr, policy, n_threads)},
                                 stack.domain(), blocks, min_range, pool)
     return pool.samples()
 
@@ -462,14 +463,15 @@ def _cmd_pipeline(args) -> int:
     thrs = thresholds.quantile_fields(stack, levels)
     pool = tailfit.SamplePool.for_thresholds(stack, thrs)
     for p, thr in zip(levels, thrs):
-        cube = ranges.range_cube(stack, thr, policy, n_threads)
-        cdf_rows += [[_fmt_p(p), *row] for row in _cdf_rows(cube, domain, radii, stack.dx)]
-        hist_rows += _hist_rows(p, cube, domain, hist_edges)
+        entries = ranges.range_entries(stack, thr, policy, n_threads)
+        cdf_rows += [[_fmt_p(p), *row]
+                     for row in _cdf_rows(entries, domain, radii, stack.dx)]
+        hist_rows += _hist_rows(p, entries, domain, hist_edges)
         iv_rows.append(_ivdens_row(stack, thr))
         if p in (levels[0], levels[-1]):
-            med_maps[p] = ranges.median_range_map(cube, domain)
-        tailfit.collect_samples({p: cube}, domain, blocks, args.min_range, pool)
-        del cube
+            med_maps[p] = ranges.median_range_map(entries, domain)
+        tailfit.collect_samples({p: entries}, domain, blocks, args.min_range, pool)
+        del entries
 
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
     _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)

@@ -15,7 +15,8 @@ block. The output bytes fix each slice's float sums: one numpy ``.sum()``
 per (slice, table row) over that slice's cells in row-major order, added
 to the slice's length in ``_CASE_TABLE`` order (a saddle row's two segment
 sums added to each other first); the slice densities are then added in
-slice order.
+slice order. All the (slice, table row) sums come from one zero-prefixed
+``np.add.reduceat``, which gives each the bits of its ``.sum()``.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ _EDGE_PTS = {"T": (2, 0), "R": (1, 3), "B": (4, 1), "L": (0, 5)}
 # with one segment repeats it and its second is never added
 _SEG_PTS = np.array([[[*_EDGE_PTS[e1], *_EDGE_PTS[e2]] for e1, e2 in (segs[0], segs[-1])]
                      for _, _, segs in _CASE_TABLE], dtype=np.int8)
-_TWO_SEGMENTS = [len(segs) == 2 for _, _, segs in _CASE_TABLE]
+_TWO_SEGMENTS = np.array([len(segs) == 2 for _, _, segs in _CASE_TABLE])
 
 
 def _curve_lengths(values: np.ndarray, u: np.ndarray, above: np.ndarray,
@@ -163,12 +164,41 @@ def _curve_lengths(values: np.ndarray, u: np.ndarray, above: np.ndarray,
     key = t * len(_CASE_TABLE) + row
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.diff(key)) + 1
-    for k, one, two in zip(key[np.r_[0, starts]].tolist(),
-                           np.split(first[order], starts), np.split(second[order], starts)):
-        s, r = divmod(k, len(_CASE_TABLE))
-        lengths[s] += one.sum() + two.sum() if _TWO_SEGMENTS[r] else one.sum()
+    head = np.empty(key.size, dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    slice_of, row_of = np.divmod(key[head], len(_CASE_TABLE))
+    del key
+    one, two = _group_sums((first, second), order, head)
+    total = np.where(_TWO_SEGMENTS[row_of], one + two, one)
+    np.add.at(lengths, slice_of, total)  # each slice's groups added in table order
     return lengths, n_cells
+
+
+def _group_sums(arrays, order: np.ndarray, head: np.ndarray) -> list[np.ndarray]:
+    """For each of ``arrays``, the ``.sum()`` of every group of
+    ``a[order]``, bit for bit; a group is a run that starts where ``head``
+    is True (``head[0]`` is).
+
+    One ``np.add.reduceat`` sums every group, with a 0.0 placed ahead of
+    each: a bare reduceat starts from the group's first element, which
+    differs from ``.sum()`` in the last bit. Sorted element k goes to slot
+    k + 1 + (groups before it), placed from ``order`` directly, so no sorted
+    copy of an array is made.
+    """
+    slot = np.cumsum(head)
+    slot += np.arange(slot.size)
+    place = np.empty_like(slot)
+    place[order] = slot
+    del slot
+    zeros = np.flatnonzero(head)
+    zeros += np.arange(zeros.size)
+    padded = np.zeros(place.size + zeros.size)
+    sums = []
+    for a in arrays:
+        padded[place] = a
+        sums.append(np.add.reduceat(padded, zeros))
+    return sums
 
 
 def level_curve_length(field: np.ndarray, threshold: np.ndarray | float,

@@ -8,15 +8,21 @@ and the erosion routine all agree pixel for pixel. CDF counts are
 restricted to the eroded domain T_{-r}, so a pixel only contributes at
 radii for which the whole disk around it stays inside the domain.
 
-A level's ranges are one float64 (nt, ny, nx) array, slice t holding the
-range field of slice t; ``range_cube`` builds it, and ``ecdf``,
-``median_range`` and ``median_range_map`` read it whole. They also accept
-a sequence of ``RangeField``, which is stacked once.
+A pixel's range is positive exactly where its slice exceeds the threshold
+and 0 elsewhere, so a level's ranges are kept as its exceedances only: a
+``RangeEntries`` holds the flat (slice, row, column) index of every positive
+range, ascending, and its value. ``range_entries`` builds it, and ``ecdf``,
+``median_range`` and ``median_range_map`` read it. They also accept a dense
+(nt, ny, nx) array or a sequence of ``RangeField``, converted once. An entry
+takes 16 bytes (int64 index, float64 value) where a dense float64 array takes
+8 per pixel-slice, so entries are the smaller while fewer than half of the
+pixel-slices exceed: at every level p > 0.5.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,29 +126,84 @@ def _pmap(fn, items, n_threads: int) -> list:
         return [r for run in ex.map(lambda run: [fn(x) for x in run], runs) for r in run]
 
 
-def range_cube(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolicy | str,
-               n_threads: int = 1) -> np.ndarray:
-    """The range fields of every slice at one threshold, as one float64
-    (nt, ny, nx) array: slice t is ``range_field`` of slice t's excursion
-    mask under ``policy``, with ``edge_fallback``. The masks come from one
-    comparison over the stack; up to ``n_threads`` workers each fill their
-    own slices of the preallocated array."""
+@dataclass(frozen=True)
+class RangeEntries:
+    """The positive extremal ranges of one level of an (nt, ny, nx) stack.
+
+    ``index`` holds the flat positions t*ny*nx + iy*nx + ix of the positive
+    ranges, ascending, and ``value`` their ranges; every other pixel-slice
+    has range 0. Under FILL_EXCEED the out-of-domain pixels are exceedances
+    with positive ranges, and they are kept like any other.
+    """
+
+    index: np.ndarray      # (n,) int64, ascending
+    value: np.ndarray      # (n,) float64, positive
+    shape: tuple[int, int, int]
+
+    def __post_init__(self):
+        shape = tuple(int(n) for n in self.shape)
+        if len(shape) != 3 or shape[0] < 1:
+            raise ValueError(f"need an (nt, ny, nx) shape with nt >= 1, got {shape}")
+        if self.index.ndim != 1 or self.index.shape != self.value.shape:
+            raise ValueError("index and value must be 1-d arrays of one length")
+        object.__setattr__(self, "shape", shape)
+
+
+def _slice_bounds(index: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Where each slice's entries start in an ascending flat ``index``, and
+    where the last one's end: slice t owns index[bounds[t]:bounds[t + 1]]."""
+    nt, ny, nx = shape
+    return np.searchsorted(index, np.arange(nt + 1) * (ny * nx))
+
+
+def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolicy | str,
+                  n_threads: int = 1) -> RangeEntries:
+    """The positive ranges of every slice at one threshold: slice t's are
+    those of ``range_field`` of slice t's excursion mask under ``policy``,
+    with ``edge_fallback``.
+
+    A pixel's range is positive exactly where its mask is True, so the
+    entries are the exceedances, found by one comparison over the stack
+    before any transform. Up to ``n_threads`` workers each take the range
+    fields of their own slices and copy the exceedances' ranges into their
+    own part of the preallocated values.
+    """
     policy = BoundaryPolicy(policy)
     exceed = exceedance_stack(stack, thr, policy)
     domain = stack.domain()
-    cube = np.empty(exceed.shape)
+    index = np.flatnonzero(exceed)
+    value = np.empty(index.size)
+    bounds = _slice_bounds(index, exceed.shape)
+    npix = stack.ny * stack.nx
 
     def fill(t: int) -> None:
         mask = ExcursionMask(exceed=exceed[t], policy=policy, p=thr.p, t_index=t)
-        cube[t] = range_field(mask, domain, stack.dx, edge_fallback=True).r
+        r = range_field(mask, domain, stack.dx, edge_fallback=True).r
+        a, b = bounds[t], bounds[t + 1]
+        np.take(r, index[a:b] - t * npix, out=value[a:b])
 
     _pmap(fill, range(stack.nt), n_threads)
-    return cube
+    return RangeEntries(index=index, value=value, shape=exceed.shape)
 
 
-def _as_cube(ranges) -> np.ndarray:
-    """A level's ranges as a float64 (nt, ny, nx) array: an array is taken
-    as it is, a sequence of ``RangeField`` is stacked once."""
+def _slice_maps(entries: RangeEntries, dtype) -> Iterator[np.ndarray]:
+    """Each slice's (ny, nx) ranges in turn, as ``dtype``: the slice's
+    entries scattered into a zeroed map."""
+    nt, ny, nx = entries.shape
+    bounds = _slice_bounds(entries.index, entries.shape)
+    for t in range(nt):
+        r = np.zeros(ny * nx, dtype=dtype)
+        a, b = bounds[t], bounds[t + 1]
+        r[entries.index[a:b] - t * ny * nx] = entries.value[a:b]
+        yield r.reshape(ny, nx)
+
+
+def _as_entries(ranges) -> RangeEntries:
+    """A level's ranges as ``RangeEntries``: entries are taken as they are,
+    and the positive cells of a dense (nt, ny, nx) array, or of a sequence
+    of ``RangeField`` stacked once, become entries."""
+    if isinstance(ranges, RangeEntries):
+        return ranges
     if not isinstance(ranges, np.ndarray):
         ranges = [rf.r for rf in ranges]
         if not ranges:
@@ -151,7 +212,29 @@ def _as_cube(ranges) -> np.ndarray:
     cube = np.asarray(ranges, dtype=np.float64)
     if cube.ndim != 3 or cube.shape[0] == 0:
         raise ValueError(f"need an (nt, ny, nx) range array with nt >= 1, got {cube.shape}")
-    return cube
+    index = np.flatnonzero(cube)
+    value = cube.reshape(-1)[index]
+    positive = value > 0
+    if not positive.all():
+        index, value = index[positive], value[positive]
+    return RangeEntries(index=index, value=value, shape=cube.shape)
+
+
+def _entry_pixels(entries: RangeEntries, domain: DomainMask) -> np.ndarray:
+    """The flat pixel iy*nx + ix of each entry, on ``domain``'s grid, in the
+    narrowest unsigned dtype: numpy's stable sort radix-sorts 8- and 16-bit
+    keys, and a 16-bit pixel takes a quarter of an int64."""
+    if entries.shape[1:] != domain.inside.shape:
+        raise ValueError("range field does not match the domain grid")
+    npix = domain.inside.size
+    pixel = np.empty(entries.index.size, np.min_scalar_type(npix - 1))
+    return np.remainder(entries.index, npix, out=pixel, casting="unsafe")
+
+
+def _domain_values(ranges, domain: DomainMask) -> np.ndarray:
+    """A level's positive ranges at domain pixels, in entry order."""
+    entries = _as_entries(ranges)
+    return entries.value[domain.inside.reshape(-1)[_entry_pixels(entries, domain)]]
 
 
 def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
@@ -159,8 +242,8 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
 
     F(r) = sum_i #{t in T_{-r} : 0 < R_i(t) <= r} / sum_i #{t in T_{-r} :
     R_i(t) > 0}, with F(r) = 0 where the denominator vanishes. Radii must
-    lie strictly inside (0, r_max). ``range_fields`` is a level's (nt, ny, nx)
-    range array or a sequence of ``RangeField``.
+    lie strictly inside (0, r_max). ``range_fields`` is a level's
+    ``RangeEntries``, (nt, ny, nx) range array or sequence of ``RangeField``.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
@@ -173,14 +256,11 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
         raise ValueError(f"radii must be positive, got {radii[0]}")
     if radii[-1] >= r_max:
         raise ValueError(f"radius {radii[-1]} is not below the domain inradius {r_max}")
-    cube = _as_cube(range_fields)
-    if cube.shape[1:] != domain.inside.shape:
-        raise ValueError("range field does not match the domain grid")
-    pos = cube > 0
-    values = cube[pos]
+    entries = _as_entries(range_fields)
+    values = entries.value
     # the domain distance of each positive observation's pixel: it lies in
     # T_{-r} iff that distance exceeds r
-    dist = np.broadcast_to(domain_dist, cube.shape)[pos]
+    dist = domain_dist.reshape(-1)[_entry_pixels(entries, domain)]
     den = np.array([np.count_nonzero(dist > r) for r in radii], dtype=np.int64)
     num = np.array([np.count_nonzero((dist > r) & (values <= r)) for r in radii],
                    dtype=np.int64)
@@ -205,34 +285,25 @@ def median_range(range_fields, domain: DomainMask | None = None) -> float:
 
     Returns 0 when there is no positive observation at all.
     """
-    cube = _as_cube(range_fields)
-    sel = cube > 0
-    if domain is not None:
-        sel &= domain.inside
-    return _median_lower(np.sort(cube[sel]))
+    if domain is None:
+        return _median_lower(np.sort(_as_entries(range_fields).value))
+    return _median_lower(np.sort(_domain_values(range_fields, domain)))
 
 
 def median_range_map(range_fields, domain: DomainMask) -> np.ndarray:
     """Per-pixel lower median of the positive range values of domain
     pixels; 0 where a pixel has none, and outside the domain.
 
-    Only the positive in-domain ranges are sorted, never the whole range
-    array: one ``nonzero`` finds them, they are sorted by (pixel, value),
-    and the per-pixel counts place pixel i's lower median at
+    Only the in-domain entries are sorted, by (pixel, value), and the
+    per-pixel counts place pixel i's lower median at
     start_i + (count_i - 1) // 2 of that order.
     """
-    cube = _as_cube(range_fields)
-    if cube.shape[1:] != domain.inside.shape:
-        raise ValueError("range field does not match the domain grid")
+    entries = _as_entries(range_fields)
     npix = domain.inside.size
-    flat = cube.reshape(-1)
-    pixel = np.flatnonzero(flat)            # positions of the nonzero ranges,
-    values = flat[pixel]
-    np.remainder(pixel, npix, out=pixel)    # made their pixels in place
-    keep = values > 0
-    keep &= domain.inside.reshape(-1)[pixel]
-    # the narrowest unsigned key: numpy's stable sort radix-sorts 8- and 16-bit keys
-    pixel = pixel.astype(np.min_scalar_type(npix - 1))
+    pixel = _entry_pixels(entries, domain)
+    values = entries.value
+    del entries  # the index of entries converted here is not needed again
+    keep = domain.inside.reshape(-1)[pixel]
     if not keep.all():
         values, pixel = values[keep], pixel[keep]
     del keep

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError
-from .ranges import _as_cube, median_range, range_cube
+from .ranges import _as_entries, _entry_pixels, median_range, range_entries
 from .raster import DomainMask, RasterStack
 from .thresholds import BoundaryPolicy, exceedance_stack, quantile_fields
 
@@ -175,8 +175,8 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
                     blocks: Sequence[int] | None = None,
                     min_range: float = 0.0,
                     pool: SamplePool | None = None) -> RangeSamples:
-    """Build regression samples from each level's ranges: an (nt, ny, nx)
-    range array or a sequence of range fields.
+    """Build regression samples from each level's ranges: ``RangeEntries``,
+    an (nt, ny, nx) range array or a sequence of range fields.
 
     Only strictly positive ranges inside the domain become samples, in
     (level, slice, row, column) order, and a positive ``min_range`` drops
@@ -188,22 +188,25 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
     Without a pool, one is sized to the positive ranges and its samples are
     returned: DegenerateFitError when there are none.
     """
+    inside = domain.inside.reshape(-1)
     if pool is None:
-        pool = SamplePool(sum(int(np.count_nonzero((_as_cube(r) > 0) & domain.inside))
-                              for r in range_fields_by_level.values()))
-        collect_samples(range_fields_by_level, domain, blocks, min_range, pool)
+        levels = {p: _as_entries(r) for p, r in range_fields_by_level.items()}
+        pool = SamplePool(sum(int(np.count_nonzero(inside[_entry_pixels(e, domain)]))
+                              for e in levels.values()))
+        collect_samples(levels, domain, blocks, min_range, pool)
         return pool.samples()
     start = pool.n
     for p, level_ranges in range_fields_by_level.items():
-        cube = _as_cube(level_ranges)
-        sel = (cube > 0) & domain.inside
-        t, iy, ix = np.nonzero(sel)
+        entries = _as_entries(level_ranges)
+        pixel = _entry_pixels(entries, domain)
+        keep = inside[pixel]
+        t, pixel = entries.index[keep], pixel[keep]
+        t //= inside.size
         part = pool._claim(t.size)
-        np.log(cube[sel], out=part["y"])
-        del sel
+        np.log(entries.value[keep], out=part["y"])
+        del keep
         part["x"][:] = loglog_level(p)
-        part["pixel_y"][:] = iy
-        part["pixel_x"][:] = ix
+        np.divmod(pixel, domain.inside.shape[1], out=(part["pixel_y"], part["pixel_x"]))
         part["block"][:] = t if blocks is None else np.asarray(blocks)[t]
         if min_range > 0:
             keep = part["y"] >= math.log(min_range)
@@ -793,7 +796,7 @@ def consistency_check_theta(simulate: Callable[[int], RasterStack],
             raise ValueError(f"p_n={p_n} must exceed p0={p0}; increase n or gamma")
         stack = simulate(n)
         medians = {
-            thr.p: median_range(range_cube(stack, thr, BoundaryPolicy.FILL_EXCEED),
+            thr.p: median_range(range_entries(stack, thr, BoundaryPolicy.FILL_EXCEED),
                                 stack.domain())
             for thr in quantile_fields(stack, (p0, p_n))
         }

@@ -22,7 +22,7 @@ from exrange import (
     median_range,
     quantile_field,
     quantile_fields,
-    range_cube,
+    range_entries,
     range_field,
     simulate_ad_field,
     simulate_gaussian,
@@ -85,12 +85,12 @@ def test_ranges_and_pooled_medians_lie_on_the_pixel_lattice():
     domain = stack.domain()
     for policy in BoundaryPolicy:
         for thr in quantile_fields(stack, (0.9, 0.99)):
-            cube = range_cube(stack, thr, policy)
-            r = cube[cube > 0]
+            entries = range_entries(stack, thr, policy)
+            r = entries.value
             k = np.rint((r / stack.dx) ** 2)
             assert r.size > 0 and k.min() >= 1
             np.testing.assert_array_equal(r, stack.dx * np.sqrt(k))
-            med = median_range(cube, domain)
+            med = median_range(entries, domain)
             k_med = np.rint((med / stack.dx) ** 2)
             assert k_med >= 1 and med == stack.dx * np.sqrt(k_med), (policy, thr.p, med)
 

@@ -185,6 +185,37 @@ def test_range_maps_written(sim_dir, tmp_path):
     assert grid.min() >= 0
 
 
+@pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
+def test_range_maps_are_the_range_fields_on_a_ragged_stack(tmp_path, policy):
+    # each map's bytes are those of the slice's range field saved as float32,
+    # the nodata pixels' positive ranges under fill-exceed included; slice 2
+    # exceeds at every domain pixel and slice 4 nowhere
+    from exrange import (RasterStack, excursion_mask, quantile_fields, range_field, save_map,
+                         save_stack)
+
+    rng = np.random.default_rng(49)
+    values = rng.standard_normal((9, 11, 13)).astype(np.float32)
+    values[2], values[4] = 10.0, -10.0
+    values[:, :3, :4] = values[:, 6, 5:9] = values[:, -2:, -1] = -9999.0
+    stack = RasterStack(values, dx=0.5)
+    save_stack(tmp_path / "in" / "stack.f32", stack)
+    out = tmp_path / "out"
+    assert main(["range", "--in", str(tmp_path / "in"), "--out", str(out),
+                 "--p", "0.6,0.9", "--policy", policy, "--threads", "2"]) == 0
+    dom = stack.domain()
+    for thr in quantile_fields(stack, [0.6, 0.9]):
+        for t in range(stack.nt):
+            r = range_field(excursion_mask(stack, t, thr, policy), dom, stack.dx,
+                            edge_fallback=True).r
+            assert (r[~dom.inside] > 0).all() == (policy == "fill-exceed")
+            name = f"range_p{thr.p:g}_t{t}.f32"
+            save_map(tmp_path / "want" / name, r.astype(np.float32), dx=stack.dx,
+                     unit=stack.unit)
+            for suffix in ("", ".json"):
+                assert ((out / (name + suffix)).read_bytes()
+                        == (tmp_path / "want" / (name + suffix)).read_bytes()), name
+
+
 def test_theta_map_subcommand(sim_dir, tmp_path):
     code = main(["theta", "--in", str(sim_dir), "--out", str(tmp_path),
                  "--p1", "0.85", "--p2", "0.95"])
@@ -300,15 +331,15 @@ SAMPLE_FIELDS = ("pixel_y", "pixel_x", "x", "y", "block")
 def _concatenated_levels(stack, levels, blocks=None, min_range=0.0):
     """Per-level ``collect_samples``, cut at ``min_range`` and concatenated,
     skipping levels without samples: what the pooled samples must equal."""
-    from exrange import collect_samples, quantile_fields, range_cube
+    from exrange import collect_samples, quantile_fields, range_entries
     from exrange.tailfit import RangeSamples
 
     parts = []
     for thr in quantile_fields(stack, levels):
-        cube = range_cube(stack, thr, "fill-exceed")
-        if not (cube > 0).any():
+        entries = range_entries(stack, thr, "fill-exceed")
+        if not entries.value.size:
             continue
-        part = collect_samples({thr.p: cube}, stack.domain(), blocks=blocks)
+        part = collect_samples({thr.p: entries}, stack.domain(), blocks=blocks)
         parts.append(part.select(part.y >= math.log(min_range)) if min_range > 0 else part)
     return RangeSamples.concat(parts)
 

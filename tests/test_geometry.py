@@ -207,3 +207,26 @@ def test_cdf_slope():
     assert cdf_slope(0.03, 0.05) == pytest.approx(2 * cdf_slope(0.03, 0.10))
     with pytest.raises(ValueError):
         cdf_slope(0.1, 0.0)
+
+
+def test_group_sums_are_bitwise_per_group_sums():
+    # numpy's pairwise .sum() changes its blocking at 8 and 128 elements, so
+    # the groups straddle both, and run to thousands; the elements arrive
+    # shuffled and are grouped through ``order``, as the cell lengths are
+    from exrange.geometry import _group_sums
+
+    rng = np.random.default_rng(48)
+    sizes = [*range(1, 10), 127, 128, 129, 1000, 4099, 70_001]
+    sizes = [sizes[i] for i in rng.permutation(len(sizes))]
+    n = sum(sizes)
+    values = [rng.random(n) * 10.0 ** rng.integers(-3, 4, n), rng.standard_normal(n)]
+    order = rng.permutation(n)
+    head = np.zeros(n, dtype=bool)
+    head[np.cumsum([0, *sizes[:-1]])] = True
+    sums = _group_sums(values, order, head)
+    bounds = np.cumsum([0, *sizes])
+    for v, got in zip(values, sums):
+        want = np.array([v[order][a:b].sum() for a, b in zip(bounds, bounds[1:])])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        bare = np.add.reduceat(v[order], bounds[:-1])
+        assert not np.array_equal(bare, want)  # the 0.0 ahead of each group matters

@@ -17,7 +17,7 @@ from exrange import (
     median_range,
     median_range_map,
     quantile_field,
-    range_cube,
+    range_entries,
     range_field,
     tail_dependence,
 )
@@ -276,7 +276,7 @@ def test_median_range_map_matches_full_sort_on_ragged_cases(policy):
     values[:, ~inside] = -9999.0
     stack = RasterStack(values)
     dom = stack.domain()
-    cube = range_cube(stack, quantile_field(stack, 0.6), policy)
+    cube = dense(range_entries(stack, quantile_field(stack, 0.6), policy))
     # fill-exceed gives nodata pixels a positive range in every slice
     assert (cube[:, ~inside] > 0).all() == (policy is BoundaryPolicy.FILL_EXCEED)
     cube[:, 1, 1] = 0.0                                  # no positive range
@@ -310,10 +310,25 @@ def test_median_range_map_memory_follows_positive_ranges():
     assert (got == full_sort_median_map(cube, dom.inside)).all()
 
 
+def dense(entries):
+    """The (nt, ny, nx) range array the entries stand for: 0 off the entries."""
+    cube = np.zeros(entries.shape)
+    cube.reshape(-1)[entries.index] = entries.value
+    return cube
+
+
+def stacked_range_fields(stack, thr, policy):
+    """Each slice's ``range_field``, with the edge fallback, stacked."""
+    dom = stack.domain()
+    return np.stack([range_field(excursion_mask(stack, t, thr, policy), dom, stack.dx,
+                                 edge_fallback=True).r for t in range(stack.nt)])
+
+
 @pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes):
-    # one stack, dx != 1, with slices that exceed nowhere, somewhere and
+    # the range cube the level's entries stand for, pixel for pixel; one
+    # stack, dx != 1, with slices that exceed nowhere, somewhere and
     # everywhere; on the full grid an everywhere slice takes the edge fallback
     # under both policies, with holes only under fill-exceed
     rng = np.random.default_rng(44)
@@ -327,8 +342,11 @@ def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes
     values[:, ~inside] = -9999.0
     stack = RasterStack(values, dx=dx)
     thr = quantile_field(stack, 0.6)
-    cube = range_cube(stack, thr, policy, n_threads=2)
-    assert cube.shape == (nt, ny, nx) and cube.dtype == np.float64
+    entries = range_entries(stack, thr, policy, n_threads=2)
+    assert entries.shape == (nt, ny, nx)
+    assert entries.index.dtype == np.int64 and entries.value.dtype == np.float64
+    assert (np.diff(entries.index) > 0).all() and (entries.value > 0).all()
+    cube = dense(entries)
     dom = stack.domain()
     fill = BoundaryPolicy(policy) is BoundaryPolicy.FILL_EXCEED
     for t in range(nt):
@@ -341,12 +359,14 @@ def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes
             expected = brute_nearest_false(exceed, dx)
         rf = range_field(excursion_mask(stack, t, thr, policy), dom, dx, edge_fallback=True)
         assert np.array_equal(cube[t], rf.r) and np.array_equal(cube[t], expected)
+    assert np.array_equal(entries.index, np.flatnonzero(cube))
     assert not cube[[0, 4]][:, inside].any() and cube[[2, 7]][:, inside].all()
 
 
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_matches_list_of_range_fields(policy):
-    # a ragged domain with holes; slice 0 has no exceedance, and slice 1
+    # the entries' range cube and their consumers against a list of range
+    # fields; a ragged domain with holes; slice 0 has no exceedance, and slice 1
     # exceeds at every domain pixel (an edge-fallback slice under fill-exceed)
     rng = np.random.default_rng(43)
     nt, ny, nx = 7, 14, 17
@@ -359,26 +379,27 @@ def test_range_cube_matches_list_of_range_fields(policy):
     values[:, ~inside] = -9999.0
     stack = RasterStack(values)
     dom = stack.domain()
-    cubes, lists = {}, {}
+    level_entries, lists = {}, {}
     for p in (0.7, 0.85):
         thr = quantile_field(stack, p)
-        cubes[p] = range_cube(stack, thr, policy, n_threads=3)
+        level_entries[p] = range_entries(stack, thr, policy, n_threads=3)
         lists[p] = [range_field(excursion_mask(stack, t, thr, policy), dom, stack.dx,
                                 edge_fallback=True) for t in range(nt)]
-        assert np.array_equal(cubes[p], np.stack([rf.r for rf in lists[p]]))
-        assert not cubes[p][0][inside].any() and cubes[p][1][inside].all()
-    cube, fields = cubes[0.7], lists[0.7]
+        cube = dense(level_entries[p])
+        assert np.array_equal(cube, np.stack([rf.r for rf in lists[p]]))
+        assert not cube[0][inside].any() and cube[1][inside].all()
+    entries, fields = level_entries[0.7], lists[0.7]
 
     radii = [1.0, np.sqrt(2), 2.0, 3.0]
-    est_cube, est_list = ecdf(cube, dom, radii, 1.0), ecdf(fields, dom, radii, 1.0)
-    assert (est_cube.F == est_list.F).all() and est_cube.F.any()
-    assert (est_cube.n_exceed == est_list.n_exceed).all()
+    est_entries, est_list = ecdf(entries, dom, radii, 1.0), ecdf(fields, dom, radii, 1.0)
+    assert (est_entries.F == est_list.F).all() and est_entries.F.any()
+    assert (est_entries.n_exceed == est_list.n_exceed).all()
     for d in (dom, None):
-        assert median_range(cube, d) == median_range(fields, d) > 0
-    assert (median_range_map(cube, dom) == median_range_map(fields, dom)).all()
+        assert median_range(entries, d) == median_range(fields, d) > 0
+    assert (median_range_map(entries, dom) == median_range_map(fields, dom)).all()
 
     blocks = [3, 3, 5, 5, 8, 8, 9]
-    s_cube = collect_samples(cubes, dom, blocks=blocks)
+    s_entries = collect_samples(level_entries, dom, blocks=blocks)
     s_list = collect_samples(lists, dom, blocks=blocks)
     # (level, slice, row, column) order, each sample carrying its slice's block
     ref = {"pixel_y": [], "pixel_x": [], "block": [], "y": []}
@@ -390,10 +411,118 @@ def test_range_cube_matches_list_of_range_fields(policy):
             ref["block"] += [blocks[t]] * iy.size
             ref["y"] += np.log(rf.r[iy, ix]).tolist()
     for name, want in ref.items():
-        assert getattr(s_cube, name).tolist() == want
-        assert (getattr(s_cube, name) == getattr(s_list, name)).all()
-    assert (s_cube.x == s_list.x).all()
-    assert s_cube.block.dtype == np.int64
+        assert getattr(s_entries, name).tolist() == want
+        assert (getattr(s_entries, name) == getattr(s_list, name)).all()
+    assert (s_entries.x == s_list.x).all()
+    assert s_entries.block.dtype == np.int64
+    assert s_entries.pixel_y.dtype == s_entries.pixel_x.dtype == np.int32
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("ragged", [False, True], ids=["full", "ragged"])
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragged,
+                                                                    n_threads):
+    # slices 0 and 5 exceed nowhere; slice 3 exceeds at every domain pixel,
+    # which on the full grid, or under fill-exceed, is an all-True mask that
+    # takes the edge fallback; fill-exceed keeps the nodata pixels' ranges
+    from exrange.cli import _hist_rows
+
+    rng = np.random.default_rng(45)
+    nt, ny, nx = 8, 12, 10
+    inside = np.ones((ny, nx), dtype=bool)
+    if ragged:
+        inside[:3, :2] = inside[4:6, 7] = inside[-2:, -3:] = False
+    values = rng.standard_normal((nt, ny, nx)).astype(np.float32)
+    values[[0, 5]] = -10.0
+    values[3] = 10.0
+    values[:, ~inside] = -9999.0
+    stack = RasterStack(values, dx=1.5)
+    dom = stack.domain()
+    fill = BoundaryPolicy(policy) is BoundaryPolicy.FILL_EXCEED
+    by_level, dense_by_level = {}, {}
+    for thr in (quantile_field(stack, 0.55), quantile_field(stack, 0.8)):
+        entries = range_entries(stack, thr, policy, n_threads=n_threads)
+        cube = stacked_range_fields(stack, thr, policy)
+        exceed = cube > 0
+        assert np.array_equal(entries.index, np.flatnonzero(exceed))
+        assert np.array_equal(entries.index, np.flatnonzero(
+            np.stack([excursion_mask(stack, t, thr, policy).exceed for t in range(nt)])))
+        assert np.array_equal(entries.value, cube[exceed])
+        assert not exceed[[0, 5]][:, inside].any() and exceed[3].all() == (fill or not ragged)
+        assert exceed[:, ~inside].all() if fill else not exceed[:, ~inside].any()
+        by_level[thr.p], dense_by_level[thr.p] = entries, cube
+
+        radii = [1.5, 2.0, 3.0, 4.5]
+        est, want = ecdf(entries, dom, radii, stack.dx), ecdf(cube, dom, radii, stack.dx)
+        assert (est.F == want.F).all() and (est.n_exceed == want.n_exceed).all()
+        for d in (dom, None):
+            assert median_range(entries, d) == median_range(cube, d)
+        assert (median_range_map(entries, dom) == median_range_map(cube, dom)).all()
+        assert (median_range_map(entries, dom) == full_sort_median_map(cube, inside)).all()
+        edges = np.arange(0.0, 9.0, stack.dx)
+        assert _hist_rows(thr.p, entries, dom, edges) == _hist_rows(thr.p, cube, dom, edges)
+        counts, _ = np.histogram(cube[exceed & inside], bins=edges)
+        assert [row[3] for row in _hist_rows(thr.p, entries, dom, edges)] == counts.tolist()
+    got = collect_samples(by_level, dom, blocks=list(range(10, 10 + nt)), min_range=2.0)
+    want = collect_samples(dense_by_level, dom, blocks=list(range(10, 10 + nt)),
+                           min_range=2.0)
+    for name in ("pixel_y", "pixel_x", "x", "y", "block"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_dense_and_listed_ranges_convert_to_the_same_entries():
+    from exrange.ranges import RangeEntries, _as_entries
+
+    rng = np.random.default_rng(46)
+    cube = np.where(rng.random((4, 5, 6)) < 0.3, rng.random((4, 5, 6)) + 0.5, 0.0)
+    entries = _as_entries(cube)
+    listed = _as_entries([RangeField(r=r, dx=1.0) for r in cube])
+    assert _as_entries(entries) is entries
+    for e in (entries, listed):
+        assert e.shape == (4, 5, 6)
+        assert np.array_equal(e.index, np.flatnonzero(cube))
+        assert np.array_equal(e.value, cube[cube > 0])
+    with pytest.raises(ValueError, match="at least one"):
+        _as_entries([])
+    with pytest.raises(ValueError, match="nt >= 1"):
+        _as_entries(np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError, match="one length"):
+        RangeEntries(index=np.arange(3), value=np.ones(2), shape=(1, 2, 2))
+    with pytest.raises(ValueError, match="domain grid"):
+        median_range_map(entries, full_domain(5, 5))
+
+
+def test_range_entries_never_build_the_dense_range_array():
+    # producer and consumers of a level at p = 0.9 together stay below half
+    # of the float64 (nt, ny, nx) array they used to pass around: 10% of the
+    # pixel-slices exceed, at 16 bytes an entry
+    import tracemalloc
+
+    from exrange import SamplePool
+    from exrange.cli import _hist_rows
+
+    rng = np.random.default_rng(47)
+    stack = RasterStack(rng.standard_normal((200, 64, 64)).astype(np.float32))
+    thr = quantile_field(stack, 0.9)
+    dom = stack.domain()
+    domain_inradius(dom, stack.dx)                # the domain's transform, kept on it
+    pool = SamplePool.for_thresholds(stack, [thr])  # the samples are output
+    dense_bytes = 8 * stack.values.size
+    tracemalloc.start()
+    try:
+        entries = range_entries(stack, thr, "fill-exceed", n_threads=2)
+        ecdf(entries, dom, [1.0, 2.0, 4.0], stack.dx)
+        median_range(entries, dom)
+        median_range_map(entries, dom)
+        _hist_rows(thr.p, entries, dom, np.arange(0.0, 33.0))
+        collect_samples({thr.p: entries}, dom, pool=pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries.value.size == stack.values.size // 10
+    assert pool.n == entries.value.size
+    assert peak < dense_bytes / 2, peak
 
 
 def test_tail_dependence_lag_zero_is_one():
