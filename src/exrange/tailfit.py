@@ -12,13 +12,13 @@ coefficients, minimizing a median pinball loss smoothed quadratically
 inside a kappa band plus a squared-difference roughness penalty on each
 coefficient grid. The smoothing width is annealed over three equal-length
 stages and each stage descends by reweighted penalized least squares with
-a fixed iteration budget, so a fit is a pure function of its inputs. Every
-sample at one pixel shares that pixel's design row kron(By[iy], Bx[ix]),
-so the reweighted normal equations are summed per pixel rather than per
-sample, from By and Bx alone. By and Bx are dense, from a numpy Cox-de Boor
-recursion, and the roughness penalty is a dense Kronecker product, so the
-fit needs no scipy. The sample-wise sparse design ``_design`` stays as the
-reference the objective, its gradient and the tests are written on, and
+a fixed iteration budget, so a fit is a pure function of its inputs. The
+samples of one (level, pixel) cell share their covariate and their design
+row kron(By[iy], Bx[ix]), so the reweighted normal equations follow from
+two sums per cell, of w and w*y. By and Bx are dense, from a numpy Cox-de
+Boor recursion, and the roughness penalty is a dense Kronecker product, so
+the fit needs no scipy. The sample-wise sparse design ``_design`` stays as
+the reference the objective, its gradient and the tests are written on, and
 only it imports ``scipy.sparse``.
 
 The per-pixel LAD needs no optimizer either: some optimal line interpolates
@@ -43,8 +43,8 @@ fitted pixel.
 
 The pooled samples of many levels exist in one copy: ``SamplePool`` sizes
 them from the in-domain exceedance counts, and ``collect_samples`` writes
-each level into it. The IRLS of the spline fit keeps two per-sample arrays,
-reused by every iteration.
+each level into it. The spline fit adds two per-sample arrays, the cell
+index and the IRLS weights, and copies no sample.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,16 +113,6 @@ class RangeSamples:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    @classmethod
-    def concat(cls, parts: Sequence["RangeSamples"]) -> "RangeSamples":
-        """The samples of every part, in order."""
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(cls)))
-
-    def select(self, keep: np.ndarray) -> "RangeSamples":
-        """The samples a boolean mask or index array picks out."""
-        return RangeSamples(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
 # dtype of each RangeSamples field as ``collect_samples`` stores it: the grid
@@ -453,49 +443,40 @@ def _surface(by: np.ndarray, bx: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return by @ coef.reshape(by.shape[1], bx.shape[1]) @ bx.T
 
 
-def _pixel_normal_equations(by: np.ndarray, bx: np.ndarray, pix: np.ndarray, x: np.ndarray,
-                            y: np.ndarray, w: np.ndarray, work: np.ndarray | None = None,
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def _pixel_normal_equations(by: np.ndarray, bx: np.ndarray, xl: np.ndarray, cw: np.ndarray,
+                            cwy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted normal equations D^T W D and D^T W z of the model
     y = D b - x * (D c), with D the sample design whose row for a sample at
-    flat pixel index ``pix`` = iy*nx + ix is kron(by[iy], bx[ix]).
+    pixel (iy, ix) is kron(by[iy], bx[ix]), from per-cell sums: ``cw[l, p]``
+    and ``cwy[l, p]`` sum w and w*y over the samples at level covariate
+    ``xl[l]`` and flat pixel index p = iy*nx + ix.
 
     Samples at one pixel share that row, so each Gram block is
     Phi^T diag(s) Phi, Phi = by kron bx the pixel basis and s the per-pixel
-    sum of w, w*x or w*x^2. With S = s reshaped to (ny, nx), the row-tensor
-    identity of array models (Currie, Durban & Eilers, 2006) gives it as
+    sum of w, w*x or w*x^2, that is of cw, xl*cw or xl^2*cw over levels,
+    added row by row so that a level of empty cells changes no bit. With
+    S = s reshaped to (ny, nx), the row-tensor identity of array models
+    (Currie, Durban & Eilers, 2006) gives it as
     sum_iy (by[iy] by[iy]^T) kron (bx^T diag(S[iy]) bx) without forming Phi.
     The right-hand side is by^T R bx, R the per-pixel sums of w*y and w*x*y.
     Returns the (2nb, 2nb) data block and the (2nb,) right-hand side.
-
-    Given ``work``, a float64 array of the sample length, the products are
-    formed in ``work`` and in ``w``, which is overwritten; otherwise ``w``
-    is left as it is and two arrays are allocated.
     """
     (ny, ky), (nx, kx) = by.shape, bx.shape
     # row iy holds the outer product by[iy] by[iy]^T, flattened
     by_outer = (by[:, :, None] * by[:, None, :]).reshape(ny, ky * ky)
 
-    def per_pixel(v: np.ndarray) -> np.ndarray:
-        return np.bincount(pix, weights=v, minlength=ny * nx).reshape(ny, nx)
-
-    def gram(v: np.ndarray) -> np.ndarray:
-        row_grams = (bx.T * per_pixel(v)[:, None, :]) @ bx   # (ny, kx, kx)
+    def gram(s: np.ndarray) -> np.ndarray:
+        row_grams = (bx.T * s.reshape(ny, 1, nx)) @ bx   # (ny, kx, kx)
         g = (by_outer.T @ row_grams.reshape(ny, kx * kx)).reshape(ky, ky, kx, kx)
         return g.transpose(0, 2, 1, 3).reshape(ky * kx, ky * kx)
 
-    def project(v: np.ndarray) -> np.ndarray:
-        return (by.T @ per_pixel(v) @ bx).ravel()
+    def project(s: np.ndarray) -> np.ndarray:
+        return (by.T @ s.reshape(ny, nx) @ bx).ravel()
 
-    if work is None:
-        w, work = w.copy(), np.empty_like(w)
-    rhs_b = project(np.multiply(w, y, out=work))
-    g_bb = gram(w)
-    wx = np.multiply(w, x, out=work)
-    m_bc = -gram(wx)
-    g_cc = gram(np.multiply(wx, x, out=w))
-    rhs_c = -project(np.multiply(wx, y, out=w))
-    return np.block([[g_bb, m_bc], [m_bc.T, g_cc]]), np.concatenate([rhs_b, rhs_c])
+    xl = xl[:, None]
+    m_bc = -gram((xl * cw).sum(0))
+    block = np.block([[gram(cw.sum(0)), m_bc], [m_bc.T, gram((xl * xl * cw).sum(0))]])
+    return block, np.concatenate([project(cwy.sum(0)), -project((xl * cwy).sum(0))])
 
 
 def check_fit_options(knots_y: int, knots_x: int, iters: int,
@@ -579,7 +560,8 @@ class SplineMerModel:
         return (_basis_1d(np.arange(ny), 0.0, float(ny - 1), self.knots_y),
                 _basis_1d(np.arange(nx), 0.0, float(nx - 1), self.knots_x))
 
-    def fit(self, samples: RangeSamples, shape: tuple[int, int]) -> "SplineMerModel":
+    def fit(self, samples: RangeSamples, shape: tuple[int, int],
+            train: np.ndarray | None = None) -> "SplineMerModel":
         """Minimize the annealed smoothed-pinball objective by
         majorize-minimize: each iteration reweights the quadratic
         majorizer of the smoothed pinball at the current residuals and
@@ -587,45 +569,53 @@ class SplineMerModel:
         decreases the objective, stiff penalties are handled exactly, and
         a fixed iteration budget keeps the fit deterministic.
 
-        All samples at one pixel share one design row, so the weighted
-        normal equations are summed per pixel (``_pixel_normal_equations``),
-        and the surfaces are By C Bx^T: an iteration costs
-        O(samples + pixels * knots_x * coefficients).
+        An iteration gathers each sample's prediction from its (level,
+        pixel) cell, sums w and w*y per cell with two bincounts and forms
+        the normal equations from those sums (``_pixel_normal_equations``).
+
+        ``train``, a boolean mask of length ``samples.n``, fits only the
+        samples it marks, as a cross-validation fold does: the others get
+        weight 0, and the warm start takes the training samples' medians.
+        The cell sums then add exact zeros to the training sums, so the
+        coefficients are bit-identical to a fit on the training samples
+        alone, without copying them.
         """
         nb = self.knots_x * self.knots_y
-        if samples.n < 2 * nb:
+        if train is not None and (train.dtype != np.bool_ or train.shape != (samples.n,)):
+            raise ValueError(f"train must be a boolean mask of length {samples.n}")
+        n_train = samples.n if train is None else int(np.count_nonzero(train))
+        if n_train < 2 * nb:
             raise DegenerateFitError(
-                f"{samples.n} samples cannot identify {2 * nb} spline coefficients"
+                f"{n_train} samples cannot identify {2 * nb} spline coefficients"
             )
-        if samples.x.min() == samples.x.max():
-            raise DegenerateFitError("all samples share one level; slope unidentifiable")
-        by, bx = self._grid_bases(shape)
-        pix = samples.pixel_y.astype(np.int64)   # flat pixel index, built in place
-        pix *= shape[1]
-        pix += samples.pixel_x
-        pen = _roughness_penalty(self.knots_y, self.knots_x)
-        pen_block = np.kron(np.eye(2), pen)
-        x, y = samples.x, samples.y
-        beta0, theta0 = _pooled_median_line(samples)
+        beta0, theta0 = _pooled_median_line(samples, train)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
-        # the only per-sample arrays of an iteration: w, and one for products
-        w, work = np.empty(samples.n), np.empty(samples.n)
+        by, bx = self._grid_bases(shape)
+        pen_block = np.kron(np.eye(2), _roughness_penalty(self.knots_y, self.knots_x))
+        xl = np.unique(samples.x)   # level covariates, held-out levels included
+        cells = (xl.size, shape[0] * shape[1])
+        cell = np.searchsorted(xl, samples.x)   # level * ny*nx + iy * nx + ix, built in place
+        for size, index in zip(shape, (samples.pixel_y, samples.pixel_x)):
+            cell *= size
+            cell += index
+        w = np.empty(samples.n)   # with ``cell``, the only per-sample arrays of the fit
         for kappa, n_iter in _kappa_stages(self.iters):
             for _ in range(n_iter):
                 b = _surface(by, bx, params[:nb]).ravel()
                 c = _surface(by, bx, params[nb:]).ravel()
-                # the residual e = y - (b[pix] - x * c[pix]) in w, then over it the
-                # quadratic majorizer weight of the smoothed pinball at e,
-                # 1 / (2 max(|e|, kappa)): the float operations of the plain
-                # expressions, in the same order. take's default mode would
-                # buffer its output; every pix is a grid pixel, which the
-                # bincounts check
-                np.multiply(x, np.take(c, pix, out=work, mode="clip"), out=work)
-                np.subtract(np.take(b, pix, out=w, mode="clip"), work, out=w)
-                np.subtract(y, w, out=w)
+                # each sample's cell prediction b - x*c in w, then over it the residual e
+                # and the majorizer weight 1 / (2 max(|e|, kappa)) = 0.5 / max(|e|, kappa);
+                # take's default mode would buffer its output, the bincounts check cells
+                np.take(b - xl[:, None] * c, cell, out=w, mode="clip")
+                np.subtract(samples.y, w, out=w)
                 np.maximum(np.abs(w, out=w), kappa, out=w)
-                np.divide(1.0, np.multiply(2.0, w, out=w), out=w)
-                data_block, rhs = _pixel_normal_equations(by, bx, pix, x, y, w, work)
+                np.divide(0.5, w, out=w)
+                if train is not None:
+                    np.multiply(w, train, out=w)   # held-out weights to +0.0
+                cw = np.bincount(cell, w, math.prod(cells)).reshape(cells)
+                np.multiply(w, samples.y, out=w)
+                cwy = np.bincount(cell, w, math.prod(cells)).reshape(cells)
+                data_block, rhs = _pixel_normal_equations(by, bx, xl, cw, cwy)
                 mat = data_block + 2.0 * self.penalty * pen_block
                 # tiny ridge at the data scale only; the penalty trace can be
                 # arbitrarily large and must not leak into the null space
@@ -649,9 +639,11 @@ class SplineMerModel:
 def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: int,
                    iters: int, grid=(0.01, 0.1, 1.0, 10.0, 100.0),
                    n_folds: int = 5) -> float:
-    """Pick the roughness penalty by block-wise cross-validated pinball loss."""
-    # the i-th smallest block id goes to fold i mod n_folds
-    folds = np.searchsorted(np.unique(samples.block), samples.block) % n_folds
+    """Pick the roughness penalty by block-wise cross-validated pinball loss;
+    each fold fits the pooled samples under its training mask, copying none."""
+    # the i-th smallest block id goes to fold i mod n_folds, in the narrowest dtype
+    folds = np.searchsorted(np.unique(samples.block), samples.block)
+    folds = np.remainder(folds, n_folds, out=folds).astype(np.min_scalar_type(n_folds))
     best = (math.inf, grid[0])
     for lam in grid:
         total = 0.0
@@ -662,29 +654,36 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
             model = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
                                    iters=max(60, iters // 3))
             try:
-                model.fit(samples.select(train), shape)
+                model.fit(samples, shape, train)
             except DegenerateFitError:
                 total = math.inf
                 break
             beta, theta = model.coefficient_maps()
             hold = ~train
-            pred = (beta[samples.pixel_y[hold], samples.pixel_x[hold]]
-                    - theta[samples.pixel_y[hold], samples.pixel_x[hold]] * samples.x[hold])
+            iy, ix = samples.pixel_y[hold], samples.pixel_x[hold]
+            pred = beta[iy, ix] - theta[iy, ix] * samples.x[hold]
             total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
         if (total, lam) < best:
             best = (total, lam)
     return best[1]
 
 
-def _pooled_median_line(samples: RangeSamples) -> tuple[float, float]:
-    """Warm start: exact LAD line through the per-level response medians.
-
-    There are only as many distinct covariate values as threshold levels,
-    so the pair enumeration stays trivial regardless of sample count.
-    """
-    xs = np.unique(samples.x)
-    med = np.array([np.median(samples.y[samples.x == x]) for x in xs])
-    return fit_mer_pixel(xs, med)
+def _pooled_median_line(samples: RangeSamples,
+                        train: np.ndarray | None = None) -> tuple[float, float]:
+    """Warm start: exact LAD line through the per-level response medians of
+    the samples ``train`` marks (all by default), DegenerateFitError on a
+    single level. With one covariate value per level, the pair enumeration
+    stays trivial regardless of sample count."""
+    lines = []
+    for x in np.unique(samples.x):
+        at = samples.x == x
+        if train is not None:
+            at &= train
+        if at.any():
+            lines.append((x, np.median(samples.y[at])))
+    if len(lines) < 2:
+        raise DegenerateFitError("all samples share one level; slope unidentifiable")
+    return fit_mer_pixel(*np.array(lines).T)
 
 
 def _kappa_stages(iters: int) -> list[tuple[float, int]]:

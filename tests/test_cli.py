@@ -340,8 +340,9 @@ def _concatenated_levels(stack, levels, blocks=None, min_range=0.0):
         if not entries.value.size:
             continue
         part = collect_samples({thr.p: entries}, stack.domain(), blocks=blocks)
-        parts.append(part.select(part.y >= math.log(min_range)) if min_range > 0 else part)
-    return RangeSamples.concat(parts)
+        keep = part.y >= math.log(min_range) if min_range > 0 else slice(None)
+        parts.append([getattr(part, f)[keep] for f in SAMPLE_FIELDS])
+    return RangeSamples(*(np.concatenate(field) for field in zip(*parts)))
 
 
 def test_pooled_samples_equal_concatenated_levels(sim_dir, tmp_path, monkeypatch):

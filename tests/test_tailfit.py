@@ -629,6 +629,15 @@ def _non_square_samples(rng, ny=7, nx=11, n=400):
     return samples
 
 
+def _cell_sums(samples, xl, shape, w):
+    """Per-(level, pixel) sums of w and w*y, levels indexed by ``xl``."""
+    cell = (np.searchsorted(xl, samples.x) * shape[0] + samples.pixel_y) * shape[1] \
+        + samples.pixel_x
+    n_cells = xl.size * shape[0] * shape[1]
+    return (np.bincount(cell, w, n_cells).reshape(xl.size, -1),
+            np.bincount(cell, w * samples.y, n_cells).reshape(xl.size, -1))
+
+
 def test_spline_pixel_normal_equations_match_sample_design():
     # non-square grid and knots: a By/Bx swap in the pixel basis would
     # fail here while passing on square problems
@@ -636,13 +645,19 @@ def test_spline_pixel_normal_equations_match_sample_design():
 
     rng = np.random.default_rng(53)
     ny, nx = 7, 11
-    samples = _non_square_samples(rng, ny, nx)
+    base = _non_square_samples(rng, ny, nx)
+    # a fifth level at a dozen samples only, so most pixels lack it
+    x = base.x.copy()
+    x[rng.choice(base.n, size=12, replace=False)] = loglog_level(0.99)
+    samples = RangeSamples(base.pixel_y, base.pixel_x, x, base.y, base.block)
+    # and a level without any sample: a row of empty cells
+    xl = np.union1d(x, [loglog_level(0.8)])
     model = SplineMerModel(knots_x=6, knots_y=5)
     w = rng.uniform(0.1, 5.0, samples.n)
-    data_block, rhs = _pixel_normal_equations(
-        *model._grid_bases((ny, nx)), samples.pixel_y * nx + samples.pixel_x,
-        samples.x, samples.y, w,
-    )
+    cw, cwy = _cell_sums(samples, xl, (ny, nx), w)
+    assert cw.shape == (6, ny * nx) and not cw[0].any()
+    assert (cw == 0).any(axis=1).all() and np.count_nonzero(cw[-1]) <= 12
+    data_block, rhs = _pixel_normal_equations(*model._grid_bases((ny, nx)), xl, cw, cwy)
     d = model._design(samples, (ny, nx)).toarray()
     dc = -samples.x[:, None] * d  # d(prediction)/dc
     full = np.hstack([d, dc])
@@ -734,14 +749,83 @@ def test_spline_mm_iterations_never_increase_objective(monkeypatch):
             assert after <= before + 1e-9 * abs(before)
 
 
-def test_range_samples_select_and_concat():
+def _select(samples, keep):
+    """A copy of the samples that the boolean mask ``keep`` marks."""
+    return RangeSamples(*(getattr(samples, f)[keep]
+                          for f in ("pixel_y", "pixel_x", "x", "y", "block")))
+
+
+def _fold_samples(rng, ny=7, nx=11):
+    """Samples in 5 blocks, the top level's all in block 0."""
+    s = _non_square_samples(rng, ny, nx)
+    block = np.where(s.x == s.x.max(), 0, s.block)
+    return RangeSamples(s.pixel_y, s.pixel_x, s.x, s.y, block)
+
+
+def _coefficients(model):
+    return np.r_[model.coef_beta_, model.coef_theta_]
+
+
+def test_spline_fold_mask_fit_equals_fit_on_copy():
+    # held-out samples enter every cell sum as exact zeros, so a masked fit
+    # is bit-identical to a fit on the copied training samples, also when
+    # the training set lacks a level (fold 0 here)
     rng = np.random.default_rng(55)
-    samples = _non_square_samples(rng)
-    keep = samples.y > np.median(samples.y)
-    parts = [samples.select(keep), samples.select(~keep)]
-    assert parts[0].n + parts[1].n == samples.n
-    joined = RangeSamples.concat(parts)
-    order = np.r_[np.flatnonzero(keep), np.flatnonzero(~keep)]
-    for name in ("pixel_y", "pixel_x", "x", "y", "block"):
-        assert np.array_equal(getattr(joined, name), getattr(samples, name)[order])
-        assert getattr(joined, name).dtype == getattr(samples, name).dtype
+    ny, nx = 7, 11
+    samples = _fold_samples(rng, ny, nx)
+    folds = np.searchsorted(np.unique(samples.block), samples.block) % 5
+    model = SplineMerModel(knots_x=6, knots_y=5, penalty=0.3, iters=12)
+    top = samples.x == samples.x.max()
+    assert np.unique(folds).tolist() == [0, 1, 2, 3, 4]
+    assert not (top & (folds != 0)).any()
+    for f in range(5):
+        train = folds != f
+        masked = _coefficients(model.fit(samples, (ny, nx), train))
+        copied = _coefficients(model.fit(_select(samples, train), (ny, nx)))
+        assert np.array_equal(masked, copied), f
+        # the held-out responses do not enter the fit, however large
+        wild = samples.y.copy()
+        wild[~train] = np.where(rng.random(np.count_nonzero(~train)) < 0.5, -1e300, 1e300)
+        far = RangeSamples(samples.pixel_y, samples.pixel_x, samples.x, wild, samples.block)
+        assert np.array_equal(_coefficients(model.fit(far, (ny, nx), train)), masked), f
+
+
+def test_spline_fold_mask_checks():
+    rng = np.random.default_rng(56)
+    ny, nx = 7, 11
+    samples = _fold_samples(rng, ny, nx)
+    model = SplineMerModel(knots_x=6, knots_y=5, iters=3)
+    few = np.zeros(samples.n, dtype=bool)
+    few[:59] = True   # 2 * nb - 1 samples
+    with pytest.raises(DegenerateFitError, match="coefficients"):
+        model.fit(samples, (ny, nx), few)
+    with pytest.raises(DegenerateFitError, match="level"):
+        model.fit(samples, (ny, nx), samples.x == samples.x[0])
+    for bad in (np.ones(samples.n, dtype=np.int64), np.arange(samples.n),
+                np.ones(samples.n - 1, dtype=bool), np.ones((1, samples.n), dtype=bool)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            model.fit(samples, (ny, nx), bad)
+
+
+def test_spline_fit_memory_is_two_per_sample_arrays():
+    # the fit adds the cell index and the weights, 16 bytes a sample, plus
+    # transients; 2.9 * 8 bytes a sample leaves no room for a third array
+    import tracemalloc
+
+    rng = np.random.default_rng(57)
+    n, ny, nx = 400_000, 32, 32
+    levels = np.array([loglog_level(p) for p in (0.85, 0.9, 0.95, 0.98)])
+    x = levels[rng.integers(0, levels.size, n)]
+    samples = RangeSamples(pixel_y=rng.integers(0, ny, n, dtype=np.int32),
+                           pixel_x=rng.integers(0, nx, n, dtype=np.int32),
+                           x=x, y=1.0 - 0.5 * x + 0.3 * rng.laplace(size=n),
+                           block=np.zeros(n, dtype=np.int64))
+    model = SplineMerModel(knots_x=6, knots_y=6, iters=3)
+    model.fit(_select(samples, slice(0, 1000)), (ny, nx))   # any first-use set-up
+    tracemalloc.start()
+    try:
+        model.fit(samples, (ny, nx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.9 * 8 * n, peak / (8 * n)
