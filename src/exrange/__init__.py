@@ -11,8 +11,8 @@ _EXPORTS = {
     "errors": ("DegenerateFitError", "ExrangeError", "StackFormatError"),
     "geometry": ("IntrinsicDensities", "cdf_slope", "euler_characteristic",
                  "intrinsic_densities", "level_curve_length"),
-    "morphology": ("RangeField", "dilate", "distance_transform",
-                   "distance_transform_squared", "erode"),
+    "morphology": ("RangeField", "distance_transform", "distance_transform_squared",
+                   "erode"),
     "ranges": ("CdfEstimate", "RangeEntries", "domain_inradius", "ecdf", "eroded_domain",
                "gaussian_cdf_approx", "median_range", "median_range_map", "range_entries",
                "range_field", "tail_dependence"),
@@ -23,7 +23,7 @@ _EXPORTS = {
     "tailfit": ("MerSurface", "RangeSamples", "SamplePool", "SplineMerModel",
                 "collect_samples", "consistency_check_theta", "fit_mer_pixel",
                 "fit_mer_pixel_map", "jackknife", "jackknife_estimates", "loglog_level",
-                "predict_mer", "predict_mer_map", "theta_hat"),
+                "predict_mer_map", "theta_hat"),
     "thresholds": ("BoundaryPolicy", "ExcursionMask", "ThresholdField",
                    "exceedance_stack", "excursion_mask", "quantile_field", "quantile_fields"),
 }

@@ -84,8 +84,9 @@ def _parse_fit_levels(spec: str) -> list[float]:
 
 
 def _parse_fit_options(args) -> tuple[int, int, float | None]:
-    """--knots as (NY, NX) and --penalty (None for 'auto'), with --iters and
-    --predict-p checked too, so that a bad value fails before any work."""
+    """--knots as (NY, NX) and --penalty (None for 'auto'), with --iters,
+    --min-range and --predict-p checked too, so that a bad value fails before
+    any work."""
     try:
         ky, kx = (int(k) for k in args.knots.lower().split("x"))
         penalty = None if args.penalty == "auto" else float(args.penalty)
@@ -93,6 +94,8 @@ def _parse_fit_options(args) -> tuple[int, int, float | None]:
         raise ValueError(f"--knots must look like 8x8 and --penalty be 'auto' or a "
                          f"number, got {args.knots!r} and {args.penalty!r}") from exc
     tailfit.check_fit_options(ky, kx, args.iters, penalty)
+    if not 0.0 <= args.min_range < math.inf:
+        raise ValueError(f"--min-range must be finite and >= 0, got {args.min_range}")
     predict_p = getattr(args, "predict_p", None)
     if predict_p is not None and not 0.0 < predict_p < 1.0:
         raise ValueError(f"--predict-p must lie strictly inside (0,1), got {predict_p}")
@@ -129,24 +132,11 @@ def _resolve_input(path_arg: str) -> Path:
 
 
 def _threads(args) -> int:
-    """--threads, else the EXRANGE_THREADS variable, else the cores this
-    process may run on (its CPU-affinity mask, where the OS has one)."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("EXRANGE_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"EXRANGE_THREADS must be an integer of at least 1, got {env!r}")
-    return n
+    """--threads: one worker unless asked, since a second is slower on every
+    slice size measured (README)."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -495,8 +485,8 @@ def _add_common_io(sub, with_policy: bool = True, with_threads: bool = True):
                      help="stack file (.f32) or directory holding one")
     sub.add_argument("--out", required=True, help="output directory")
     if with_threads:
-        sub.add_argument("--threads", type=int, default=None,
-                         help="worker threads (default: EXRANGE_THREADS or all usable cores)")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the range fields (default: 1)")
     if with_policy:
         sub.add_argument("--policy", choices=[p.value for p in BoundaryPolicy],
                          default=BoundaryPolicy.FILL_EXCEED.value,
@@ -511,7 +501,7 @@ def _add_fit_options(sub, penalty_default: str = "auto"):
     sub.add_argument("--iters", type=int, default=60,
                      help="optimizer iteration budget, at least 3")
     sub.add_argument("--min-range", type=float, default=0.0, dest="min_range",
-                     help="drop range observations below this length")
+                     help="drop range observations below this length, finite and >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Exact Euclidean distance transforms and binary erosion/dilation.
+"""Exact Euclidean distance transforms and binary erosion.
 
 Distances are measured between pixel centers: the distance value of a true
 pixel is the exact Euclidean distance to the nearest false pixel center,
@@ -195,11 +195,3 @@ def erode(mask: np.ndarray, radius: float, dx: float = 1.0,
     if radius == 0 or (mask.all() and not edge_is_false):
         return mask.copy()
     return distance_transform(mask, dx=dx, edge_is_false=edge_is_false).r > radius
-
-
-def dilate(mask: np.ndarray, radius: float, dx: float = 1.0) -> np.ndarray:
-    """Binary dilation by a disk, via complement-erode-complement duality."""
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    mask = np.asarray(mask, dtype=bool)
-    return ~erode(~mask, radius, dx=dx)

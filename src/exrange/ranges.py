@@ -279,14 +279,9 @@ def _median_lower(sorted_values: np.ndarray) -> float:
     return float(sorted_values[k // 2 - 1])
 
 
-def median_range(range_fields, domain: DomainMask | None = None) -> float:
-    """Pooled median of the positive range values across slices and pixels
-    (domain pixels only, when a domain is given).
-
-    Returns 0 when there is no positive observation at all.
-    """
-    if domain is None:
-        return _median_lower(np.sort(_as_entries(range_fields).value))
+def median_range(range_fields, domain: DomainMask) -> float:
+    """Pooled median of the positive range values of domain pixels across
+    slices; 0 when there is no positive observation at all."""
     return _median_lower(np.sort(_domain_values(range_fields, domain)))
 
 

@@ -9,6 +9,7 @@ Nodata is an exact sentinel value, never NaN.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,14 +41,6 @@ class DomainMask:
             raise ValueError("domain mask has no inside pixel")
         inside.flags.writeable = False
         object.__setattr__(self, "inside", inside)
-
-    @property
-    def ny(self) -> int:
-        return self.inside.shape[0]
-
-    @property
-    def nx(self) -> int:
-        return self.inside.shape[1]
 
     @property
     def n_pixels(self) -> int:
@@ -82,8 +75,9 @@ class RasterStack:
             raise ValueError(f"empty stack dimensions {values.shape}")
         if not self.dx > 0:
             raise ValueError(f"dx must be positive, got {self.dx}")
-        if np.isnan(values).any():
-            raise StackFormatError("stack contains NaN; nodata must use the sentinel value")
+        if not np.isfinite(values).all():
+            raise StackFormatError("stack contains NaN or an infinite value; nodata must "
+                                   "use the sentinel value")
         inside = values[0] != np.float32(self.nodata)
         same = (values != np.float32(self.nodata)) == inside[None, :, :]
         if not same.all():
@@ -110,10 +104,6 @@ class RasterStack:
     def domain(self) -> DomainMask:
         """The non-nodata pixel set (identical for every slice)."""
         return self._domain
-
-    def slice_domain(self, t: int) -> DomainMask:
-        """Recompute the domain from slice ``t`` alone (for consistency checks)."""
-        return DomainMask(self.values[t] != np.float32(self.nodata))
 
     def subset(self, t_indices) -> "RasterStack":
         """New stack containing the given slices (used by block resampling)."""
@@ -156,8 +146,8 @@ def load_stack(path) -> RasterStack:
     """Load a stack written by :func:`save_stack`.
 
     Raises StackFormatError when the sidecar is missing or malformed, when
-    the data byte count disagrees with the sidecar dimensions, and when the
-    nodata pattern differs between slices.
+    the data byte count disagrees with the sidecar dimensions, when a value
+    is NaN or infinite, and when the nodata pattern differs between slices.
     """
     data_path = Path(path)
     if not data_path.exists():
@@ -172,9 +162,15 @@ def load_stack(path) -> RasterStack:
     missing = [k for k in _SIDECAR_KEYS if k not in meta]
     if missing:
         raise StackFormatError(f"sidecar {sidecar} lacks keys {missing}")
-    nx, ny, nt = int(meta["nx"]), int(meta["ny"]), int(meta["nt"])
+    try:
+        nx, ny, nt = int(meta["nx"]), int(meta["ny"]), int(meta["nt"])
+        dx, nodata = float(meta["dx"]), float(meta["nodata"])
+    except (TypeError, ValueError) as exc:
+        raise StackFormatError(f"sidecar {sidecar} holds a malformed number: {exc}") from exc
     if min(nx, ny, nt) < 1:
         raise StackFormatError(f"sidecar {sidecar} has non-positive dimensions")
+    if not 0.0 < dx < math.inf:
+        raise StackFormatError(f"sidecar {sidecar} has dx {dx}; it must be finite and positive")
     raw = data_path.read_bytes()
     expected = nt * ny * nx * 4
     if len(raw) != expected:
@@ -183,12 +179,7 @@ def load_stack(path) -> RasterStack:
             f"(nt={nt}, ny={ny}, nx={nx})"
         )
     values = np.frombuffer(raw, dtype="<f4").reshape(nt, ny, nx)
-    return RasterStack(
-        values,
-        dx=float(meta["dx"]),
-        nodata=float(meta["nodata"]),
-        unit=str(meta.get("unit", "px")),
-    )
+    return RasterStack(values, dx=dx, nodata=nodata, unit=str(meta.get("unit", "px")))
 
 
 def save_map(path, grid: np.ndarray, dx: float = 1.0, nodata: float = DEFAULT_NODATA,

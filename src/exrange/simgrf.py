@@ -152,13 +152,22 @@ def pareto_scales(config: AdSimConfig) -> np.ndarray:
     w = np.empty(n)
     for i in range(n):
         rng = _slice_rng(config.base.seed, 1, i)
-        w[i] = rng.random() ** (-1.0 / config.a_mix)
+        try:
+            w[i] = rng.random() ** (-1.0 / config.a_mix)
+        except OverflowError:  # beyond float64: an overflow like any other
+            w[i] = math.inf
     return w
 
 
 def simulate_ad_field(config: AdSimConfig) -> RasterStack:
-    """Asymptotically dependent scale-mixture stack W * G."""
+    """Asymptotically dependent scale-mixture stack W * G; ValueError when a
+    heavy tail takes W * G out of float32's range."""
     gauss = simulate_gaussian(config.base)
     w = pareto_scales(config)
-    values = gauss.values * w[:, None, None].astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = gauss.values * w[:, None, None].astype(np.float32)
+    n_bad = values.size - np.count_nonzero(np.isfinite(values))
+    if n_bad:
+        raise ValueError(f"a_mix (--a-mix) {config.a_mix}: W * G leaves float32's range "
+                         f"at {n_bad} values; a larger a_mix has a lighter tail")
     return RasterStack(values, dx=config.base.dx, unit=gauss.unit)

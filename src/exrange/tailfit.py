@@ -64,6 +64,10 @@ from .ranges import _as_entries, _entry_pixels, median_range, range_entries
 from .raster import DomainMask, RasterStack
 from .thresholds import BoundaryPolicy, exceedance_stack, quantile_fields
 
+_PENALTY_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)  # roughness penalties ``choose_penalty`` tries
+_CV_FOLDS = 5
+_MIN_PIXEL_SAMPLES = 3  # samples a pixel needs for its LAD fit
+
 
 def loglog_level(p: float) -> float:
     """The regression covariate log(-log(1-p))."""
@@ -409,28 +413,15 @@ class MerSurface:
     """Fitted coefficient maps of the median-extremal-range model.
 
     ``beta`` and ``theta`` are per-pixel evaluations of the fitted
-    surfaces (or the raw per-pixel estimates in PerPixel mode).
+    surfaces (or the raw per-pixel estimates of the pixel fit).
     """
 
     beta: np.ndarray
     theta: np.ndarray
-    fit_mode: str
 
     def __post_init__(self):
         if self.beta.shape != self.theta.shape:
             raise ValueError("beta and theta maps must share a shape")
-
-
-def predict_mer(surface: MerSurface, iy: int, ix: int, p: float,
-                domain: DomainMask | None = None) -> float:
-    """Median extremal range exp(beta_s - theta_s * log(-log(1-p)))."""
-    x = loglog_level(p)
-    ny, nx = surface.beta.shape
-    if not (0 <= iy < ny and 0 <= ix < nx):
-        raise ValueError(f"pixel ({iy},{ix}) outside the {ny}x{nx} grid")
-    if domain is not None and not domain.inside[iy, ix]:
-        raise ValueError(f"pixel ({iy},{ix}) is outside the domain")
-    return float(np.exp(surface.beta[iy, ix] - surface.theta[iy, ix] * x))
 
 
 def predict_mer_map(surface: MerSurface, p: float) -> np.ndarray:
@@ -633,21 +624,21 @@ class SplineMerModel:
 
     def to_surface(self) -> MerSurface:
         beta, theta = self.coefficient_maps()
-        return MerSurface(beta=beta, theta=theta, fit_mode="spline")
+        return MerSurface(beta=beta, theta=theta)
 
 
 def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: int,
-                   iters: int, grid=(0.01, 0.1, 1.0, 10.0, 100.0),
-                   n_folds: int = 5) -> float:
-    """Pick the roughness penalty by block-wise cross-validated pinball loss;
-    each fold fits the pooled samples under its training mask, copying none."""
-    # the i-th smallest block id goes to fold i mod n_folds, in the narrowest dtype
+                   iters: int) -> float:
+    """Pick the roughness penalty from ``_PENALTY_GRID`` by block-wise
+    cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
+    pooled samples under its training mask, copying none."""
+    # the i-th smallest block id goes to fold i mod _CV_FOLDS, in the narrowest dtype
     folds = np.searchsorted(np.unique(samples.block), samples.block)
-    folds = np.remainder(folds, n_folds, out=folds).astype(np.min_scalar_type(n_folds))
-    best = (math.inf, grid[0])
-    for lam in grid:
+    folds = np.remainder(folds, _CV_FOLDS, out=folds).astype(np.min_scalar_type(_CV_FOLDS))
+    best = (math.inf, _PENALTY_GRID[0])
+    for lam in _PENALTY_GRID:
         total = 0.0
-        for f in range(n_folds):
+        for f in range(_CV_FOLDS):
             train = folds != f
             if train.all() or not train.any():
                 continue
@@ -692,11 +683,10 @@ def _kappa_stages(iters: int) -> list[tuple[float, int]]:
     return [(0.1, third), (0.01, third), (0.001, iters - 2 * third)]
 
 
-def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
-                      min_samples: int = 3) -> MerSurface:
+def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int]) -> MerSurface:
     """Independent exact LAD fit at every pixel with enough observations.
 
-    Pixels with fewer than ``min_samples`` observations or a single
+    Pixels with fewer than ``_MIN_PIXEL_SAMPLES`` observations or a single
     distinct level get NaN coefficients; DegenerateFitError when no pixel
     is left to fit.
     """
@@ -712,7 +702,7 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
     bounds = np.flatnonzero(np.diff(flat, prepend=-1, append=-1))
     starts, ends = bounds[:-1], bounds[1:]
     # a pixel is fitted with enough samples at two or more distinct levels
-    fitted = ((ends - starts >= min_samples)
+    fitted = ((ends - starts >= _MIN_PIXEL_SAMPLES)
               & (np.minimum.reduceat(xs, starts) != np.maximum.reduceat(xs, starts)))
     for s, e in zip(starts[fitted], ends[fitted]):
         b, t = fit_mer_pixel(xs[s:e], ys[s:e])
@@ -721,9 +711,9 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int],
         theta[pix // nx, pix % nx] = t
     if np.isnan(beta).all():
         raise DegenerateFitError(
-            f"no pixel has min_samples={min_samples} samples at two distinct levels"
+            f"no pixel has min_samples={_MIN_PIXEL_SAMPLES} samples at two distinct levels"
         )
-    return MerSurface(beta=beta, theta=theta, fit_mode="pixel")
+    return MerSurface(beta=beta, theta=theta)
 
 
 # ---------------------------------------------------------------------------

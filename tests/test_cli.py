@@ -12,7 +12,7 @@ import pytest
 
 import exrange
 from exrange import load_map, load_stack
-from exrange.cli import _threads, build_parser, main
+from exrange.cli import build_parser, main
 
 SRC = str(Path(exrange.__file__).resolve().parents[1])
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -46,6 +46,48 @@ def test_unknown_flag_exits_2(sim_dir):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--frobnicate", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("a_mix", ["0.02", "0.002"])
+def test_admix_overflow_rejected_before_any_output(tmp_path, capsys, a_mix):
+    # W = U^(-1/a_mix) passes float32's largest value on some slices, and at
+    # 0.002 float64's too
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", "admix", "--a-mix", a_mix, "--nx", "16", "--ny", "16",
+                 "--n", "100", "--ell", "8", "--seed", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation" in err and "--a-mix" in err and "float32" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["ivdens", "--p", "0.85,0.9"],
+    ["pipeline", "--fit", "pixel", "--levels", "0.85,0.9"],
+    ["mer", "--fit", "pixel", "--levels", "0.85,0.9"],
+], ids=["ivdens", "pipeline", "mer"])
+def test_infinite_stack_value_exits_format(sim_dir, tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    values = load_stack(sim_dir / "stack.f32").values.copy()
+    values[3, 5, 7] = np.inf
+    (bad / "stack.f32").write_bytes(values.astype("<f4").tobytes())
+    (bad / "stack.f32.json").write_bytes((sim_dir / "stack.f32.json").read_bytes())
+    out = tmp_path / "out"
+    assert main(command + ["--in", str(bad), "--out", str(out)]) == 3
+    assert "format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, text", [("dx", '"abc"'), ("nx", '"32x"'), ("dx", "0")])
+def test_malformed_sidecar_number_exits_format(sim_dir, tmp_path, capsys, key, text):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "stack.f32").write_bytes((sim_dir / "stack.f32").read_bytes())
+    meta = json.loads((sim_dir / "stack.f32.json").read_text())
+    meta[key] = json.loads(text)
+    (bad / "stack.f32.json").write_text(json.dumps(meta))
+    assert main(["cdf", "--in", str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert "format" in capsys.readouterr().err
 
 
 def test_non_increasing_levels_rejected(sim_dir, tmp_path, capsys):
@@ -431,9 +473,13 @@ def test_single_level_fit_rejected_before_any_output(sim_dir, tmp_path, capsys, 
     (["mer", "--fit", "spline"], ["--iters", "2"]),
     (["mer", "--fit", "pixel"], ["--predict-p", "0"]),
     (["jackknife"], ["--iters", "1"]),
+    (["mer", "--fit", "pixel"], ["--min-range", "nan"]),
+    (["mer", "--fit", "pixel"], ["--min-range", "-5"]),
+    (["jackknife"], ["--min-range", "inf"]),
 ], ids=["pipeline-knots", "pipeline-knots-format", "pipeline-predict-p", "pipeline-penalty",
         "pipeline-penalty-nan", "pipeline-iters", "mer-iters", "mer-pixel-predict-p",
-        "jackknife-iters"])
+        "jackknife-iters", "mer-min-range-nan", "mer-min-range-negative",
+        "jackknife-min-range-inf"])
 def test_bad_fit_option_rejected_before_any_output(sim_dir, tmp_path, capsys, command, option):
     blocks = tmp_path / "blocks.txt"
     blocks.write_text("\n".join(str(i // 10) for i in range(40)))
@@ -533,12 +579,13 @@ def test_pipeline_loads_no_scipy(tmp_path, fit):
     assert (tmp_path / "out" / "mer_beta.f32").exists()
 
 
-@pytest.mark.parametrize("value", ["two", "0"])
-def test_bad_exrange_threads_names_the_variable(sim_dir, tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("EXRANGE_THREADS", value)
-    assert main(["range", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.9"]) == 2
-    err = capsys.readouterr().err
-    assert "EXRANGE_THREADS" in err and repr(value) in err
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_below_one_exits_validation(sim_dir, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(["range", "--in", str(sim_dir), "--out", str(out), "--p", "0.9",
+                 "--threads", value]) == 2
+    assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["mer", "pipeline"])
@@ -576,17 +623,22 @@ def test_level_without_exceedance_is_nodata(tmp_path, capsys):
     assert (out / "mer_beta.f32").exists()
 
 
-def test_default_threads_are_the_usable_cores(monkeypatch):
-    # a CPU-affinity mask narrower than the host: the default is its size
-    monkeypatch.delenv("EXRANGE_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
-    args = build_parser().parse_args(["range", "--in", "x", "--out", "y"])
-    assert _threads(args) == 2
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _threads(args) == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _threads(args) == 1
+def test_default_run_uses_one_worker(sim_dir, tmp_path, monkeypatch):
+    # a second worker is slower at every slice size measured, so however many
+    # cores the process may use, a run without --threads takes one
+    from exrange import ranges
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    pmap = ranges._pmap
+    asked = []
+
+    def recording_pmap(fn, items, n_threads):
+        asked.append(n_threads)
+        return pmap(fn, items, n_threads)
+
+    monkeypatch.setattr(ranges, "_pmap", recording_pmap)
+    assert main(["range", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.9,0.95"]) == 0
+    assert asked == [1, 1]
 
 
 def _numpy_uses_openblas() -> bool:

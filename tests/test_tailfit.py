@@ -15,7 +15,6 @@ from exrange import (
     fit_mer_pixel_map,
     jackknife,
     loglog_level,
-    predict_mer,
     predict_mer_map,
     theta_hat,
 )
@@ -502,42 +501,28 @@ def test_pixel_map_fit():
     yy, xx = np.mgrid[0:6, 0:6]
     assert np.allclose(surf.beta, 1.0 + 0.1 * xx, atol=1e-9)
     assert np.allclose(surf.theta, 0.3 + 0.05 * yy, atol=1e-9)
-    assert surf.fit_mode == "pixel"
 
 
 def test_predict_mer_examples():
-    flat = MerSurface(beta=np.zeros((2, 2)), theta=np.zeros((2, 2)), fit_mode="pixel")
+    flat = MerSurface(beta=np.zeros((2, 2)), theta=np.zeros((2, 2)))
     for p in (0.3, 0.9, 0.99):
-        assert predict_mer(flat, 0, 0, p) == pytest.approx(1.0)
-    surf = MerSurface(beta=np.full((1, 1), np.log(2.0)), theta=np.ones((1, 1)),
-                      fit_mode="pixel")
+        assert np.allclose(predict_mer_map(flat, p), 1.0)
+    surf = MerSurface(beta=np.full((1, 1), np.log(2.0)), theta=np.ones((1, 1)))
     p_x0 = 1 - np.exp(-1.0)  # makes the covariate zero
-    assert predict_mer(surf, 0, 0, p_x0) == pytest.approx(2.0)
+    assert predict_mer_map(surf, p_x0)[0, 0] == pytest.approx(2.0)
     p_x1 = 1 - np.exp(-np.exp(1.0))
-    assert predict_mer(surf, 0, 0, p_x1) == pytest.approx(2.0 / np.e)
-    # theta = 1: moving the exponent one unit halves... check ratio e
-    assert predict_mer(surf, 0, 0, p_x0) / predict_mer(surf, 0, 0, p_x1) == pytest.approx(np.e)
+    assert predict_mer_map(surf, p_x1)[0, 0] == pytest.approx(2.0 / np.e)
+    # theta = 1: one unit more of the covariate divides the range by e
+    ratio = predict_mer_map(surf, p_x0) / predict_mer_map(surf, p_x1)
+    assert ratio[0, 0] == pytest.approx(np.e)
 
 
 def test_predict_monotone_iff_theta_positive():
-    surf = MerSurface(beta=np.array([[0.5, 0.5]]), theta=np.array([[0.4, -0.4]]),
-                      fit_mode="pixel")
+    surf = MerSurface(beta=np.array([[0.5, 0.5]]), theta=np.array([[0.4, -0.4]]))
     ps = [0.86, 0.9, 0.95, 0.99]
-    up = [predict_mer(surf, 0, 0, p) for p in ps]
-    down = [predict_mer(surf, 0, 1, p) for p in ps]
+    up, down = np.array([predict_mer_map(surf, p)[0] for p in ps]).T
     assert all(a > b for a, b in zip(up, up[1:]))
     assert all(a < b for a, b in zip(down, down[1:]))
-    maps = predict_mer_map(surf, 0.95)
-    assert maps[0, 0] == pytest.approx(predict_mer(surf, 0, 0, 0.95))
-
-
-def test_predict_out_of_domain():
-    surf = MerSurface(beta=np.zeros((2, 2)), theta=np.zeros((2, 2)), fit_mode="pixel")
-    dom = DomainMask(np.array([[True, False], [True, True]]))
-    with pytest.raises(ValueError, match="outside"):
-        predict_mer(surf, 0, 1, 0.9, domain=dom)
-    with pytest.raises(ValueError):
-        predict_mer(surf, 5, 0, 0.9)
 
 
 def _tiny_stack(rng, nt=12, n=8):
