@@ -139,12 +139,37 @@ def _threads(args) -> int:
     return args.threads
 
 
+def _level_pass(args):
+    """Check --policy and --threads, and return ``each_level(stack, thrs,
+    visit)``: each threshold's ``RangeEntries`` in turn go to ``visit(thr,
+    entries)`` as a temporary, freed before the next level's are computed,
+    and the visits' results come back in order."""
+    policy = BoundaryPolicy(args.policy)
+    n_threads = _threads(args)
+    return lambda stack, thrs, visit: [
+        visit(thr, ranges.range_entries(stack, thr, policy, n_threads)) for thr in thrs]
+
+
+def _sample_pass(each_level, stack: raster.RasterStack, levels: list[float], blocks,
+                 min_range: float, visit=lambda thr, entries: None) -> tailfit.SamplePool:
+    """Every level's regression samples in one pool sized from the thresholds;
+    ``visit(thr, entries)`` sees each level's entries before they are collected."""
+    thrs = thresholds.quantile_fields(stack, levels)
+    pool = tailfit.SamplePool.for_thresholds(stack, thrs)
+
+    def collect(thr, entries):
+        visit(thr, entries)
+        tailfit.collect_samples({thr.p: entries}, stack.domain(), blocks, min_range, pool)
+
+    each_level(stack, thrs, collect)
+    return pool
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(buf.getvalue().encode())
@@ -170,8 +195,7 @@ def _fmt_p(p: float) -> str:
 
 def _default_radii(stack: raster.RasterStack) -> list[float]:
     r_max = ranges.domain_inradius(stack.domain(), stack.dx)
-    radii = [k * stack.dx for k in range(1, 9)]
-    radii = [r for r in radii if r < r_max]
+    radii = [r for r in (k * stack.dx for k in range(1, 9)) if r < r_max]
     if not radii:
         raise ValueError(f"domain inradius {r_max} leaves no usable radius")
     return radii
@@ -232,11 +256,7 @@ def _save_fit_maps(out: Path, surface: tailfit.MerSurface, stack: raster.RasterS
 
 
 def _load_blocks(path: str, nt: int) -> np.ndarray:
-    ids = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            ids.append(int(line))
+    ids = [int(line) for line in map(str.strip, Path(path).read_text().splitlines()) if line]
     if len(ids) != nt:
         raise ValueError(f"{path}: {len(ids)} block ids for {nt} slices")
     return np.asarray(ids)
@@ -273,10 +293,9 @@ def _cmd_quantiles(args) -> int:
 
 def _cmd_excursion(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    policy = BoundaryPolicy(args.policy)
     out = Path(args.out)
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        exceed = thresholds.exceedance_stack(stack, thr, policy)
+        exceed = thresholds.exceedance_stack(stack, thr, args.policy)
         for t in range(stack.nt):
             raster.save_map(out / f"excursion_p{_fmt_p(thr.p)}_t{t}.f32",
                             exceed[t].astype(np.float32), dx=stack.dx, unit="bool")
@@ -285,42 +304,41 @@ def _cmd_excursion(args) -> int:
 
 def _cmd_range(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    each_level = _level_pass(args)
     out = Path(args.out)
-    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        entries = ranges.range_entries(stack, thr, policy, n_threads)
+
+    def save(thr, entries):
         for t, r in enumerate(ranges._slice_maps(entries, np.float32)):
             raster.save_map(out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
                             unit=stack.unit)
+
+    each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)), save)
     return 0
 
 
 def _cmd_cdf(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    each_level = _level_pass(args)
     domain = stack.domain()
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
     out = Path(args.out)
-    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        entries = ranges.range_entries(stack, thr, policy, n_threads)
+
+    def write(thr, entries):
         _write_csv(out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
                    _cdf_rows(entries, domain, radii, stack.dx))
+
+    each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)), write)
     return 0
 
 
 def _cmd_hist(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    each_level = _level_pass(args)
     domain = stack.domain()
     edges = _hist_edges(stack)
-    rows = []
-    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        rows += _hist_rows(thr.p, ranges.range_entries(stack, thr, policy, n_threads),
-                           domain, edges)
-    _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, rows)
+    rows = each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)),
+                      lambda thr, entries: _hist_rows(thr.p, entries, domain, edges))
+    _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, [r for level in rows for r in level])
     return 0
 
 
@@ -360,27 +378,11 @@ def _cmd_theta(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     if args.p1 == args.p2:
         raise ValueError("--p1 and --p2 must differ")
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
-    # one level's ranges at a time: each is dropped once its median map is taken
-    med1, med2 = (
-        ranges.median_range_map(ranges.range_entries(stack, thr, policy, n_threads),
-                                stack.domain())
-        for thr in thresholds.quantile_fields(stack, (args.p1, args.p2))
-    )
+    each_level = _level_pass(args)
+    med1, med2 = each_level(stack, thresholds.quantile_fields(stack, (args.p1, args.p2)),
+                            lambda _, entries: ranges.median_range_map(entries, stack.domain()))
     _save_theta_map(Path(args.out), stack, args.p1, med1, args.p2, med2)
     return 0
-
-
-def _collect_all_samples(stack: raster.RasterStack, levels: list[float],
-                         policy: BoundaryPolicy, n_threads: int,
-                         blocks=None, min_range: float = 0.0) -> tailfit.RangeSamples:
-    thrs = thresholds.quantile_fields(stack, levels)
-    pool = tailfit.SamplePool.for_thresholds(stack, thrs)
-    for thr in thrs:
-        tailfit.collect_samples({thr.p: ranges.range_entries(stack, thr, policy, n_threads)},
-                                stack.domain(), blocks, min_range, pool)
-    return pool.samples()
 
 
 def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args,
@@ -400,13 +402,11 @@ def _cmd_mer(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit_options = _parse_fit_options(args)
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    each_level = _level_pass(args)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
-    samples = _collect_all_samples(stack, levels, policy, n_threads, blocks,
-                                   args.min_range)
-    _save_fit_maps(Path(args.out), _fit_surface(stack, samples, args, fit_options), stack,
-                   args.predict_p)
+    pool = _sample_pass(each_level, stack, levels, blocks, args.min_range)
+    _save_fit_maps(Path(args.out), _fit_surface(stack, pool.samples(), args, fit_options),
+                   stack, args.predict_p)
     return 0
 
 
@@ -414,8 +414,7 @@ def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit_options = _parse_fit_options(args)
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    each_level = _level_pass(args)
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
     dropped = iter(np.unique(block_ids))
@@ -424,9 +423,8 @@ def _cmd_jackknife(args) -> int:
         # the i-th replicate leaves out the i-th smallest block; its samples
         # keep the block ids of the slices left, for the block-wise CV
         kept = block_ids[block_ids != next(dropped)]
-        samples = _collect_all_samples(sub, levels, policy, n_threads, kept,
-                                       min_range=args.min_range)
-        surface = _fit_surface(sub, samples, args, fit_options)
+        pool = _sample_pass(each_level, sub, levels, kept, args.min_range)
+        surface = _fit_surface(sub, pool.samples(), args, fit_options)
         return np.stack([surface.beta, surface.theta])
 
     se = tailfit.jackknife(stack, block_ids, estimator)
@@ -440,8 +438,7 @@ def _cmd_pipeline(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit_options = _parse_fit_options(args)
-    policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    each_level = _level_pass(args)
     domain = stack.domain()
     out = Path(args.out)
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
@@ -450,19 +447,16 @@ def _cmd_pipeline(args) -> int:
 
     cdf_rows, hist_rows, iv_rows = [], [], []
     med_maps = {}
-    thrs = thresholds.quantile_fields(stack, levels)
-    pool = tailfit.SamplePool.for_thresholds(stack, thrs)
-    for p, thr in zip(levels, thrs):
-        entries = ranges.range_entries(stack, thr, policy, n_threads)
-        cdf_rows += [[_fmt_p(p), *row]
-                     for row in _cdf_rows(entries, domain, radii, stack.dx)]
-        hist_rows += _hist_rows(p, entries, domain, hist_edges)
-        iv_rows.append(_ivdens_row(stack, thr))
-        if p in (levels[0], levels[-1]):
-            med_maps[p] = ranges.median_range_map(entries, domain)
-        tailfit.collect_samples({p: entries}, domain, blocks, args.min_range, pool)
-        del entries
 
+    def level_rows(thr, entries):
+        cdf_rows.extend([_fmt_p(thr.p), *row]
+                        for row in _cdf_rows(entries, domain, radii, stack.dx))
+        hist_rows.extend(_hist_rows(thr.p, entries, domain, hist_edges))
+        iv_rows.append(_ivdens_row(stack, thr))
+        if thr.p in (levels[0], levels[-1]):
+            med_maps[thr.p] = ranges.median_range_map(entries, domain)
+
+    pool = _sample_pass(each_level, stack, levels, blocks, args.min_range, level_rows)
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
     _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)
     _write_csv(out / "ivdens.csv", IVDENS_HEADER, iv_rows)

@@ -146,8 +146,8 @@ def load_stack(path) -> RasterStack:
     """Load a stack written by :func:`save_stack`.
 
     Raises StackFormatError when the sidecar is missing or malformed, when
-    the data byte count disagrees with the sidecar dimensions, when a value
-    is NaN or infinite, and when the nodata pattern differs between slices.
+    the byte count disagrees with it, when every value is nodata or one is
+    NaN or infinite, and when the nodata pattern differs between slices.
     """
     data_path = Path(path)
     if not data_path.exists():
@@ -179,6 +179,8 @@ def load_stack(path) -> RasterStack:
             f"(nt={nt}, ny={ny}, nx={nx})"
         )
     values = np.frombuffer(raw, dtype="<f4").reshape(nt, ny, nx)
+    if not (values[0] != np.float32(nodata)).any() and (values == np.float32(nodata)).all():
+        raise StackFormatError(f"{data_path}: every value is nodata, so the domain is empty")
     return RasterStack(values, dx=dx, nodata=nodata, unit=str(meta.get("unit", "px")))
 
 

@@ -631,17 +631,17 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
                    iters: int) -> float:
     """Pick the roughness penalty from ``_PENALTY_GRID`` by block-wise
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
-    pooled samples under its training mask, copying none."""
+    pooled samples under its training mask, copying none. DegenerateFitError
+    when every penalty has a degenerate fold fit, as one block always gives."""
+    blocks = np.unique(samples.block)
     # the i-th smallest block id goes to fold i mod _CV_FOLDS, in the narrowest dtype
-    folds = np.searchsorted(np.unique(samples.block), samples.block)
+    folds = np.searchsorted(blocks, samples.block)
     folds = np.remainder(folds, _CV_FOLDS, out=folds).astype(np.min_scalar_type(_CV_FOLDS))
     best = (math.inf, _PENALTY_GRID[0])
     for lam in _PENALTY_GRID:
         total = 0.0
-        for f in range(_CV_FOLDS):
+        for f in range(min(_CV_FOLDS, blocks.size)):  # every fold holds a block out
             train = folds != f
-            if train.all() or not train.any():
-                continue
             model = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
                                    iters=max(60, iters // 3))
             try:
@@ -656,6 +656,9 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
             total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
         if (total, lam) < best:
             best = (total, lam)
+    if best[0] == math.inf:
+        raise DegenerateFitError(f"penalty cross-validation over {blocks.size} block(s): "
+                                 "every penalty has a degenerate fold fit")
     return best[1]
 
 

@@ -66,16 +66,18 @@ def test_admix_overflow_rejected_before_any_output(tmp_path, capsys, a_mix):
     ["mer", "--fit", "pixel", "--levels", "0.85,0.9"],
 ], ids=["ivdens", "pipeline", "mer"])
 def test_infinite_stack_value_exits_format(sim_dir, tmp_path, capsys, command):
-    bad = tmp_path / "bad"
-    bad.mkdir()
+    # a stack whose every value is nodata has no domain: it is malformed too
     values = load_stack(sim_dir / "stack.f32").values.copy()
     values[3, 5, 7] = np.inf
-    (bad / "stack.f32").write_bytes(values.astype("<f4").tobytes())
-    (bad / "stack.f32.json").write_bytes((sim_dir / "stack.f32.json").read_bytes())
-    out = tmp_path / "out"
-    assert main(command + ["--in", str(bad), "--out", str(out)]) == 3
-    assert "format" in capsys.readouterr().err
-    assert not out.exists()
+    for name, bad_values in (("inf", values), ("nodata", np.full_like(values, -9999.0))):
+        bad = tmp_path / name
+        bad.mkdir()
+        (bad / "stack.f32").write_bytes(bad_values.astype("<f4").tobytes())
+        (bad / "stack.f32.json").write_bytes((sim_dir / "stack.f32.json").read_bytes())
+        out = tmp_path / f"out-{name}"
+        assert main(command + ["--in", str(bad), "--out", str(out)]) == 3, name
+        assert "format" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, text", [("dx", '"abc"'), ("nx", '"32x"'), ("dx", "0")])
@@ -310,6 +312,56 @@ def test_range_and_cdf_outputs_identical_across_thread_counts(sim_dir, tmp_path,
     assert names and names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# the commands that read ranges, each at levels 0.9 and 0.95, with a small fit
+LEVEL_PASS_COMMANDS = {
+    "range": ["--p", "0.9,0.95"],
+    "cdf": ["--p", "0.9,0.95", "--radii", "1,2,3"],
+    "hist": ["--p", "0.9,0.95"],
+    "theta": ["--p1", "0.9", "--p2", "0.95"],
+    "mer": ["--levels", "0.9,0.95", "--knots", "4x4", "--iters", "9", "--penalty", "1.0"],
+    "jackknife": ["--levels", "0.9,0.95", "--knots", "4x4", "--iters", "9", "--blocks-by"],
+    "pipeline": ["--levels", "0.9,0.95", "--knots", "4x4", "--iters", "9"],
+}
+
+
+def _four_blocks(tmp_path):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(40)))
+    return blocks
+
+
+def _level_pass_argv(command, sim_dir, out, blocks):
+    argv = [command, "--in", str(sim_dir), "--out", str(out), *LEVEL_PASS_COMMANDS[command]]
+    return argv + [str(blocks)] if command == "jackknife" else argv
+
+
+@pytest.mark.parametrize("command", LEVEL_PASS_COMMANDS)
+def test_one_level_of_ranges_at_a_time(sim_dir, tmp_path, monkeypatch, command):
+    # each chain computes each level's ranges once, and frees one level's
+    # before it computes the next level's
+    import weakref
+
+    from exrange import ranges
+
+    range_entries = ranges.range_entries
+    calls, held = [], []
+    last = [lambda: None]
+
+    def recording(stack, thr, *args):
+        held.append(last[0]() is not None)
+        calls.append((stack.nt, thr.p))
+        entries = range_entries(stack, thr, *args)
+        last[0] = weakref.ref(entries)
+        return entries
+
+    monkeypatch.setattr(ranges, "range_entries", recording)
+    argv = _level_pass_argv(command, sim_dir, tmp_path / "out", _four_blocks(tmp_path))
+    assert main(argv) == 0
+    chains = [30] * 4 if command == "jackknife" else [40]
+    assert calls == [(nt, p) for nt in chains for p in (0.9, 0.95)]
+    assert held == [False] * len(calls)
 
 
 def test_jackknife_subcommand(sim_dir, tmp_path):
@@ -580,12 +632,26 @@ def test_pipeline_loads_no_scipy(tmp_path, fit):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_threads_below_one_exits_validation(sim_dir, tmp_path, capsys, value):
+@pytest.mark.parametrize("command", LEVEL_PASS_COMMANDS)
+def test_threads_below_one_exits_validation(sim_dir, tmp_path, capsys, command, value):
     out = tmp_path / "out"
-    assert main(["range", "--in", str(sim_dir), "--out", str(out), "--p", "0.9",
-                 "--threads", value]) == 2
+    argv = _level_pass_argv(command, sim_dir, out, _four_blocks(tmp_path))
+    assert main(argv + ["--threads", value]) == 2
     assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_penalty_cv_over_one_block_exits_compute(sim_dir, tmp_path, capsys):
+    # one block leaves every cross-validation fold without a training sample:
+    # no penalty has a loss, so none is chosen, and no mer_* map is written
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("7\n" * 40)
+    out = tmp_path / "out"
+    assert main(["mer", "--in", str(sim_dir), "--out", str(out), "--levels", "0.85,0.9,0.95",
+                 "--penalty", "auto", "--blocks-by", str(blocks), "--knots", "4x4",
+                 "--iters", "9"]) == 5
+    assert "over 1 block(s)" in capsys.readouterr().err
+    assert not list(out.glob("mer_*"))
 
 
 @pytest.mark.parametrize("command", ["mer", "pipeline"])

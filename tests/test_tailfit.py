@@ -775,6 +775,23 @@ def test_spline_fold_mask_fit_equals_fit_on_copy():
         assert np.array_equal(_coefficients(model.fit(far, (ny, nx), train)), masked), f
 
 
+def test_choose_penalty_without_a_fold_fit_raises():
+    # one block leaves its one fold no training sample, and two blocks of one
+    # level each leave every fold one level: no penalty gets a loss, and the
+    # grid's first may not win a tie of losses that were never taken
+    from exrange.tailfit import choose_penalty
+
+    rng = np.random.default_rng(58)
+    s = _samples_from_surface(rng, 6, 6, lambda y, x: 1.0 + 0.1 * x, lambda y, x: 0.5 + 0 * x,
+                              levels=[0.9, 0.95], reps=1, noise=0.1)
+    assert np.unique(s.block).tolist() == [0]
+    with pytest.raises(DegenerateFitError, match=r"over 1 block\(s\)"):
+        choose_penalty(s, (6, 6), 4, 4, 9)
+    by_level = RangeSamples(s.pixel_y, s.pixel_x, s.x, s.y, (s.x == s.x.max()).astype(np.int64))
+    with pytest.raises(DegenerateFitError, match=r"over 2 block\(s\)"):
+        choose_penalty(by_level, (6, 6), 4, 4, 9)
+
+
 def test_spline_fold_mask_checks():
     rng = np.random.default_rng(56)
     ny, nx = 7, 11
