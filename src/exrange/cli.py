@@ -108,11 +108,12 @@ def _parse_lags(spec: str) -> list[tuple[int, int]]:
         item = item.strip()
         if not item:
             continue
-        if ":" in item:
-            a, b = item.split(":")
-            lags.append((int(b), int(a)))  # stored as (row, col) from "x:y"
-        else:
-            lags.append((0, int(item)))
+        try:
+            x, y = map(int, item.split(":")) if ":" in item else (int(item), 0)
+        except ValueError:
+            raise ValueError(f"--lags: expected x:y or x with integers x and y, "
+                             f"got {item!r}") from None
+        lags.append((y, x))  # stored as (row, col) from "x:y"
     if not lags:
         raise ValueError("empty lag list")
     return lags
@@ -171,9 +172,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(buf.getvalue().encode())
-    os.replace(tmp, path)
+    raster._atomic_write_bytes(path, buf.getvalue().encode())
 
 
 def _save_map_with_csv(out_dir: Path, name: str, grid: np.ndarray,
@@ -215,10 +214,9 @@ def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
     return np.arange(0.0, r_max + stack.dx, stack.dx)
 
 
-def _hist_rows(p: float, entries: ranges.RangeEntries, domain: raster.DomainMask,
-               edges: np.ndarray) -> list:
+def _hist_rows(p: float, entries: ranges.RangeEntries, edges: np.ndarray) -> list:
     """One level's histogram of the pooled positive in-domain ranges."""
-    counts, _ = np.histogram(ranges._domain_values(entries, domain), bins=edges)
+    counts, _ = np.histogram(entries.value, bins=edges)
     return [[_fmt_p(p), float(lo), float(hi), int(c)]
             for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
 
@@ -256,7 +254,14 @@ def _save_fit_maps(out: Path, surface: tailfit.MerSurface, stack: raster.RasterS
 
 
 def _load_blocks(path: str, nt: int) -> np.ndarray:
-    ids = [int(line) for line in map(str.strip, Path(path).read_text().splitlines()) if line]
+    ids = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                ids.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}: line {number}: block id {line.strip()!r} is not "
+                                 "an integer") from None
     if len(ids) != nt:
         raise ValueError(f"{path}: {len(ids)} block ids for {nt} slices")
     return np.asarray(ids)
@@ -334,10 +339,9 @@ def _cmd_cdf(args) -> int:
 def _cmd_hist(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     each_level = _level_pass(args)
-    domain = stack.domain()
     edges = _hist_edges(stack)
     rows = each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)),
-                      lambda thr, entries: _hist_rows(thr.p, entries, domain, edges))
+                      lambda thr, entries: _hist_rows(thr.p, entries, edges))
     _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, [r for level in rows for r in level])
     return 0
 
@@ -451,7 +455,7 @@ def _cmd_pipeline(args) -> int:
     def level_rows(thr, entries):
         cdf_rows.extend([_fmt_p(thr.p), *row]
                         for row in _cdf_rows(entries, domain, radii, stack.dx))
-        hist_rows.extend(_hist_rows(thr.p, entries, domain, hist_edges))
+        hist_rows.extend(_hist_rows(thr.p, entries, hist_edges))
         iv_rows.append(_ivdens_row(stack, thr))
         if thr.p in (levels[0], levels[-1]):
             med_maps[thr.p] = ranges.median_range_map(entries, domain)

@@ -9,14 +9,16 @@ restricted to the eroded domain T_{-r}, so a pixel only contributes at
 radii for which the whole disk around it stays inside the domain.
 
 A pixel's range is positive exactly where its slice exceeds the threshold
-and 0 elsewhere, so a level's ranges are kept as its exceedances only: a
-``RangeEntries`` holds the flat (slice, row, column) index of every positive
-range, ascending, and its value. ``range_entries`` builds it, and ``ecdf``,
-``median_range`` and ``median_range_map`` read it. They also accept a dense
-(nt, ny, nx) array or a sequence of ``RangeField``, converted once. An entry
-takes 16 bytes (int64 index, float64 value) where a dense float64 array takes
-8 per pixel-slice, so entries are the smaller while fewer than half of the
-pixel-slices exceed: at every level p > 0.5.
+and 0 elsewhere, and every estimator reads domain pixels only, so a level's
+ranges are kept as its in-domain exceedances: a ``RangeEntries`` holds, slice
+after slice, the flat pixel iy*nx + ix of each in-domain positive range,
+ascending, its value, and where each slice's run starts. ``range_entries``
+builds it, and ``ecdf``, ``median_range`` and ``median_range_map`` read it.
+They also accept a dense (nt, ny, nx) array or a sequence of ``RangeField``,
+converted once. An entry takes 2 bytes for its pixel (4 on grids of more
+than 65,536 pixels, 1 on grids of at most 256) plus 8 for its float64
+value, at domain exceedances only, where a dense float64 array takes 8 per
+pixel-slice.
 """
 
 from __future__ import annotations
@@ -128,113 +130,111 @@ def _pmap(fn, items, n_threads: int) -> list:
 
 @dataclass(frozen=True)
 class RangeEntries:
-    """The positive extremal ranges of one level of an (nt, ny, nx) stack.
+    """The positive extremal ranges at the domain pixels of one level of an
+    (nt, ny, nx) stack.
 
-    ``index`` holds the flat positions t*ny*nx + iy*nx + ix of the positive
-    ranges, ascending, and ``value`` their ranges; every other pixel-slice
-    has range 0. Under FILL_EXCEED the out-of-domain pixels are exceedances
-    with positive ranges, and they are kept like any other.
+    Slice t's entries are ``pixel[bounds[t]:bounds[t + 1]]``, the flat
+    pixels iy*nx + ix of its positive ranges, ascending, and the same run of
+    ``value``, their ranges; every other domain pixel-slice has range 0.
+    ``pixel`` takes the narrowest unsigned dtype: numpy's stable sort
+    radix-sorts 8- and 16-bit keys, and a 16-bit pixel takes a quarter of
+    an int64.
     """
 
-    index: np.ndarray      # (n,) int64, ascending
+    pixel: np.ndarray      # (n,) uint8/16/32/64, ascending within a slice
     value: np.ndarray      # (n,) float64, positive
+    bounds: np.ndarray     # (nt + 1,) int64 offsets of the slices' runs
     shape: tuple[int, int, int]
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
         if len(shape) != 3 or shape[0] < 1:
             raise ValueError(f"need an (nt, ny, nx) shape with nt >= 1, got {shape}")
-        if self.index.ndim != 1 or self.index.shape != self.value.shape:
-            raise ValueError("index and value must be 1-d arrays of one length")
+        if self.pixel.ndim != 1 or self.pixel.shape != self.value.shape:
+            raise ValueError("pixel and value must be 1-d arrays of one length")
+        if self.bounds.shape != (shape[0] + 1,):
+            raise ValueError(f"need {shape[0] + 1} slice bounds, got {self.bounds.shape}")
         object.__setattr__(self, "shape", shape)
 
 
-def _slice_bounds(index: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Where each slice's entries start in an ascending flat ``index``, and
-    where the last one's end: slice t owns index[bounds[t]:bounds[t + 1]]."""
+def _entries(flat: np.ndarray, shape: tuple[int, int, int],
+             value: np.ndarray | None = None) -> RangeEntries:
+    """Entries at the ascending flat (slice, row, column) positions ``flat``
+    with ranges ``value``, or with ranges yet to be written."""
     nt, ny, nx = shape
-    return np.searchsorted(index, np.arange(nt + 1) * (ny * nx))
+    npix = ny * nx
+    pixel = np.empty(flat.size, np.min_scalar_type(npix - 1))
+    np.remainder(flat, npix, out=pixel, casting="unsafe")
+    return RangeEntries(pixel=pixel, value=np.empty(flat.size) if value is None else value,
+                        bounds=np.searchsorted(flat, np.arange(nt + 1) * npix), shape=shape)
 
 
 def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolicy | str,
                   n_threads: int = 1) -> RangeEntries:
-    """The positive ranges of every slice at one threshold: slice t's are
-    those of ``range_field`` of slice t's excursion mask under ``policy``,
-    with ``edge_fallback``.
+    """The positive in-domain ranges of every slice at one threshold: slice
+    t's are those of ``range_field`` of slice t's excursion mask under
+    ``policy``, with ``edge_fallback``, at the domain pixels.
 
-    A pixel's range is positive exactly where its mask is True, so the
-    entries are the exceedances, found by one comparison over the stack
-    before any transform. Up to ``n_threads`` workers each take the range
-    fields of their own slices and copy the exceedances' ranges into their
-    own part of the preallocated values.
+    A domain pixel's range is positive exactly where it exceeds, under
+    either policy, so the entries are the in-domain exceedances, found by
+    one comparison over the stack before any transform. Up to ``n_threads``
+    workers each take the range fields of their own slices, filling the
+    out-of-domain pixels by ``policy``, and copy the entries' ranges into
+    their own part of the preallocated values.
     """
     policy = BoundaryPolicy(policy)
-    exceed = exceedance_stack(stack, thr, policy)
+    exceed = exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
     domain = stack.domain()
-    index = np.flatnonzero(exceed)
-    value = np.empty(index.size)
-    bounds = _slice_bounds(index, exceed.shape)
-    npix = stack.ny * stack.nx
+    entries = _entries(np.flatnonzero(exceed), exceed.shape)
+    # the out-of-domain pixels that ``policy`` makes exceedances
+    outside = ~domain.inside if policy is BoundaryPolicy.FILL_EXCEED else False
 
     def fill(t: int) -> None:
-        mask = ExcursionMask(exceed=exceed[t], policy=policy, p=thr.p, t_index=t)
+        mask = ExcursionMask(exceed=exceed[t] | outside, policy=policy, p=thr.p, t_index=t)
         r = range_field(mask, domain, stack.dx, edge_fallback=True).r
-        a, b = bounds[t], bounds[t + 1]
-        np.take(r, index[a:b] - t * npix, out=value[a:b])
+        a, b = entries.bounds[t], entries.bounds[t + 1]
+        np.take(r, entries.pixel[a:b], out=entries.value[a:b])
 
     _pmap(fill, range(stack.nt), n_threads)
-    return RangeEntries(index=index, value=value, shape=exceed.shape)
+    return entries
 
 
 def _slice_maps(entries: RangeEntries, dtype) -> Iterator[np.ndarray]:
     """Each slice's (ny, nx) ranges in turn, as ``dtype``: the slice's
-    entries scattered into a zeroed map."""
+    entries scattered into a zeroed map, 0 outside the domain."""
     nt, ny, nx = entries.shape
-    bounds = _slice_bounds(entries.index, entries.shape)
     for t in range(nt):
         r = np.zeros(ny * nx, dtype=dtype)
-        a, b = bounds[t], bounds[t + 1]
-        r[entries.index[a:b] - t * ny * nx] = entries.value[a:b]
+        a, b = entries.bounds[t], entries.bounds[t + 1]
+        r[entries.pixel[a:b]] = entries.value[a:b]
         yield r.reshape(ny, nx)
 
 
-def _as_entries(ranges) -> RangeEntries:
-    """A level's ranges as ``RangeEntries``: entries are taken as they are,
-    and the positive cells of a dense (nt, ny, nx) array, or of a sequence
-    of ``RangeField`` stacked once, become entries."""
-    if isinstance(ranges, RangeEntries):
-        return ranges
-    if not isinstance(ranges, np.ndarray):
+def _as_entries(ranges, domain: DomainMask) -> RangeEntries:
+    """A level's ranges as ``RangeEntries`` on ``domain``: entries are taken
+    as they are, and the positive domain cells of a dense (nt, ny, nx)
+    array, or of a sequence of ``RangeField`` stacked once, become entries."""
+    if not isinstance(ranges, (RangeEntries, np.ndarray)):
         ranges = [rf.r for rf in ranges]
         if not ranges:
             raise ValueError("need at least one range field")
         ranges = np.stack(ranges)
-    cube = np.asarray(ranges, dtype=np.float64)
-    if cube.ndim != 3 or cube.shape[0] == 0:
-        raise ValueError(f"need an (nt, ny, nx) range array with nt >= 1, got {cube.shape}")
-    index = np.flatnonzero(cube)
-    value = cube.reshape(-1)[index]
-    positive = value > 0
-    if not positive.all():
-        index, value = index[positive], value[positive]
-    return RangeEntries(index=index, value=value, shape=cube.shape)
-
-
-def _entry_pixels(entries: RangeEntries, domain: DomainMask) -> np.ndarray:
-    """The flat pixel iy*nx + ix of each entry, on ``domain``'s grid, in the
-    narrowest unsigned dtype: numpy's stable sort radix-sorts 8- and 16-bit
-    keys, and a 16-bit pixel takes a quarter of an int64."""
-    if entries.shape[1:] != domain.inside.shape:
+    if not isinstance(ranges, RangeEntries):
+        ranges = np.asarray(ranges, dtype=np.float64)
+        if ranges.ndim != 3 or ranges.shape[0] == 0:
+            raise ValueError(f"need an (nt, ny, nx) range array with nt >= 1, got {ranges.shape}")
+    if ranges.shape[1:] != domain.inside.shape:
         raise ValueError("range field does not match the domain grid")
-    npix = domain.inside.size
-    pixel = np.empty(entries.index.size, np.min_scalar_type(npix - 1))
-    return np.remainder(entries.index, npix, out=pixel, casting="unsafe")
-
-
-def _domain_values(ranges, domain: DomainMask) -> np.ndarray:
-    """A level's positive ranges at domain pixels, in entry order."""
-    entries = _as_entries(ranges)
-    return entries.value[domain.inside.reshape(-1)[_entry_pixels(entries, domain)]]
+    if isinstance(ranges, RangeEntries):
+        return ranges
+    flat = np.flatnonzero(ranges)  # holds the entries, and is smaller than a mask of the cube
+    entries = _entries(flat, ranges.shape, ranges.reshape(-1)[flat])
+    del flat
+    keep = (entries.value > 0) & domain.inside.reshape(-1)[entries.pixel]
+    if keep.all():
+        return entries
+    return RangeEntries(pixel=entries.pixel[keep], value=entries.value[keep],
+                        bounds=np.r_[0, np.cumsum(keep)][entries.bounds], shape=entries.shape)
 
 
 def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
@@ -256,11 +256,11 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
         raise ValueError(f"radii must be positive, got {radii[0]}")
     if radii[-1] >= r_max:
         raise ValueError(f"radius {radii[-1]} is not below the domain inradius {r_max}")
-    entries = _as_entries(range_fields)
+    entries = _as_entries(range_fields, domain)
     values = entries.value
     # the domain distance of each positive observation's pixel: it lies in
     # T_{-r} iff that distance exceeds r
-    dist = domain_dist.reshape(-1)[_entry_pixels(entries, domain)]
+    dist = domain_dist.reshape(-1)[entries.pixel]
     den = np.array([np.count_nonzero(dist > r) for r in radii], dtype=np.int64)
     num = np.array([np.count_nonzero((dist > r) & (values <= r)) for r in radii],
                    dtype=np.int64)
@@ -269,45 +269,28 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
     return CdfEstimate(radii=radii, F=F, n_exceed=den, r_max=r_max)
 
 
-def _median_lower(sorted_values: np.ndarray) -> float:
-    """Empirical median, lower midpoint endpoint for even counts."""
-    k = sorted_values.size
-    if k == 0:
-        return 0.0
-    if k % 2 == 1:
-        return float(sorted_values[k // 2])
-    return float(sorted_values[k // 2 - 1])
-
-
 def median_range(range_fields, domain: DomainMask) -> float:
-    """Pooled median of the positive range values of domain pixels across
-    slices; 0 when there is no positive observation at all."""
-    return _median_lower(np.sort(_domain_values(range_fields, domain)))
+    """Pooled lower median of the positive range values of domain pixels
+    across slices; 0 when there is no positive observation at all."""
+    values = np.sort(_as_entries(range_fields, domain).value)
+    return float(values[(values.size - 1) // 2]) if values.size else 0.0
 
 
 def median_range_map(range_fields, domain: DomainMask) -> np.ndarray:
     """Per-pixel lower median of the positive range values of domain
     pixels; 0 where a pixel has none, and outside the domain.
 
-    Only the in-domain entries are sorted, by (pixel, value), and the
-    per-pixel counts place pixel i's lower median at
-    start_i + (count_i - 1) // 2 of that order.
+    The entries are sorted by (pixel, value), and the per-pixel counts place
+    pixel i's lower median at start_i + (count_i - 1) // 2 of that order.
     """
-    entries = _as_entries(range_fields)
-    npix = domain.inside.size
-    pixel = _entry_pixels(entries, domain)
+    entries = _as_entries(range_fields, domain)
     values = entries.value
-    del entries  # the index of entries converted here is not needed again
-    keep = domain.inside.reshape(-1)[pixel]
-    if not keep.all():
-        values, pixel = values[keep], pixel[keep]
-    del keep
-    counts = np.bincount(pixel, minlength=npix)
-    order = np.lexsort((values, pixel))
-    del pixel
+    counts = np.bincount(entries.pixel, minlength=domain.inside.size)
+    order = np.lexsort((values, entries.pixel))
+    del entries  # the pixels of entries converted here are not needed again
     has = counts > 0
     lower_median = (np.cumsum(counts) - counts + (counts - 1) // 2)[has]
-    med = np.zeros(npix)
+    med = np.zeros(counts.size)
     med[has] = values[order[lower_median]]
     return med.reshape(domain.inside.shape)
 

@@ -145,9 +145,11 @@ def save_stack(path, stack: RasterStack) -> None:
 def load_stack(path) -> RasterStack:
     """Load a stack written by :func:`save_stack`.
 
-    Raises StackFormatError when the sidecar is missing or malformed, when
-    the byte count disagrees with it, when every value is nodata or one is
-    NaN or infinite, and when the nodata pattern differs between slices.
+    Raises StackFormatError when the sidecar is missing or malformed (a
+    dimension that is not an integer, a ``dx`` that is not finite and
+    positive, a ``nodata`` that is not finite), when the byte count
+    disagrees with it, when every value is nodata or one is NaN or
+    infinite, and when the nodata pattern differs between slices.
     """
     data_path = Path(path)
     if not data_path.exists():
@@ -162,8 +164,11 @@ def load_stack(path) -> RasterStack:
     missing = [k for k in _SIDECAR_KEYS if k not in meta]
     if missing:
         raise StackFormatError(f"sidecar {sidecar} lacks keys {missing}")
+    dims = [meta[k] for k in ("nx", "ny", "nt")]
+    if any(isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()) for v in dims):
+        raise StackFormatError(f"sidecar {sidecar} has dimensions {dims}; they must be integers")
     try:
-        nx, ny, nt = int(meta["nx"]), int(meta["ny"]), int(meta["nt"])
+        nx, ny, nt = (int(v) for v in dims)
         dx, nodata = float(meta["dx"]), float(meta["nodata"])
     except (TypeError, ValueError) as exc:
         raise StackFormatError(f"sidecar {sidecar} holds a malformed number: {exc}") from exc
@@ -171,6 +176,8 @@ def load_stack(path) -> RasterStack:
         raise StackFormatError(f"sidecar {sidecar} has non-positive dimensions")
     if not 0.0 < dx < math.inf:
         raise StackFormatError(f"sidecar {sidecar} has dx {dx}; it must be finite and positive")
+    if not math.isfinite(nodata):
+        raise StackFormatError(f"sidecar {sidecar} has nodata {nodata}; it must be finite")
     raw = data_path.read_bytes()
     expected = nt * ny * nx * 4
     if len(raw) != expected:

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError
-from .ranges import _as_entries, _entry_pixels, median_range, range_entries
+from .ranges import _as_entries, median_range, range_entries
 from .raster import DomainMask, RasterStack
 from .thresholds import BoundaryPolicy, exceedance_stack, quantile_fields
 
@@ -182,32 +182,27 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
     Without a pool, one is sized to the positive ranges and its samples are
     returned: DegenerateFitError when there are none.
     """
-    inside = domain.inside.reshape(-1)
     if pool is None:
-        levels = {p: _as_entries(r) for p, r in range_fields_by_level.items()}
-        pool = SamplePool(sum(int(np.count_nonzero(inside[_entry_pixels(e, domain)]))
-                              for e in levels.values()))
+        levels = {p: _as_entries(r, domain) for p, r in range_fields_by_level.items()}
+        pool = SamplePool(sum(e.value.size for e in levels.values()))
         collect_samples(levels, domain, blocks, min_range, pool)
         return pool.samples()
     start = pool.n
     for p, level_ranges in range_fields_by_level.items():
-        entries = _as_entries(level_ranges)
-        pixel = _entry_pixels(entries, domain)
-        keep = inside[pixel]
-        t, pixel = entries.index[keep], pixel[keep]
-        t //= inside.size
-        part = pool._claim(t.size)
-        np.log(entries.value[keep], out=part["y"])
-        del keep
+        entries = _as_entries(level_ranges, domain)
+        n = entries.value.size
+        part = pool._claim(n)
+        np.log(entries.value, out=part["y"])
         part["x"][:] = loglog_level(p)
-        np.divmod(pixel, domain.inside.shape[1], out=(part["pixel_y"], part["pixel_x"]))
-        part["block"][:] = t if blocks is None else np.asarray(blocks)[t]
+        np.divmod(entries.pixel, domain.inside.shape[1], out=(part["pixel_y"], part["pixel_x"]))
+        block = np.arange(entries.shape[0]) if blocks is None else np.asarray(blocks)
+        part["block"][:] = np.repeat(block, np.diff(entries.bounds))
         if min_range > 0:
             keep = part["y"] >= math.log(min_range)
             kept = int(np.count_nonzero(keep))
             for a in part.values():
                 a[:kept] = a[keep]
-            pool.n -= t.size - kept  # hand the dropped entries back
+            pool.n -= n - kept  # hand the dropped entries back
     return RangeSamples(**{name: a[start:pool.n] for name, a in pool._arrays.items()})
 
 

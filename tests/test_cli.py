@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,15 @@ def test_non_increasing_levels_rejected(sim_dir, tmp_path, capsys):
                  "--p", "0.9,0.8"])
     assert code == 2
     assert "validation" in capsys.readouterr().err
+    # a malformed lag or block id is a validation error that names its input
+    assert main(["chi", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.9",
+                 "--lags", "1:0,1:2:3"]) == 2
+    assert "validation: --lags: expected x:y or x" in capsys.readouterr().err
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(["0"] * 20 + ["", "x"] + ["1"] * 19))
+    assert main(["mer", "--in", str(sim_dir), "--out", str(tmp_path), "--levels", "0.85,0.9",
+                 "--fit", "pixel", "--blocks-by", str(blocks)]) == 2
+    assert f"validation: {blocks}: line 22: block id 'x'" in capsys.readouterr().err
 
 
 def test_missing_sidecar_exit_code(tmp_path):
@@ -232,8 +242,8 @@ def test_range_maps_written(sim_dir, tmp_path):
 @pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
 def test_range_maps_are_the_range_fields_on_a_ragged_stack(tmp_path, policy):
     # each map's bytes are those of the slice's range field saved as float32,
-    # the nodata pixels' positive ranges under fill-exceed included; slice 2
-    # exceeds at every domain pixel and slice 4 nowhere
+    # with 0 at the nodata pixels, though fill-exceed gives them positive
+    # ranges; slice 2 exceeds at every domain pixel and slice 4 nowhere
     from exrange import (RasterStack, excursion_mask, quantile_fields, range_field, save_map,
                          save_stack)
 
@@ -253,8 +263,8 @@ def test_range_maps_are_the_range_fields_on_a_ragged_stack(tmp_path, policy):
                             edge_fallback=True).r
             assert (r[~dom.inside] > 0).all() == (policy == "fill-exceed")
             name = f"range_p{thr.p:g}_t{t}.f32"
-            save_map(tmp_path / "want" / name, r.astype(np.float32), dx=stack.dx,
-                     unit=stack.unit)
+            save_map(tmp_path / "want" / name, np.where(dom.inside, r, 0).astype(np.float32),
+                     dx=stack.dx, unit=stack.unit)
             for suffix in ("", ".json"):
                 assert ((out / (name + suffix)).read_bytes()
                         == (tmp_path / "want" / (name + suffix)).read_bytes()), name
@@ -588,6 +598,15 @@ def _child(code: str, *args: str, **env: str) -> str:
     child_env.update(env)
     return subprocess.run([sys.executable, "-c", code, *args], env=child_env,
                           capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_readme_python_blocks_run():
+    # the library quick start runs as written: README's python blocks, in
+    # order, in one process
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 3
+    _child("\n".join(blocks))
 
 
 def test_import_cli_skips_fit_and_simulation_only_modules():

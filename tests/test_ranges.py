@@ -276,8 +276,11 @@ def test_median_range_map_matches_full_sort_on_ragged_cases(policy):
     values[:, ~inside] = -9999.0
     stack = RasterStack(values)
     dom = stack.domain()
-    cube = dense(range_entries(stack, quantile_field(stack, 0.6), policy))
-    # fill-exceed gives nodata pixels a positive range in every slice
+    thr = quantile_field(stack, 0.6)
+    cube = stacked_range_fields(stack, thr, policy)
+    assert np.array_equal(dense(range_entries(stack, thr, policy)), np.where(inside, cube, 0))
+    # fill-exceed gives nodata pixels a positive range in every slice, which
+    # the dense input carries and the medians ignore
     assert (cube[:, ~inside] > 0).all() == (policy is BoundaryPolicy.FILL_EXCEED)
     cube[:, 1, 1] = 0.0                                  # no positive range
     cube[:, 1, 2] = [0, 2, 0, 2, 1, 0, 0, 3, 0]          # even count, tied median
@@ -311,10 +314,29 @@ def test_median_range_map_memory_follows_positive_ranges():
 
 
 def dense(entries):
-    """The (nt, ny, nx) range array the entries stand for: 0 off the entries."""
-    cube = np.zeros(entries.shape)
-    cube.reshape(-1)[entries.index] = entries.value
-    return cube
+    """The (nt, ny, nx) range array the entries stand for: 0 off the entries,
+    outside the domain included."""
+    nt, ny, nx = entries.shape
+    cube = np.zeros((nt, ny * nx))
+    for t in range(nt):
+        run = slice(entries.bounds[t], entries.bounds[t + 1])
+        cube[t, entries.pixel[run]] = entries.value[run]
+    return cube.reshape(entries.shape)
+
+
+def flat_positions(entries):
+    """The flat (slice, row, column) position of each entry."""
+    nt, ny, nx = entries.shape
+    return np.repeat(np.arange(nt), np.diff(entries.bounds)) * (ny * nx) + entries.pixel
+
+
+def check_layout(entries, pixel_dtype):
+    """Slice runs that tile the entries, ascending pixels within each run,
+    and positive values."""
+    assert entries.pixel.dtype == pixel_dtype and entries.value.dtype == np.float64
+    assert entries.bounds[0] == 0 and entries.bounds[-1] == entries.value.size
+    assert (np.diff(entries.bounds) >= 0).all() and (entries.value > 0).all()
+    assert (np.diff(flat_positions(entries)) > 0).all()
 
 
 def stacked_range_fields(stack, thr, policy):
@@ -327,10 +349,11 @@ def stacked_range_fields(stack, thr, policy):
 @pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes):
-    # the range cube the level's entries stand for, pixel for pixel; one
-    # stack, dx != 1, with slices that exceed nowhere, somewhere and
-    # everywhere; on the full grid an everywhere slice takes the edge fallback
-    # under both policies, with holes only under fill-exceed
+    # the range cube the level's entries stand for, pixel for pixel at the
+    # domain pixels and 0 outside; one stack, dx != 1, with slices that exceed
+    # nowhere, somewhere and everywhere; on the full grid an everywhere slice
+    # takes the edge fallback under both policies, with holes only under
+    # fill-exceed
     rng = np.random.default_rng(44)
     nt, ny, nx, dx = 9, 11, 13, 2.5
     inside = np.ones((ny, nx), dtype=bool)
@@ -344,8 +367,7 @@ def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes
     thr = quantile_field(stack, 0.6)
     entries = range_entries(stack, thr, policy, n_threads=2)
     assert entries.shape == (nt, ny, nx)
-    assert entries.index.dtype == np.int64 and entries.value.dtype == np.float64
-    assert (np.diff(entries.index) > 0).all() and (entries.value > 0).all()
+    check_layout(entries, np.uint8)
     cube = dense(entries)
     dom = stack.domain()
     fill = BoundaryPolicy(policy) is BoundaryPolicy.FILL_EXCEED
@@ -358,15 +380,16 @@ def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes
         else:
             expected = brute_nearest_false(exceed, dx)
         rf = range_field(excursion_mask(stack, t, thr, policy), dom, dx, edge_fallback=True)
-        assert np.array_equal(cube[t], rf.r) and np.array_equal(cube[t], expected)
-    assert np.array_equal(entries.index, np.flatnonzero(cube))
+        assert np.array_equal(rf.r, expected)
+        assert np.array_equal(cube[t], np.where(inside, expected, 0))
+    assert np.array_equal(flat_positions(entries), np.flatnonzero(cube))
     assert not cube[[0, 4]][:, inside].any() and cube[[2, 7]][:, inside].all()
 
 
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_matches_list_of_range_fields(policy):
-    # the entries' range cube and their consumers against a list of range
-    # fields; a ragged domain with holes; slice 0 has no exceedance, and slice 1
+    # the entries' range cube, at the domain pixels, and their consumers
+    # against a list of range fields; a ragged domain with holes; slice 0 has no exceedance, and slice 1
     # exceeds at every domain pixel (an edge-fallback slice under fill-exceed)
     rng = np.random.default_rng(43)
     nt, ny, nx = 7, 14, 17
@@ -386,7 +409,7 @@ def test_range_cube_matches_list_of_range_fields(policy):
         lists[p] = [range_field(excursion_mask(stack, t, thr, policy), dom, stack.dx,
                                 edge_fallback=True) for t in range(nt)]
         cube = dense(level_entries[p])
-        assert np.array_equal(cube, np.stack([rf.r for rf in lists[p]]))
+        assert np.array_equal(cube, np.where(inside, np.stack([rf.r for rf in lists[p]]), 0))
         assert not cube[0][inside].any() and cube[1][inside].all()
     entries, fields = level_entries[0.7], lists[0.7]
 
@@ -424,7 +447,8 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
                                                                     n_threads):
     # slices 0 and 5 exceed nowhere; slice 3 exceeds at every domain pixel,
     # which on the full grid, or under fill-exceed, is an all-True mask that
-    # takes the edge fallback; fill-exceed keeps the nodata pixels' ranges
+    # takes the edge fallback; the entries hold the domain pixels only, though
+    # fill-exceed gives the nodata pixels positive ranges
     from exrange.cli import _hist_rows
 
     rng = np.random.default_rng(45)
@@ -442,12 +466,14 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
     by_level, dense_by_level = {}, {}
     for thr in (quantile_field(stack, 0.55), quantile_field(stack, 0.8)):
         entries = range_entries(stack, thr, policy, n_threads=n_threads)
+        check_layout(entries, np.uint8)
         cube = stacked_range_fields(stack, thr, policy)
         exceed = cube > 0
-        assert np.array_equal(entries.index, np.flatnonzero(exceed))
-        assert np.array_equal(entries.index, np.flatnonzero(
-            np.stack([excursion_mask(stack, t, thr, policy).exceed for t in range(nt)])))
-        assert np.array_equal(entries.value, cube[exceed])
+        assert np.array_equal(flat_positions(entries), np.flatnonzero(exceed & inside))
+        assert np.array_equal(flat_positions(entries), np.flatnonzero(
+            np.stack([excursion_mask(stack, t, thr, policy).exceed for t in range(nt)])
+            & inside))
+        assert np.array_equal(entries.value, cube[exceed & inside])
         assert not exceed[[0, 5]][:, inside].any() and exceed[3].all() == (fill or not ragged)
         assert exceed[:, ~inside].all() if fill else not exceed[:, ~inside].any()
         by_level[thr.p], dense_by_level[thr.p] = entries, cube
@@ -459,9 +485,10 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         assert (median_range_map(entries, dom) == median_range_map(cube, dom)).all()
         assert (median_range_map(entries, dom) == full_sort_median_map(cube, inside)).all()
         edges = np.arange(0.0, 9.0, stack.dx)
-        assert _hist_rows(thr.p, entries, dom, edges) == _hist_rows(thr.p, cube, dom, edges)
+        rows = _hist_rows(thr.p, entries, edges)
         counts, _ = np.histogram(cube[exceed & inside], bins=edges)
-        assert [row[3] for row in _hist_rows(thr.p, entries, dom, edges)] == counts.tolist()
+        assert [row[3] for row in rows] == counts.tolist()
+        assert [row[1:3] for row in rows] == [[lo, hi] for lo, hi in zip(edges, edges[1:])]
     got = collect_samples(by_level, dom, blocks=list(range(10, 10 + nt)), min_range=2.0)
     want = collect_samples(dense_by_level, dom, blocks=list(range(10, 10 + nt)),
                            min_range=2.0)
@@ -469,26 +496,62 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_range_entries_on_a_grid_past_65536_pixels_take_uint32_pixels(policy):
+    # 257 x 256 pixels with a nodata block: the restricted range fields, and
+    # the samples' rows and columns, from pixels that overflow 16 bits
+    rng = np.random.default_rng(48)
+    values = rng.standard_normal((4, 257, 256)).astype(np.float32)
+    values[:, 200:, 180:] = -9999.0
+    stack = RasterStack(values, dx=0.5)
+    inside = stack.domain().inside
+    thr = quantile_field(stack, 0.5)
+    entries = range_entries(stack, thr, policy, n_threads=2)
+    check_layout(entries, np.uint32)
+    assert entries.pixel.max() > np.iinfo(np.uint16).max
+    cube = np.where(inside, stacked_range_fields(stack, thr, policy), 0)
+    assert np.array_equal(dense(entries), cube)
+    samples = collect_samples({thr.p: entries}, stack.domain())
+    _, iy, ix = np.nonzero(cube)
+    assert samples.pixel_y.tolist() == iy.tolist() and samples.pixel_x.tolist() == ix.tolist()
+
+
 def test_dense_and_listed_ranges_convert_to_the_same_entries():
+    # the positive cells at the domain pixels become entries; negative
+    # cells and every cell outside the domain are dropped
     from exrange.ranges import RangeEntries, _as_entries
 
     rng = np.random.default_rng(46)
     cube = np.where(rng.random((4, 5, 6)) < 0.3, rng.random((4, 5, 6)) + 0.5, 0.0)
-    entries = _as_entries(cube)
-    listed = _as_entries([RangeField(r=r, dx=1.0) for r in cube])
-    assert _as_entries(entries) is entries
-    for e in (entries, listed):
-        assert e.shape == (4, 5, 6)
-        assert np.array_equal(e.index, np.flatnonzero(cube))
-        assert np.array_equal(e.value, cube[cube > 0])
+    cube[1, 2, 3] = -1.0
+    inside = np.ones((5, 6), dtype=bool)
+    inside[0, :2] = inside[3, 4] = False
+    cube[:, 3, 4] = 2.0
+    for dom in (full_domain(5, 6), DomainMask(inside)):
+        kept = (cube > 0) & dom.inside
+        entries = _as_entries(cube, dom)
+        listed = _as_entries([RangeField(r=r, dx=1.0) for r in cube], dom)
+        assert _as_entries(entries, dom) is entries
+        for e in (entries, listed):
+            assert e.shape == (4, 5, 6)
+            check_layout(e, np.uint8)
+            assert np.array_equal(flat_positions(e), np.flatnonzero(kept))
+            assert np.array_equal(e.value, cube[kept])
+            assert np.array_equal(dense(e), np.where(kept, cube, 0))
     with pytest.raises(ValueError, match="at least one"):
-        _as_entries([])
+        _as_entries([], dom)
     with pytest.raises(ValueError, match="nt >= 1"):
-        _as_entries(np.zeros((0, 3, 3)))
+        _as_entries(np.zeros((0, 3, 3)), dom)
     with pytest.raises(ValueError, match="one length"):
-        RangeEntries(index=np.arange(3), value=np.ones(2), shape=(1, 2, 2))
+        RangeEntries(pixel=np.arange(3), value=np.ones(2), bounds=np.array([0, 2]),
+                     shape=(1, 2, 2))
+    with pytest.raises(ValueError, match="slice bounds"):
+        RangeEntries(pixel=np.arange(2), value=np.ones(2), bounds=np.array([0, 2]),
+                     shape=(2, 2, 2))
     with pytest.raises(ValueError, match="domain grid"):
         median_range_map(entries, full_domain(5, 5))
+    with pytest.raises(ValueError, match="domain grid"):
+        median_range_map(cube, full_domain(6, 6))
 
 
 def test_range_entries_never_build_the_dense_range_array():
@@ -513,7 +576,7 @@ def test_range_entries_never_build_the_dense_range_array():
         ecdf(entries, dom, [1.0, 2.0, 4.0], stack.dx)
         median_range(entries, dom)
         median_range_map(entries, dom)
-        _hist_rows(thr.p, entries, dom, np.arange(0.0, 33.0))
+        _hist_rows(thr.p, entries, np.arange(0.0, 33.0))
         collect_samples({thr.p: entries}, dom, pool=pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -76,6 +76,8 @@ def test_infinite_value_rejected(tmp_path, value):
 @pytest.mark.parametrize("key, text", [
     ("nx", '"16x"'), ("nt", "null"), ("dx", '"abc"'), ("nodata", '"none"'),
     ("dx", "0.0"), ("dx", "-1.5"), ("dx", "Infinity"),
+    ("nodata", "NaN"), ("nodata", '"nan"'), ("nodata", "Infinity"), ("nodata", "-Infinity"),
+    ("nx", "4.5"), ("nx", "Infinity"),
 ])
 def test_malformed_sidecar_number_rejected(tmp_path, key, text):
     save_stack(tmp_path / "s.f32", RasterStack(np.ones((2, 3, 4), dtype=np.float32)))
