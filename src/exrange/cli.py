@@ -7,7 +7,8 @@ Every output file is written to a temporary name and renamed, so files
 are either complete or absent. All randomness derives from simulate --seed.
 
 Exit codes: 0 success, 2 flag or value validation, 3 malformed input
-files, 4 I/O failure, 5 any other computation error.
+files, 4 I/O failure, 5 any other computation error, a refused memory
+allocation included.
 
 A process that imports this module before numpy runs numpy's OpenBLAS on
 one thread, unless the caller set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS:
@@ -421,7 +422,7 @@ def _cmd_jackknife(args) -> int:
     each_level = _level_pass(args)
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
-    dropped = iter(np.unique(block_ids))
+    dropped = iter(tailfit._distinct(block_ids))
 
     def estimator(sub: raster.RasterStack) -> np.ndarray:
         # the i-th replicate leaves out the i-th smallest block; its samples
@@ -613,7 +614,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"exrange: error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ExrangeError as exc:
+    except (ExrangeError, MemoryError) as exc:   # a refused allocation is a compute error
         print(f"exrange: error: compute: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -8,8 +8,16 @@ transform give two independent unit-variance slices. The asymptotically
 dependent field multiplies independent Gaussian slices by a per-slice
 heavy-tailed scalar.
 
+The embedding's covariance depends on a torus cell only through its
+integer squared lag ky^2 + kx^2, so the Matern function is evaluated once per
+distinct squared lag and gathered onto the torus: a 512^2 torus holds about
+22,000 of them.
+
 Slices are generated pairwise from counter-derived seeds, so a stack is
-reproducible no matter how generation is scheduled.
+reproducible no matter how generation is scheduled. Two worker threads each
+draw one contiguous run of the pairs into a noise buffer of their own; the
+normal draws and the FFTs release the GIL, and each pair's bytes are the
+same on either worker.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranges import _pmap
 from .raster import RasterStack
 
 
@@ -36,8 +45,8 @@ def matern_alpha(nu: float, ell: float) -> float:
 
 def matern_correlation(h, nu: float, ell: float) -> np.ndarray:
     """Matern correlation at distance h (1 at h = 0)."""
-    if nu <= 0 or ell <= 0:
-        raise ValueError(f"nu and ell must be positive, got nu={nu}, ell={ell}")
+    if not (0 < nu < math.inf and 0 < ell < math.inf):
+        raise ValueError(f"nu and ell must be finite and positive, got nu={nu}, ell={ell}")
     from scipy.special import gamma as gamma_fn, kv  # here, not at start-up: `pipeline` skips it
 
     h = np.asarray(h, dtype=np.float64)
@@ -65,10 +74,11 @@ class GaussianSimConfig:
     def __post_init__(self):
         if min(self.nx, self.ny, self.n_slices) < 1:
             raise ValueError("nx, ny and n_slices must be at least 1")
-        if self.nu <= 1:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
-        if self.ell <= 0 or self.dx <= 0:
-            raise ValueError("ell and dx must be positive")
+        if not 1 < self.nu < math.inf:
+            raise ValueError(f"nu (--nu) must be finite and exceed 1, got {self.nu}")
+        for name, value in (("ell", self.ell), ("dx", self.dx)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} (--{name}) must be finite and positive, got {value}")
 
     @property
     def alpha(self) -> float:
@@ -107,11 +117,15 @@ def _embedding_sqrt_eigs(config: GaussianSimConfig) -> tuple[np.ndarray, int, in
     factor = 1
     while True:
         my, mx = base_my * factor, base_mx * factor
+        # the torus-sized array first, so that a torus too large to hold is
+        # refused before any other allocation
+        lag2 = np.empty((my, mx), dtype=np.int64)
         ky = np.minimum(np.arange(my), my - np.arange(my))
         kx = np.minimum(np.arange(mx), mx - np.arange(mx))
-        h = config.dx * np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
-        cov = matern_correlation(h, config.nu, config.ell)
-        lam = np.fft.fft2(cov).real
+        np.add(ky[:, None] ** 2, kx[None, :] ** 2, out=lag2)
+        distinct, inverse = np.unique(lag2, return_inverse=True)
+        cov = matern_correlation(config.dx * np.sqrt(distinct), config.nu, config.ell)
+        lam = np.fft.fft2(cov[inverse.reshape(my, mx)]).real
         if lam.min() > -1e-8 * lam.max():
             lam = np.maximum(lam, 0.0)
             return np.sqrt(lam / (my * mx)), my, mx
@@ -130,17 +144,31 @@ def _slice_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 def simulate_gaussian(config: GaussianSimConfig) -> RasterStack:
     """n_slices independent unit-variance Matern Gaussian slices."""
     sqrt_eig, my, mx = _embedding_sqrt_eigs(config)
-    out = np.empty((config.n_slices, config.ny, config.nx), dtype=np.float32)
-    for pair in range((config.n_slices + 1) // 2):
-        rng = _slice_rng(config.seed, 0, pair)
-        w = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
-        # fft2's two passes in its order, along rows then along columns, the
-        # column pass only on the nx columns the window keeps: bit for bit
-        # fft2(.)[:ny, :nx]
-        f = np.fft.fft(np.fft.fft(sqrt_eig * w, axis=-1)[:, : config.nx], axis=-2)[: config.ny]
-        out[2 * pair] = f.real
-        if 2 * pair + 1 < config.n_slices:
-            out[2 * pair + 1] = f.imag
+    ny, nx, n = config.ny, config.nx, config.n_slices
+    out = np.empty((n, ny, nx), dtype=np.float32)
+
+    def draw(pairs: range) -> None:
+        z = np.empty((my, mx))
+        w = np.empty((my, mx), dtype=np.complex128)
+        for pair in pairs:
+            rng = _slice_rng(config.seed, 0, pair)
+            # sqrt_eig * (a + 1j*b) for two normal fields a, b drawn in turn,
+            # the complex product's bits up to the sign of an exact zero
+            for part in (w.real, w.imag):
+                rng.standard_normal(out=z)
+                np.multiply(sqrt_eig, z, out=part)
+            # fft2's two passes in its order, along rows then along columns, the
+            # column pass only on the nx columns the window keeps: bit for bit
+            # fft2(.)[:ny, :nx]
+            f = np.fft.fft(np.fft.fft(w, axis=-1)[:, :nx], axis=-2)[:ny]
+            out[2 * pair] = f.real
+            if 2 * pair + 1 < n:
+                out[2 * pair + 1] = f.imag
+
+    n_pairs = (n + 1) // 2
+    n_workers = min(2, n_pairs)
+    _pmap(draw, [range(n_pairs * k // n_workers, n_pairs * (k + 1) // n_workers)
+                 for k in range(n_workers)], n_workers)
     return RasterStack(out, dx=config.dx, unit="px")
 
 

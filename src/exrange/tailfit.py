@@ -69,6 +69,26 @@ _CV_FOLDS = 5
 _MIN_PIXEL_SAMPLES = 3  # samples a pixel needs for its LAD fit
 
 
+# A plain np.unique and np.median ask numpy.ma whether their input is masked,
+# and in numpy 2.4 that imports numpy.ma: 35 ms and about 1.2 MB in a
+# process that has no other use for it. These two take the same values
+# without it.
+
+def _distinct(values) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values."""
+    return np.unique(values, return_counts=True)[0]
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a NaN-free 1-d array: the middle order statistic, or
+    the mean of the middle two."""
+    k = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, k)[k])
+    part = np.partition(values, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2)
+
+
 def loglog_level(p: float) -> float:
     """The regression covariate log(-log(1-p))."""
     if not 0.0 < p < 1.0:
@@ -578,7 +598,7 @@ class SplineMerModel:
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
         by, bx = self._grid_bases(shape)
         pen_block = np.kron(np.eye(2), _roughness_penalty(self.knots_y, self.knots_x))
-        xl = np.unique(samples.x)   # level covariates, held-out levels included
+        xl = _distinct(samples.x)   # level covariates, held-out levels included
         cells = (xl.size, shape[0] * shape[1])
         cell = np.searchsorted(xl, samples.x)   # level * ny*nx + iy * nx + ix, built in place
         for size, index in zip(shape, (samples.pixel_y, samples.pixel_x)):
@@ -628,7 +648,7 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
     pooled samples under its training mask, copying none. DegenerateFitError
     when every penalty has a degenerate fold fit, as one block always gives."""
-    blocks = np.unique(samples.block)
+    blocks = _distinct(samples.block)
     # the i-th smallest block id goes to fold i mod _CV_FOLDS, in the narrowest dtype
     folds = np.searchsorted(blocks, samples.block)
     folds = np.remainder(folds, _CV_FOLDS, out=folds).astype(np.min_scalar_type(_CV_FOLDS))
@@ -664,12 +684,12 @@ def _pooled_median_line(samples: RangeSamples,
     single level. With one covariate value per level, the pair enumeration
     stays trivial regardless of sample count."""
     lines = []
-    for x in np.unique(samples.x):
+    for x in _distinct(samples.x):
         at = samples.x == x
         if train is not None:
             at &= train
         if at.any():
-            lines.append((x, np.median(samples.y[at])))
+            lines.append((x, _median(samples.y[at])))
     if len(lines) < 2:
         raise DegenerateFitError("all samples share one level; slope unidentifiable")
     return fit_mer_pixel(*np.array(lines).T)
@@ -729,7 +749,7 @@ def jackknife_estimates(stack: RasterStack, block_ids: Sequence[int],
     block_ids = np.asarray(block_ids)
     if block_ids.shape != (stack.nt,):
         raise ValueError(f"need one block id per slice, got {block_ids.shape}")
-    blocks = np.unique(block_ids)
+    blocks = _distinct(block_ids)
     if blocks.size < 3:
         raise ValueError(f"need at least 3 blocks, got {blocks.size}")
     estimates = []

@@ -650,6 +650,24 @@ def test_pipeline_loads_no_scipy(tmp_path, fit):
     assert (tmp_path / "out" / "mer_beta.f32").exists()
 
 
+def test_spline_fit_never_imports_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique and np.median import numpy.ma to rule out a masked
+    # input; the spline fit and the penalty CV take their distinct levels,
+    # blocks and medians without them
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "12", "--ny", "12", "--n", "30", "--ell", "4",
+                 "--seed", "5", "--out", str(sim)]) == 0
+    code = ("import sys; import exrange.cli; "
+            "codes = [exrange.cli.main([cmd, '--in', sys.argv[1], '--out', sys.argv[2] + cmd, "
+            "'--knots', '4x4', '--levels', '0.8,0.9', *extra]) "
+            "for cmd, extra in (('pipeline', ['--fit', 'spline']), ('mer', ['--iters', '6']))]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = _child(code, str(sim), str(tmp_path / "out_"))
+    assert out.strip().splitlines()[-1] == "[0, 0] False"
+    assert (tmp_path / "out_pipeline" / "mer_beta.f32").exists()
+    assert (tmp_path / "out_mer" / "mer_beta.f32").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command", LEVEL_PASS_COMMANDS)
 def test_threads_below_one_exits_validation(sim_dir, tmp_path, capsys, command, value):

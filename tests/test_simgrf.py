@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +13,7 @@ from exrange import (
     simulate_ad_field,
     simulate_gaussian,
 )
+from exrange.cli import main
 
 
 def test_matern_alpha_values():
@@ -33,6 +37,43 @@ def test_config_validation():
     assert base.alpha == pytest.approx(matern_alpha(base.nu, base.ell))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("nu", math.nan), ("nu", math.inf), ("ell", math.nan), ("ell", math.inf),
+    ("dx", math.nan), ("dx", math.inf),
+])
+def test_config_rejects_non_finite_parameters(name, value):
+    # a NaN nu made every lag's correlation 1, a constant field
+    with pytest.raises(ValueError, match=f"--{name}.*finite"):
+        GaussianSimConfig(nx=8, ny=8, n_slices=2, **{name: value})
+    if name != "dx":
+        with pytest.raises(ValueError, match="finite"):
+            matern_correlation(np.arange(3.0), **{"nu": 2.0, "ell": 3.0, name: value})
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--nu", "nan"), ("--nu", "inf"), ("--ell", "nan"), ("--ell", "inf"),
+    ("--dx", "nan"), ("--dx", "inf"),
+])
+def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--nx", "4", "--ny", "4", "--n", "2", flag, value,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation" in err and f"({flag}) must be finite" in err
+    assert not out.exists()
+
+
+def test_simulate_refused_allocation_exits_compute(tmp_path, capsys):
+    # ell = 1e7 asks for a 2^26-square torus, 32 PiB: past any 64-bit address
+    # space, so numpy refuses it whatever the overcommit setting
+    out = tmp_path / "sim"
+    assert main(["simulate", "--nx", "4", "--ny", "4", "--n", "2", "--ell", "1e7",
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("exrange: error: compute: ") and "PiB" in err
+    assert not out.exists()
+
+
 def test_determinism_bit_for_bit():
     cfg = GaussianSimConfig(nx=24, ny=20, n_slices=5, nu=2.0, ell=4.0, seed=99)
     a = simulate_gaussian(cfg)
@@ -43,19 +84,67 @@ def test_determinism_bit_for_bit():
 
 
 def test_windowed_transform_matches_fft2_bit_for_bit():
-    # the full-torus fft2 cropped to the window is the oracle
+    # the full-torus fft2 cropped to the window is the oracle; at 7 slices the
+    # two workers take 2 + 2 pairs and the last pair's imaginary half is dropped
     from exrange.simgrf import _embedding_sqrt_eigs, _slice_rng
 
-    cfg = GaussianSimConfig(nx=13, ny=9, n_slices=5, nu=2.5, ell=3.0, dx=0.5, seed=4)
-    sqrt_eig, my, mx = _embedding_sqrt_eigs(cfg)
-    expected = []
-    for pair in range(3):
-        rng = _slice_rng(cfg.seed, 0, pair)
-        w = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
-        f = np.fft.fft2(sqrt_eig * w)[: cfg.ny, : cfg.nx]
-        expected += [f.real, f.imag]
-    expected = np.stack(expected[: cfg.n_slices]).astype(np.float32)
-    assert simulate_gaussian(cfg).values.tobytes() == expected.tobytes()
+    for n_slices in (1, 2, 5, 7):
+        cfg = GaussianSimConfig(nx=13, ny=9, n_slices=n_slices, nu=2.5, ell=3.0, dx=0.5, seed=4)
+        sqrt_eig, my, mx = _embedding_sqrt_eigs(cfg)
+        expected = []
+        for pair in range((n_slices + 1) // 2):
+            rng = _slice_rng(cfg.seed, 0, pair)
+            w = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
+            f = np.fft.fft2(sqrt_eig * w)[: cfg.ny, : cfg.nx]
+            expected += [f.real, f.imag]
+        expected = np.stack(expected[: cfg.n_slices]).astype(np.float32)
+        assert simulate_gaussian(cfg).values.tobytes() == expected.tobytes(), n_slices
+
+
+def _full_grid_sqrt_eigs(config):
+    # the embedding with the Matern function evaluated at every torus cell
+    pad = int(math.ceil(6.0 * config.ell / config.dx))
+    factor = 1
+    while True:
+        my = (1 << (config.ny + pad - 1).bit_length()) * factor
+        mx = (1 << (config.nx + pad - 1).bit_length()) * factor
+        ky = np.minimum(np.arange(my), my - np.arange(my))
+        kx = np.minimum(np.arange(mx), mx - np.arange(mx))
+        h = config.dx * np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
+        cov = matern_correlation(h, config.nu, config.ell)
+        lam = np.fft.fft2(cov).real
+        if lam.min() > -1e-8 * lam.max():
+            lam = np.maximum(lam, 0.0)
+            return np.sqrt(lam / (my * mx)), my, mx, factor
+        factor *= 2
+
+
+def test_embedding_from_distinct_lags_equals_full_grid():
+    from exrange.simgrf import _embedding_sqrt_eigs
+
+    cfg = GaussianSimConfig(nx=20, ny=10, n_slices=1, nu=3.0, ell=6.0, dx=0.7)
+    expected, my, mx, factor = _full_grid_sqrt_eigs(cfg)
+    assert factor > 1  # the first torus has a negative spectrum
+    sqrt_eig, my2, mx2 = _embedding_sqrt_eigs(cfg)
+    assert (my2, mx2) == (my, mx)
+    assert np.array_equal(sqrt_eig, expected)
+
+
+# sha256 of the stack that `simulate` writes, recorded from the serial
+# full-grid simulator: the benchmark's three inputs and the 128x128x100 stack
+@pytest.mark.parametrize("argv, digest", [
+    ("--nx 64 --ny 64 --n 200 --ell 20 --seed 7",
+     "f8aff824131a5357cb9cf0513965a544eae55a7730d0950b4e6d87420711271c"),
+    ("--nx 16 --ny 16 --n 100 --ell 8 --seed 7",
+     "036c2050c1789f190fa5d99b0ee4ab223d11d78a7b9ae2db7631a3d7880bd96c"),
+    ("--model admix --nx 12 --ny 12 --n 100 --ell 8 --seed 31",
+     "2c044696960b9d0eb708c32387771f842ec1a10f60ccf4945b758e16e1abd9a1"),
+    ("--nx 128 --ny 128 --n 100 --ell 20 --seed 7",
+     "29c1426cc48020e22d6c7592a76cef2f025ed9f297a9f363c77e7e1fea64cc47"),
+], ids=["grid-g64", "spline-g16", "pixel-admix12", "128x128x100"])
+def test_simulate_writes_pinned_bytes(tmp_path, argv, digest):
+    assert main(["simulate", "--nu", "2", *argv.split(), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "stack.f32").read_bytes()).hexdigest() == digest
 
 
 def test_pixel_variance():

@@ -831,3 +831,17 @@ def test_spline_fit_memory_is_two_per_sample_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2.9 * 8 * n, peak / (8 * n)
+
+
+def test_distinct_and_median_equal_numpy():
+    # np.unique and np.median are the oracles, bit for bit, at odd and even
+    # sizes, with ties and with signed values
+    from exrange.tailfit import _distinct, _median
+
+    rng = np.random.default_rng(61)
+    for n in range(1, 12):
+        for v in (rng.normal(size=n), rng.integers(-3, 3, size=n).astype(float),
+                  np.full(n, 0.1)):
+            assert np.array_equal(_distinct(v), np.unique(v))
+            assert _median(v) == np.median(v)
+            assert _median(v).hex() == float(np.median(v)).hex()
