@@ -9,14 +9,15 @@ holes. The perimeter is the total length of the interpolated level curve
 the 4/pi overestimation bias of boundary-edge counting. Saddle cells are
 resolved by the sign of the cell-center average, deterministically.
 
-A level's densities come from its whole (nt, ny, nx) stack: one threshold
-comparison, and marching squares over the whole (nt, ny-1, nx-1) cell
-block. The output bytes fix each slice's float sums: one numpy ``.sum()``
-per (slice, table row) over that slice's cells in row-major order, added
-to the slice's length in ``_CASE_TABLE`` order (a saddle row's two segment
-sums added to each other first); the slice densities are then added in
-slice order. All the (slice, table row) sums come from one zero-prefixed
-``np.add.reduceat``, which gives each the bits of its ``.sum()``.
+A level's densities come from its (nt, ny, nx) stack in blocks of slices:
+per block, one threshold comparison and marching squares over the block's
+(slices, ny-1, nx-1) cells. The output bytes fix each slice's float sums:
+one numpy ``.sum()`` per (slice, table row) over that slice's cells in
+row-major order, added to the slice's length in ``_CASE_TABLE`` order (a
+saddle row's two segment sums added to each other first); the slice
+densities are then added in slice order. A block's (slice, table row) sums
+come from one zero-prefixed ``np.add.reduceat``, which gives each the bits
+of its ``.sum()``, so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import DomainMask, RasterStack
-from .thresholds import BoundaryPolicy, ThresholdField, exceedance_stack
+from .thresholds import BoundaryPolicy, ThresholdField, _exceedances
+
+# pixel-slices of a level's stack that ``intrinsic_densities`` takes at a time
+_SLICE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -232,14 +236,23 @@ def intrinsic_densities(stack: RasterStack, thr: ThresholdField) -> IntrinsicDen
     c1 is half the level-curve length per unit area of the cells whose four
     corners lie inside the domain.
     """
-    exceed = exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
     domain = stack.domain()
     dx = stack.dx
-    c0 = euler_characteristic(exceed) / domain.area(dx)
-    c2 = np.count_nonzero(exceed, axis=(1, 2)) / domain.n_pixels
-    lengths, n_cells = _curve_lengths(stack.values, thr.u, exceed, domain.inside)
+    euler, area, lengths = (np.empty(stack.nt, dtype) for dtype in (np.int64, np.int64, float))
+    # each slice's counts and length are its own, so blocks of slices bound
+    # the transients without changing a bit
+    step = max(1, _SLICE_BLOCK // stack.values[0].size)
+    for t in range(0, stack.nt, step):
+        part = slice(t, t + step)
+        exceed = _exceedances(stack, part, thr, BoundaryPolicy.ERODE)
+        euler[part] = euler_characteristic(exceed)
+        area[part] = np.count_nonzero(exceed, axis=(1, 2))
+        lengths[part], n_cells = _curve_lengths(stack.values[part], thr.u, exceed,
+                                                domain.inside)
     if n_cells == 0:
         raise ValueError("domain has no interior 2x2 cell")
+    c0 = euler / domain.area(dx)
+    c2 = area / domain.n_pixels
     c1 = lengths * dx / (2.0 * n_cells * dx * dx)
     # each mean adds its slices left to right (a cumulative sum); the output
     # bytes depend on that order, which a pairwise or compensated sum changes

@@ -41,10 +41,12 @@ built anew. The map finds the pixels it can fit (enough samples, two
 distinct levels) in one vectorized pass, calling ``fit_mer_pixel`` once per
 fitted pixel.
 
-The pooled samples of many levels exist in one copy: ``SamplePool`` sizes
-them from the in-domain exceedance counts, and ``collect_samples`` writes
-each level into it. The spline fit adds two per-sample arrays, the cell
-index and the IRLS weights, and copies no sample.
+The pooled samples of many levels exist in one copy, 12 bytes a sample (see
+``exrange.samples``): ``SamplePool`` sizes them from the in-domain
+exceedance counts, and ``collect_samples`` writes each level into it. The
+fits read each sample's (level, pixel) cell index as it is stored. The
+spline fit adds two per-sample arrays, an intp copy of the cells for its
+gathers and bincounts and the IRLS weights, and copies no sample.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -62,7 +64,8 @@ import numpy as np
 from .errors import DegenerateFitError
 from .ranges import _as_entries, median_range, range_entries
 from .raster import DomainMask, RasterStack
-from .thresholds import BoundaryPolicy, exceedance_stack, quantile_fields
+from .samples import RangeSamples, SamplePool
+from .thresholds import BoundaryPolicy, quantile_fields
 
 _PENALTY_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)  # roughness penalties ``choose_penalty`` tries
 _CV_FOLDS = 5
@@ -115,75 +118,6 @@ def theta_hat(m1, m2, p1: float, p2: float):
     return float(theta) if theta.ndim == 0 else theta
 
 
-@dataclass(frozen=True)
-class RangeSamples:
-    """Flat sample arrays for the regression: one entry per positive range
-    observation (pixel, slice, level)."""
-
-    pixel_y: np.ndarray   # int, row index (int32 from ``collect_samples``)
-    pixel_x: np.ndarray   # int, column index (int32 from ``collect_samples``)
-    x: np.ndarray         # log(-log(1-p))
-    y: np.ndarray         # log range (physical units)
-    block: np.ndarray     # block id of the originating slice
-
-    def __post_init__(self):
-        n = self.y.shape[0]
-        for name in ("pixel_y", "pixel_x", "x", "block"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError("sample arrays must share one length")
-        if not np.isfinite(self.x).all() or not np.isfinite(self.y).all():
-            raise ValueError("sample covariates and responses must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-
-# dtype of each RangeSamples field as ``collect_samples`` stores it: the grid
-# bounds the pixel indices, while a block id is any integer
-_SAMPLE_DTYPES = {"pixel_y": np.int32, "pixel_x": np.int32, "x": np.float64,
-                  "y": np.float64, "block": np.int64}
-
-
-class SamplePool:
-    """Arrays sized once that ``collect_samples`` fills level by level, so the
-    pooled samples of many levels exist in one copy only.
-
-    A domain pixel has a positive range exactly where it exceeds the
-    threshold, under either boundary policy, so before any ``min_range``
-    cut a level has as many samples as in-domain exceedances:
-    ``for_thresholds`` sizes a pool from the thresholds alone, before any
-    range is computed.
-    """
-
-    def __init__(self, capacity: int):
-        self._arrays = {name: np.empty(capacity, dtype)
-                        for name, dtype in _SAMPLE_DTYPES.items()}
-        self.n = 0
-
-    @classmethod
-    def for_thresholds(cls, stack: RasterStack, thrs) -> "SamplePool":
-        """A pool for every sample of ``stack`` at the thresholds ``thrs``."""
-        erode = BoundaryPolicy.ERODE
-        return cls(sum(int(np.count_nonzero(exceedance_stack(stack, thr, erode)))
-                       for thr in thrs))
-
-    def _claim(self, k: int) -> dict[str, np.ndarray]:
-        """Views of the next ``k`` free entries of every field."""
-        if self.n + k > self._arrays["y"].size:
-            raise ValueError(f"{self.n + k} samples overflow a pool of "
-                             f"{self._arrays['y'].size}")
-        part = {name: a[self.n:self.n + k] for name, a in self._arrays.items()}
-        self.n += k
-        return part
-
-    def samples(self) -> RangeSamples:
-        """The samples written so far, in order, viewing the pool's arrays."""
-        if self.n == 0:
-            raise DegenerateFitError("no positive range observations to fit")
-        return RangeSamples(**{name: a[:self.n] for name, a in self._arrays.items()})
-
-
 def collect_samples(range_fields_by_level: dict[float, Sequence],
                     domain: DomainMask,
                     blocks: Sequence[int] | None = None,
@@ -204,26 +138,19 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
     """
     if pool is None:
         levels = {p: _as_entries(r, domain) for p, r in range_fields_by_level.items()}
-        pool = SamplePool(sum(e.value.size for e in levels.values()))
+        pool = SamplePool(sum(e.value.size for e in levels.values()), domain.inside.shape)
         collect_samples(levels, domain, blocks, min_range, pool)
         return pool.samples()
-    start = pool.n
+    if pool.shape != domain.inside.shape:
+        raise ValueError(f"a pool on a {pool.shape} grid cannot take ranges on "
+                         f"{domain.inside.shape}")
+    start, first_add, before = pool.n, len(pool._runs), list(pool._level_n)
     for p, level_ranges in range_fields_by_level.items():
         entries = _as_entries(level_ranges, domain)
-        n = entries.value.size
-        part = pool._claim(n)
-        np.log(entries.value, out=part["y"])
-        part["x"][:] = loglog_level(p)
-        np.divmod(entries.pixel, domain.inside.shape[1], out=(part["pixel_y"], part["pixel_x"]))
         block = np.arange(entries.shape[0]) if blocks is None else np.asarray(blocks)
-        part["block"][:] = np.repeat(block, np.diff(entries.bounds))
-        if min_range > 0:
-            keep = part["y"] >= math.log(min_range)
-            kept = int(np.count_nonzero(keep))
-            for a in part.values():
-                a[:kept] = a[keep]
-            pool.n -= n - kept  # hand the dropped entries back
-    return RangeSamples(**{name: a[start:pool.n] for name, a in pool._arrays.items()})
+        pool._add(loglog_level(p), entries, block.astype(np.int64, copy=False), min_range)
+    before += [0] * (len(pool._level_n) - len(before))
+    return pool._view(start, first_add, np.subtract(pool._level_n, before))
 
 
 # ---------------------------------------------------------------------------
@@ -594,16 +521,15 @@ class SplineMerModel:
             raise DegenerateFitError(
                 f"{n_train} samples cannot identify {2 * nb} spline coefficients"
             )
+        samples = samples.on_grid(shape)
         beta0, theta0 = _pooled_median_line(samples, train)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
         by, bx = self._grid_bases(shape)
         pen_block = np.kron(np.eye(2), _roughness_penalty(self.knots_y, self.knots_x))
-        xl = _distinct(samples.x)   # level covariates, held-out levels included
+        xl = samples.level_x   # ascending level covariates, held-out levels included
         cells = (xl.size, shape[0] * shape[1])
-        cell = np.searchsorted(xl, samples.x)   # level * ny*nx + iy * nx + ix, built in place
-        for size, index in zip(shape, (samples.pixel_y, samples.pixel_x)):
-            cell *= size
-            cell += index
+        # take and bincount index with intp: one copy serves every iteration
+        cell = samples.cell.astype(np.intp)
         w = np.empty(samples.n)   # with ``cell``, the only per-sample arrays of the fit
         for kappa, n_iter in _kappa_stages(self.iters):
             for _ in range(n_iter):
@@ -648,10 +574,14 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
     pooled samples under its training mask, copying none. DegenerateFitError
     when every penalty has a degenerate fold fit, as one block always gives."""
-    blocks = _distinct(samples.block)
-    # the i-th smallest block id goes to fold i mod _CV_FOLDS, in the narrowest dtype
-    folds = np.searchsorted(blocks, samples.block)
-    folds = np.remainder(folds, _CV_FOLDS, out=folds).astype(np.min_scalar_type(_CV_FOLDS))
+    samples = samples.on_grid(shape)
+    npix = shape[0] * shape[1]
+    run_n = np.diff(samples.runs)
+    blocks = _distinct(samples.run_block[run_n > 0])
+    # the i-th smallest block id goes to fold i mod _CV_FOLDS: a fold per run of
+    # samples, expanded once to the narrowest dtype
+    run_fold = np.searchsorted(blocks, samples.run_block) % _CV_FOLDS
+    folds = np.repeat(run_fold.astype(np.min_scalar_type(_CV_FOLDS)), run_n)
     best = (math.inf, _PENALTY_GRID[0])
     for lam in _PENALTY_GRID:
         total = 0.0
@@ -666,8 +596,8 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
                 break
             beta, theta = model.coefficient_maps()
             hold = ~train
-            iy, ix = samples.pixel_y[hold], samples.pixel_x[hold]
-            pred = beta[iy, ix] - theta[iy, ix] * samples.x[hold]
+            level, pixel = np.divmod(samples.cell[hold], npix)
+            pred = beta.ravel()[pixel] - theta.ravel()[pixel] * samples.level_x[level]
             total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
         if (total, lam) < best:
             best = (total, lam)
@@ -683,13 +613,14 @@ def _pooled_median_line(samples: RangeSamples,
     the samples ``train`` marks (all by default), DegenerateFitError on a
     single level. With one covariate value per level, the pair enumeration
     stays trivial regardless of sample count."""
+    level = samples.level
     lines = []
-    for x in _distinct(samples.x):
-        at = samples.x == x
+    for k in np.argsort(samples.level_x):
+        at = level == k
         if train is not None:
             at &= train
         if at.any():
-            lines.append((x, _median(samples.y[at])))
+            lines.append((samples.level_x[k], _median(samples.y[at])))
     if len(lines) < 2:
         raise DegenerateFitError("all samples share one level; slope unidentifiable")
     return fit_mer_pixel(*np.array(lines).T)
@@ -711,20 +642,28 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int]) -> MerSurfa
     ny, nx = shape
     beta = np.full(shape, np.nan)
     theta = np.full(shape, np.nan)
-    flat = samples.pixel_y.astype(np.int64) * nx + samples.pixel_x.astype(np.int64)
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    xs = samples.x[order]
+    samples = samples.on_grid(shape)
+    npix = ny * nx
+    # each pixel's samples in pooled order, from one stable sort of the pixels
+    # in their narrowest dtype, which numpy radix-sorts up to 16 bits
+    pixel = np.empty(samples.n, np.min_scalar_type(npix - 1))
+    np.remainder(samples.cell, npix, out=pixel, casting="unsafe")
+    order = np.argsort(pixel, kind="stable")
+    pixel = pixel[order]
     ys = samples.y[order]
-    # each pixel's run in the sorted ids; -1 differs from every id
-    bounds = np.flatnonzero(np.diff(flat, prepend=-1, append=-1))
-    starts, ends = bounds[:-1], bounds[1:]
+    level = samples.cell[order]
+    level //= npix
+    del order
+    head = np.empty(pixel.size, dtype=bool)   # where each pixel's run starts
+    head[:1] = True
+    np.not_equal(pixel[1:], pixel[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    ends = np.append(starts[1:], pixel.size)
     # a pixel is fitted with enough samples at two or more distinct levels
     fitted = ((ends - starts >= _MIN_PIXEL_SAMPLES)
-              & (np.minimum.reduceat(xs, starts) != np.maximum.reduceat(xs, starts)))
-    for s, e in zip(starts[fitted], ends[fitted]):
-        b, t = fit_mer_pixel(xs[s:e], ys[s:e])
-        pix = flat[s]
+              & (np.minimum.reduceat(level, starts) != np.maximum.reduceat(level, starts)))
+    for pix, s, e in zip(pixel[starts[fitted]], starts[fitted], ends[fitted]):
+        b, t = fit_mer_pixel(samples.level_x[level[s:e]], ys[s:e])
         beta[pix // nx, pix % nx] = b
         theta[pix // nx, pix % nx] = t
     if np.isnan(beta).all():

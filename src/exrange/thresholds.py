@@ -68,24 +68,32 @@ class ExcursionMask:
         object.__setattr__(self, "policy", BoundaryPolicy(self.policy))
 
 
+# bytes of the stack that ``quantile_fields`` sorts at a time
+_SORT_BLOCK = 1 << 20
+
+
 def quantile_fields(stack: RasterStack, levels) -> list[ThresholdField]:
     """Pixelwise empirical p-quantile of the stack at each of ``levels``, in order.
 
     Uses the left-continuous inverse ECDF: the ceil(p*nt)-th order
     statistic of each pixel series, with no interpolation, so the
     threshold always equals one of the observed values. Every level is
-    checked before one sort along time serves them all.
+    checked before one sort along time serves them all. The stack is
+    sorted in blocks of about ``_SORT_BLOCK`` bytes of rows, so no sorted
+    copy of the whole stack is made.
     """
     for p in levels:
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0,1), got {p}")
     if stack.nt < 2:
         raise ValueError(f"need at least 2 time slices for a quantile, got nt={stack.nt}")
-    ordered = np.sort(stack.values, axis=0)
-    ordered[:, ~stack.domain().inside] = np.nan
-    # each threshold is a copy, so the sorted stack is freed on return
-    return [ThresholdField(p=p, u=ordered[order_statistic_index(p, stack.nt) - 1].copy())
-            for p in levels]
+    ks = [order_statistic_index(p, stack.nt) - 1 for p in levels]
+    u = np.empty((len(ks), stack.ny, stack.nx), dtype=stack.values.dtype)
+    rows = max(1, _SORT_BLOCK // (stack.values[:, :1].nbytes))
+    for r in range(0, stack.ny, rows):
+        u[:, r:r + rows] = np.sort(stack.values[:, r:r + rows], axis=0)[ks]
+    u[:, ~stack.domain().inside] = np.nan
+    return [ThresholdField(p=p, u=u[i]) for i, p in enumerate(levels)]
 
 
 def quantile_field(stack: RasterStack, p: float) -> ThresholdField:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -785,3 +786,60 @@ def test_import_exrange_is_lazy():
     assert sorted(dir(exrange)) == sorted(exrange.__all__)
     with pytest.raises(AttributeError):
         exrange.no_such_name
+
+
+# sha256 of every output of the penalty CV and the jackknife on a 24x20x60
+# Gaussian stack in six blocks of ten slices, recorded before the pooled
+# samples took 12 bytes (``_fit_run`` gives the runs)
+FIT_RUN_SHA256 = {
+    "mer": {
+        "mer_beta.csv": "16c5e5e6fffa42f152996bb398afb7ab0b3018960828ba4d1313f07139215978",
+        "mer_beta.f32": "fe36d11b688b87e058527669ad90f6b375407e5caf3511fcdf2e62f686c5652b",
+        "mer_beta.f32.json": "4aadfee738ecb641d35e2d1bd69711c824e375299896419333d6e54e9b506768",
+        "mer_theta.csv": "82fd27352da2a640c8616ced4b5c26bf637c638a161770579c854babb4691dd0",
+        "mer_theta.f32": "312d8f046b64beea084284e6b069c2033884c5e2b201ca9f5cd5d6e898a2787d",
+        "mer_theta.f32.json": "2b536fb005a6d0cd01f9f03df7b40a56df6a6fee03af23f11f834fed84006a43",
+    },
+    "jackknife": {
+        "se_beta.csv": "a69350dc8ca6e9dbb26bc69e2fdd8f61f7325722bc1199af664e3f4006ed236c",
+        "se_beta.f32": "4af108fbf17710b88f8eefce39e3908fa128da35efb0c82b13e04e0c025d73e0",
+        "se_beta.f32.json": "b553eb3eb6672c898e2343f5ba088e9a6911c5864367efc09b955d6740f5860a",
+        "se_theta.csv": "b9856c9b8018310635a39447ecda2276fd1ea44021bfb02c4e0c7d572b42f1d1",
+        "se_theta.f32": "abe25d23309fe0c84701c56bea9c0386adceba0f3cf24c77fcb5460ecaa11f2f",
+        "se_theta.f32.json": "b553eb3eb6672c898e2343f5ba088e9a6911c5864367efc09b955d6740f5860a",
+    },
+}
+FIT_RUN_STACK_SHA256 = "b4f6ea36c63709a8ffe1d5f856f0a1f8dd3c739fe52f464c1e27ed86eddebb73"
+
+
+def _fit_run(tmp_path, command, **env) -> dict[str, str]:
+    """sha256 of each output of ``command`` ("mer", block-wise penalty CV with a
+    min-range cut, or "jackknife") run by ``python -m exrange.cli`` on the
+    pinned stack, with ``env`` added."""
+    sim, blocks = tmp_path / "sim", tmp_path / "blocks.txt"
+    if not sim.exists():
+        assert main(["simulate", "--nx", "24", "--ny", "20", "--n", "60", "--ell", "5",
+                     "--seed", "11", "--out", str(sim)]) == 0
+        blocks.write_text("\n".join(str(i // 10 + 3) for i in range(60)) + "\n")
+    stack_sha = hashlib.sha256((sim / "stack.f32").read_bytes()).hexdigest()
+    assert stack_sha == FIT_RUN_STACK_SHA256
+    extra = {"mer": ["--penalty", "auto", "--min-range", "1.5"], "jackknife": []}[command]
+    out = tmp_path / "-".join([command, *env.values()])
+    code = "import sys; from exrange.cli import main; sys.exit(main(sys.argv[1:]))"
+    _child(code, command, "--in", str(sim), "--out", str(out), "--blocks-by", str(blocks),
+           "--levels", "0.85:0.95:0.05", "--knots", "5x5", "--iters", "30", *extra, **env)
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["mer", "jackknife"])
+def test_penalty_cv_and_jackknife_outputs_are_pinned(tmp_path, command):
+    # block ids, CV folds and the min-range cut all pass through the sample
+    # pool; the perfbench references pin only the fixed-penalty pipeline
+    assert _fit_run(tmp_path, command) == FIT_RUN_SHA256[command]
+
+
+def test_penalty_cv_identical_across_blas_threads(tmp_path):
+    # a near-tie of CV losses could flip the chosen penalty with the BLAS
+    # reduction order that a caller's OPENBLAS_NUM_THREADS picks
+    one, two = (_fit_run(tmp_path, "mer", OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two
