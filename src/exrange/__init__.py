@@ -14,8 +14,8 @@ _EXPORTS = {
     "morphology": ("RangeField", "distance_transform", "distance_transform_squared",
                    "erode"),
     "ranges": ("CdfEstimate", "RangeEntries", "domain_inradius", "ecdf", "eroded_domain",
-               "gaussian_cdf_approx", "median_range", "median_range_map", "range_entries",
-               "range_field", "tail_dependence"),
+               "median_range", "median_range_map", "range_entries", "range_field",
+               "tail_dependence"),
     "raster": ("DomainMask", "RasterStack", "load_map", "load_stack", "save_map",
                "save_stack"),
     "simgrf": ("AdSimConfig", "GaussianSimConfig", "matern_alpha", "matern_correlation",

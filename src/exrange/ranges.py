@@ -338,13 +338,3 @@ def _tail_dependence(exceed: np.ndarray, inside: np.ndarray, lag: tuple[int, int
         return out
     n_ref = int(np.count_nonzero(ref))
     return int(np.count_nonzero(ref & oth)) / n_ref if n_ref else math.nan
-
-
-def gaussian_cdf_approx(alpha: float, u: float, r: float) -> float:
-    """Closed-form small-radius CDF approximation sqrt(pi*alpha/2)*u*r for
-    smooth Gaussian fields, clipped at 1."""
-    if alpha <= 0 or u <= 0:
-        raise ValueError(f"alpha and u must be positive, got alpha={alpha}, u={u}")
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    return min(math.sqrt(math.pi * alpha / 2.0) * u * r, 1.0)

@@ -17,9 +17,9 @@ samples of one (level, pixel) cell share their covariate and their design
 row kron(By[iy], Bx[ix]), so the reweighted normal equations follow from
 two sums per cell, of w and w*y. By and Bx are dense, from a numpy Cox-de
 Boor recursion, and the roughness penalty is a dense Kronecker product, so
-the fit needs no scipy. The sample-wise sparse design ``_design`` stays as
-the reference the objective, its gradient and the tests are written on, and
-only it imports ``scipy.sparse``.
+the fit needs no scipy. The tests hold a sample-wise sparse design and the
+objective and gradient written on it, as the reference the fit is checked
+against.
 
 The per-pixel LAD needs no optimizer either: some optimal line interpolates
 two samples, so the fit is the best line through a sample pair (smallest
@@ -42,11 +42,11 @@ distinct levels) in one vectorized pass, calling ``fit_mer_pixel`` once per
 fitted pixel.
 
 The pooled samples of many levels exist in one copy, 12 bytes a sample (see
-``exrange.samples``): ``SamplePool`` sizes them from the in-domain
-exceedance counts, and ``collect_samples`` writes each level into it. The
-fits read each sample's (level, pixel) cell index as it is stored. The
-spline fit adds two per-sample arrays, an intp copy of the cells for its
-gathers and bincounts and the IRLS weights, and copies no sample.
+``exrange.samples``): a ``SamplePool`` made with every level is sized from
+the thresholds, and ``collect_samples`` writes each level into it. The fits
+read each sample's (level, pixel) cell index as it is stored. The spline fit
+adds two per-sample arrays, an intp copy of the cells for its gathers and
+bincounts and the IRLS weights, and copies no sample.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -64,7 +64,7 @@ import numpy as np
 from .errors import DegenerateFitError
 from .ranges import _as_entries, median_range, range_entries
 from .raster import DomainMask, RasterStack
-from .samples import RangeSamples, SamplePool
+from .samples import RangeSamples, SamplePool, loglog_level
 from .thresholds import BoundaryPolicy, quantile_fields
 
 _PENALTY_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)  # roughness penalties ``choose_penalty`` tries
@@ -90,13 +90,6 @@ def _median(values: np.ndarray) -> float:
         return float(np.partition(values, k)[k])
     part = np.partition(values, (k - 1, k))
     return float((part[k - 1] + part[k]) / 2)
-
-
-def loglog_level(p: float) -> float:
-    """The regression covariate log(-log(1-p))."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-    return math.log(-math.log(1.0 - p))
 
 
 def theta_hat(m1, m2, p1: float, p2: float):
@@ -131,26 +124,25 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
     those with log range below log(min_range). ``blocks`` assigns a block id
     to each slice index (defaults to the slice index itself).
 
-    The samples are written into ``pool`` after those already in it, and
-    this call's samples, possibly none, are returned as views of the pool.
-    Without a pool, one is sized to the positive ranges and its samples are
-    returned: DegenerateFitError when there are none.
+    The samples are written into ``pool``, made with these levels, after
+    those already in it, and this call's samples, possibly none, are
+    returned as views of the pool. Without a pool, one is sized to the
+    positive ranges and its samples are returned: DegenerateFitError when
+    there are none.
     """
     if pool is None:
         levels = {p: _as_entries(r, domain) for p, r in range_fields_by_level.items()}
-        pool = SamplePool(sum(e.value.size for e in levels.values()), domain.inside.shape)
-        collect_samples(levels, domain, blocks, min_range, pool)
+        pool = SamplePool(sum(e.value.size for e in levels.values()), domain.inside.shape,
+                          levels)
+        pool.add(levels.items(), blocks, min_range)
         return pool.samples()
-    if pool.shape != domain.inside.shape:
-        raise ValueError(f"a pool on a {pool.shape} grid cannot take ranges on "
-                         f"{domain.inside.shape}")
-    start, first_add, before = pool.n, len(pool._runs), list(pool._level_n)
-    for p, level_ranges in range_fields_by_level.items():
-        entries = _as_entries(level_ranges, domain)
-        block = np.arange(entries.shape[0]) if blocks is None else np.asarray(blocks)
-        pool._add(loglog_level(p), entries, block.astype(np.int64, copy=False), min_range)
-    before += [0] * (len(pool._level_n) - len(before))
-    return pool._view(start, first_add, np.subtract(pool._level_n, before))
+    return pool.add(((p, _as_entries(r, domain)) for p, r in range_fields_by_level.items()),
+                    blocks, min_range)
+
+
+def _check_grid(samples: RangeSamples, shape: tuple[int, int]) -> None:
+    if samples.shape != tuple(shape):
+        raise ValueError(f"samples on the grid {samples.shape} cannot be fitted on {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,51 +433,6 @@ class SplineMerModel:
         self.penalty = penalty
         self.iters = iters
 
-    def _design(self, samples: RangeSamples, shape: tuple[int, int]):
-        """Sample-wise design, a scipy.sparse CSR matrix whose row for a sample
-        at (iy, ix) is kron(By[iy], Bx[ix]): the reference that
-        ``objective_and_grad`` and the tests are written on."""
-        from scipy import sparse
-
-        by, bx = self._grid_bases(shape)
-        rows = by[samples.pixel_y][:, :, None] * bx[samples.pixel_x][:, None, :]
-        return sparse.csr_matrix(rows.reshape(samples.n, -1))
-
-    def _data_loss_and_grad(self, params: np.ndarray, design,
-                            x: np.ndarray, y: np.ndarray,
-                            kappa: float) -> tuple[float, np.ndarray]:
-        """Smoothed median pinball loss with its exact gradient. The
-        pinball |e|/2 is replaced by e^2/(4 kappa) inside |e| <= kappa,
-        keeping the loss C1."""
-        nb = design.shape[1]
-        b = params[:nb]
-        c = params[nb:]
-        pred = design @ b - x * (design @ c)
-        e = y - pred
-        abse = np.abs(e)
-        inband = abse <= kappa
-        loss = float(np.where(inband, e * e / (4.0 * kappa), 0.5 * abse - kappa / 4.0).sum())
-        w = np.where(inband, e / (2.0 * kappa), 0.5 * np.sign(e))
-        grad_b = -(design.T @ w)
-        grad_c = design.T @ (w * x)
-        return loss, np.concatenate([grad_b, grad_c])
-
-    def objective_and_grad(self, params: np.ndarray, design,
-                           x: np.ndarray, y: np.ndarray, kappa: float,
-                           penalty_mat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Full objective (smoothed pinball plus roughness penalty) and its
-        exact gradient."""
-        loss, grad = self._data_loss_and_grad(params, design, x, y, kappa)
-        nb = design.shape[1]
-        b = params[:nb]
-        c = params[nb:]
-        pb = penalty_mat @ b
-        pc = penalty_mat @ c
-        loss += self.penalty * float(b @ pb + c @ pc)
-        grad[:nb] += 2.0 * self.penalty * pb
-        grad[nb:] += 2.0 * self.penalty * pc
-        return loss, grad
-
     def _grid_bases(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Row basis By (ny, knots_y) and column basis Bx (nx, knots_x) at
         the pixel centers."""
@@ -513,6 +460,7 @@ class SplineMerModel:
         coefficients are bit-identical to a fit on the training samples
         alone, without copying them.
         """
+        _check_grid(samples, shape)
         nb = self.knots_x * self.knots_y
         if train is not None and (train.dtype != np.bool_ or train.shape != (samples.n,)):
             raise ValueError(f"train must be a boolean mask of length {samples.n}")
@@ -521,7 +469,6 @@ class SplineMerModel:
             raise DegenerateFitError(
                 f"{n_train} samples cannot identify {2 * nb} spline coefficients"
             )
-        samples = samples.on_grid(shape)
         beta0, theta0 = _pooled_median_line(samples, train)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
         by, bx = self._grid_bases(shape)
@@ -574,8 +521,6 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
     pooled samples under its training mask, copying none. DegenerateFitError
     when every penalty has a degenerate fold fit, as one block always gives."""
-    samples = samples.on_grid(shape)
-    npix = shape[0] * shape[1]
     run_n = np.diff(samples.runs)
     blocks = _distinct(samples.run_block[run_n > 0])
     # the i-th smallest block id goes to fold i mod _CV_FOLDS: a fold per run of
@@ -596,8 +541,9 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
                 break
             beta, theta = model.coefficient_maps()
             hold = ~train
-            level, pixel = np.divmod(samples.cell[hold], npix)
-            pred = beta.ravel()[pixel] - theta.ravel()[pixel] * samples.level_x[level]
+            # each held-out sample's cell prediction, as the fit gathers it
+            pred = np.take(beta.ravel() - samples.level_x[:, None] * theta.ravel(),
+                           samples.cell[hold])
             total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
         if (total, lam) < best:
             best = (total, lam)
@@ -615,12 +561,12 @@ def _pooled_median_line(samples: RangeSamples,
     stays trivial regardless of sample count."""
     level = samples.level
     lines = []
-    for k in np.argsort(samples.level_x):
+    for k, x in enumerate(samples.level_x):
         at = level == k
         if train is not None:
             at &= train
         if at.any():
-            lines.append((samples.level_x[k], _median(samples.y[at])))
+            lines.append((x, _median(samples.y[at])))
     if len(lines) < 2:
         raise DegenerateFitError("all samples share one level; slope unidentifiable")
     return fit_mer_pixel(*np.array(lines).T)
@@ -642,7 +588,7 @@ def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int]) -> MerSurfa
     ny, nx = shape
     beta = np.full(shape, np.nan)
     theta = np.full(shape, np.nan)
-    samples = samples.on_grid(shape)
+    _check_grid(samples, shape)
     npix = ny * nx
     # each pixel's samples in pooled order, from one stable sort of the pixels
     # in their narrowest dtype, which numpy radix-sorts up to 16 bits

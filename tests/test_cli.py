@@ -653,20 +653,26 @@ def test_pipeline_loads_no_scipy(tmp_path, fit):
 
 def test_spline_fit_never_imports_numpy_ma(tmp_path):
     # numpy 2.4's np.unique and np.median import numpy.ma to rule out a masked
-    # input; the spline fit and the penalty CV take their distinct levels,
-    # blocks and medians without them
+    # input; the sample pool, both fits and the penalty CV take their
+    # distinct levels, blocks and medians without them
     sim = tmp_path / "sim"
     assert main(["simulate", "--nx", "12", "--ny", "12", "--n", "30", "--ell", "4",
                  "--seed", "5", "--out", str(sim)]) == 0
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(30)))
     code = ("import sys; import exrange.cli; "
-            "codes = [exrange.cli.main([cmd, '--in', sys.argv[1], '--out', sys.argv[2] + cmd, "
+            "codes = [exrange.cli.main([cmd, '--in', sys.argv[1], '--out', sys.argv[2] + out, "
             "'--knots', '4x4', '--levels', '0.8,0.9', *extra]) "
-            "for cmd, extra in (('pipeline', ['--fit', 'spline']), ('mer', ['--iters', '6']))]; "
+            "for cmd, out, extra in (('pipeline', 'pipeline', ['--fit', 'spline']), "
+            "('mer', 'mer', ['--iters', '6']), "
+            "('jackknife', 'jackknife', ['--iters', '6', '--blocks-by', sys.argv[3]]), "
+            "('pipeline', 'pixel', ['--fit', 'pixel']))]; "
             "print(codes, 'numpy.ma' in sys.modules)")
-    out = _child(code, str(sim), str(tmp_path / "out_"))
-    assert out.strip().splitlines()[-1] == "[0, 0] False"
-    assert (tmp_path / "out_pipeline" / "mer_beta.f32").exists()
-    assert (tmp_path / "out_mer" / "mer_beta.f32").exists()
+    out = _child(code, str(sim), str(tmp_path / "out_"), str(blocks))
+    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
+    for name in ("pipeline", "mer", "pixel"):
+        assert (tmp_path / f"out_{name}" / "mer_beta.f32").exists()
+    assert (tmp_path / "out_jackknife" / "se_beta.f32").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

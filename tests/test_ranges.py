@@ -12,7 +12,6 @@ from exrange import (
     ecdf,
     erode,
     eroded_domain,
-    gaussian_cdf_approx,
     matern_alpha,
     median_range,
     median_range_map,
@@ -643,15 +642,8 @@ def test_tail_dependence_errors():
         tail_dependence(stack, 0.9, (0, 10))
 
 
-def test_gaussian_cdf_approx():
-    assert gaussian_cdf_approx(2 / np.pi, 1.0, 0.5) == pytest.approx(0.5)
-    assert gaussian_cdf_approx(1.0, 10.0, 10.0) == 1.0  # clipped
-    assert gaussian_cdf_approx(0.3, 2.0, 0.0) == 0.0
+def test_matern_alpha():
     assert matern_alpha(2.0, 1.0) == pytest.approx(2.0)
     assert matern_alpha(2.0, 2.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        gaussian_cdf_approx(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_cdf_approx(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         matern_alpha(1.0, 1.0)

@@ -1,5 +1,6 @@
 """The pooled regression samples: 12 bytes a sample, per-sample fields
-computed from the cells and small tables, and the fits reading the cells."""
+computed from the cells and small tables, a pool made with its levels and
+sized from their order statistics, and the fits reading the cells as stored."""
 
 import math
 import tracemalloc
@@ -9,15 +10,18 @@ import pytest
 
 from exrange import (
     DegenerateFitError,
+    GaussianSimConfig,
     RangeSamples,
     RasterStack,
     SamplePool,
     SplineMerModel,
     collect_samples,
+    exceedance_stack,
     fit_mer_pixel_map,
     loglog_level,
     quantile_fields,
     range_entries,
+    simulate_gaussian,
 )
 from exrange.tailfit import choose_penalty
 
@@ -82,18 +86,21 @@ def test_pool_takes_12_bytes_a_sample_and_computes_the_other_fields(blocks, min_
     _equal_fields(samples, _per_sample_arrays(stack, LEVELS, blocks, min_range))
     for p, part in zip(LEVELS, parts):
         _equal_fields(part, _per_sample_arrays(stack, [p], blocks, min_range))
-    # the cut drops some samples, and at 0.9 every one: that level gets no index
+    # the cut drops some samples, and at 0.9 every one: that level keeps its
+    # index and holds no cell
     assert min_range == 0 or samples.n < pool._y.size and parts[-1].n == 0
     # the per-sample arrays, 12 bytes each; the tables hold a level or a
     # (level, slice) run an entry
     assert pool._cell.nbytes + pool._y.nbytes == 12 * pool._y.size
     assert samples.cell.dtype == np.int32 and samples.y.dtype == np.float64
     assert samples.cell.nbytes + samples.y.nbytes == 12 * samples.n
-    assert samples.level_x.size == samples.level_n.size == len(LEVELS) - (min_range > 0)
-    assert (samples.level_n > 0).all()
     assert samples.run_block.size == samples.runs.size - 1 <= len(LEVELS) * stack.nt
-    # the pool's levels arrive ascending: the fits read its cells as they are
-    assert samples.on_grid((stack.ny, stack.nx)) is samples
+    # every view holds the pool's levels, ascending, and its grid: the fits
+    # read the cells as they are
+    for view in (samples, *parts):
+        assert view.level_x.tolist() == [loglog_level(p) for p in LEVELS]
+        assert view.shape == (stack.ny, stack.nx)
+    assert np.array_equal(np.unique(samples.level), np.arange(len(LEVELS) - (min_range > 0)))
     assert pool.n == samples.n == sum(part.n for part in parts)
 
 
@@ -104,43 +111,151 @@ def test_pool_cut_to_no_sample_has_nothing_to_fit():
         pool.samples()
 
 
+def _in_domain_exceedances(stack, thrs):
+    return sum(int(np.count_nonzero(exceedance_stack(stack, thr, "erode"))) for thr in thrs)
+
+
+def test_pool_capacity_is_the_exceedance_count_without_ties():
+    # a domain pixel exceeds its k-th order statistic in nt - k slices when
+    # no value ties it: the order statistics size the pool exactly
+    stack = simulate_gaussian(GaussianSimConfig(nx=24, ny=20, n_slices=50, ell=4.0, seed=83))
+    for levels in ((0.8, 0.9, 0.95), (0.85, 0.9, 0.93, 0.97, 0.99)):
+        thrs = quantile_fields(stack, levels)
+        pool = SamplePool.for_thresholds(stack, thrs)
+        assert pool._y.size == _in_domain_exceedances(stack, thrs)
+        for thr in thrs:
+            collect_samples({thr.p: range_entries(stack, thr, "erode")}, stack.domain(),
+                            pool=pool)
+        assert pool.n == pool._y.size
+    # with nodata pixels too
+    stack = _stack()
+    thrs = quantile_fields(stack, LEVELS)
+    assert SamplePool.for_thresholds(stack, thrs)._y.size == _in_domain_exceedances(stack, thrs)
+
+
+def test_pool_capacity_bounds_the_samples_with_ties():
+    # a value that ties its pixel's threshold does not exceed it
+    rng = np.random.default_rng(84)
+    stack = RasterStack(np.round(rng.standard_normal((100, 20, 20)), 1).astype(np.float32))
+    levels = (0.9, 0.95, 0.98)
+    thrs = quantile_fields(stack, levels)
+    pool = SamplePool.for_thresholds(stack, thrs)
+    assert pool._y.size == 20 * 20 * (10 + 5 + 2)
+    for thr in thrs:
+        collect_samples({thr.p: range_entries(stack, thr, "fill-exceed")}, stack.domain(),
+                        pool=pool)
+    assert pool.n == _in_domain_exceedances(stack, thrs) < pool._y.size
+
+
+def _fits(samples, shape):
+    """The spline coefficients, the chosen penalty and the pixel map."""
+    model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6).fit(samples, shape)
+    pixel = fit_mer_pixel_map(samples, shape)
+    return (np.r_[model.coef_beta_, model.coef_theta_], choose_penalty(samples, shape, 4, 4, 9),
+            pixel.beta, pixel.theta)
+
+
+def _equal_fits(got, want):
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[2], want[2], equal_nan=True)
+    assert np.array_equal(got[3], want[3], equal_nan=True)
+
+
+@pytest.mark.parametrize("min_range", [0.0, 4.2])
+def test_empty_declared_levels_leave_the_fits_bit_identical(min_range):
+    # levels without a sample, below (a negative covariate), between and
+    # above the filled ones, or emptied by the min_range cut (every range at
+    # 0.9 is below 4.2 here), add rows of empty cells: each fit is
+    # bit-identical to one on the filled levels alone
+    stack = simulate_gaussian(GaussianSimConfig(nx=12, ny=10, n_slices=20, ell=5.0, seed=85))
+    shape = (stack.ny, stack.nx)
+    thrs = quantile_fields(stack, LEVELS)
+    entries = {thr.p: range_entries(stack, thr, "fill-exceed") for thr in thrs}
+    pool = SamplePool(sum(e.value.size for e in entries.values()), shape,
+                      (0.5, *LEVELS, 0.8, 0.99))
+    assert loglog_level(0.5) < 0 and len(pool._level_x) == len(LEVELS) + 3
+    collect_samples(entries, stack.domain(), np.arange(stack.nt) // 4, min_range, pool)
+    samples = pool.samples()
+    filled = RangeSamples(*(getattr(samples, name) for name in FIELDS), shape=shape)
+    assert filled.level_x.size == len(LEVELS) - (min_range > 0)
+    assert np.array_equal(filled.y, samples.y) and not np.array_equal(filled.cell, samples.cell)
+    _equal_fits(_fits(samples, shape), _fits(filled, shape))
+
+
 def test_levels_arriving_unsorted_are_fitted_as_sorted():
-    # a library caller's levels in any order, and samples built from one
-    # array per field, give the fits the same cells in ascending level order
+    # a pool's levels take their indices in ascending covariate order, so a
+    # level's cells do not depend on the order the levels arrive in
     stack = _stack()
     shape = (stack.ny, stack.nx)
     entries = {thr.p: range_entries(stack, thr, "fill-exceed")
                for thr in quantile_fields(stack, LEVELS)}
-    arrival = (0.9, 0.6, 0.75)
-    unsorted = collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS)
-    assert unsorted.level_x.tolist() == [loglog_level(p) for p in arrival]
-    arrays = RangeSamples(*(getattr(unsorted, name) for name in FIELDS))
-    assert arrays.level_x.tolist() == [loglog_level(p) for p in LEVELS]
-    grid = unsorted.on_grid(shape)
-    assert grid is not unsorted and grid.level_x.tolist() == arrays.level_x.tolist()
-    for samples in (grid, arrays):
-        _equal_fields(samples, unsorted)
-        assert np.array_equal(samples.cell, grid.cell)
+    parts = {}
+    for arrival in (LEVELS, (0.9, 0.6, 0.75)):
+        pool = SamplePool(sum(e.value.size for e in entries.values()), shape, arrival)
+        parts[arrival] = {p: collect_samples({p: entries[p]}, stack.domain(), BLOCKS, 0.0, pool)
+                          for p in arrival}
+        unsorted = collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS)
+        assert unsorted.level_x.tolist() == [loglog_level(p) for p in LEVELS]
+        _equal_fields(unsorted, pool.samples())
+    for p in LEVELS:
+        got, want = parts[(0.9, 0.6, 0.75)][p], parts[LEVELS][p]
+        assert np.array_equal(got.cell, want.cell) and np.array_equal(got.y, want.y)
+        _equal_fields(got, want)
+    # a cell's samples keep their order within the pool, so the spline fit's
+    # cell sums, and with them its coefficients, are bit-identical too
     model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6)
-    coef = [np.r_[m.coef_beta_, m.coef_theta_]
-            for m in (model.fit(s, shape) for s in (unsorted, arrays, grid))]
-    assert np.array_equal(coef[0], coef[1]) and np.array_equal(coef[0], coef[2])
-    maps = [fit_mer_pixel_map(s, shape) for s in (unsorted, arrays)]
-    assert np.array_equal(maps[0].beta, maps[1].beta, equal_nan=True)
-    assert np.array_equal(maps[0].theta, maps[1].theta, equal_nan=True)
+    coef = [np.r_[m.coef_beta_, m.coef_theta_] for m in (
+        model.fit(collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS),
+                  shape) for arrival in (LEVELS, (0.9, 0.6, 0.75)))]
+    assert np.array_equal(coef[0], coef[1])
 
 
-def test_samples_on_a_larger_grid_or_a_later_level_are_encoded_anew():
+def test_pool_rejects_a_level_it_was_not_made_with_or_another_grid():
     stack = _stack()
-    _, parts = _pooled(stack, LEVELS, BLOCKS)
-    later = parts[1]   # level index 1 of the pool, alone in this part
-    assert later.level_n.tolist() == [0, later.n]   # no third level yet
-    wide = later.on_grid((stack.ny + 2, stack.nx + 3))
-    assert wide.shape == (stack.ny + 2, stack.nx + 3)
-    assert wide.level_x.tolist() == [loglog_level(LEVELS[1])]
-    _equal_fields(wide, later)
+    thrs = quantile_fields(stack, LEVELS)
+    pool = SamplePool.for_thresholds(stack, thrs[:2])
+    collect_samples({thrs[0].p: range_entries(stack, thrs[0], "fill-exceed")}, stack.domain(),
+                    pool=pool)
+    n = pool.n
+    with pytest.raises(ValueError, match=r"level 0.9 on the grid \(9, 7\) is not one of the "
+                                         r"pool's levels on \(9, 7\)"):
+        collect_samples({thrs[2].p: range_entries(stack, thrs[2], "fill-exceed")},
+                        stack.domain(), pool=pool)
+    narrow = RasterStack(stack.values[:, :, 1:], dx=stack.dx)
+    with pytest.raises(ValueError, match=r"level 0.75 on the grid \(9, 6\)"):
+        collect_samples({0.75: range_entries(narrow, quantile_fields(narrow, [0.75])[0],
+                                             "fill-exceed")}, narrow.domain(), pool=pool)
+    assert pool.n == n
+
+
+def test_samples_take_their_grid_and_fits_reject_another():
+    stack = _stack()
+    shape, wide_shape = (stack.ny, stack.nx), (stack.ny + 2, stack.nx + 3)
+    samples = _pooled(stack, LEVELS, BLOCKS)[0].samples()
+    fields = [getattr(samples, name) for name in FIELDS]
+    # five arrays on the smallest grid that holds their pixels, or on a larger one
+    left = samples.pixel_x < stack.nx - 1
+    smallest = RangeSamples(*(field[left] for field in fields))
+    assert smallest.shape == (stack.ny, stack.nx - 1)
     with pytest.raises(ValueError, match="outside the 9x6 grid"):
-        later.on_grid((stack.ny, stack.nx - 1))
+        RangeSamples(*fields, shape=smallest.shape)
+    wide = RangeSamples(*fields, shape=wide_shape)
+    assert wide.shape == wide_shape
+    _equal_fields(wide, samples)
+    # the pixel fits do not depend on the grid: the wide map holds the
+    # stack's, and NaN beyond it
+    want = fit_mer_pixel_map(samples, shape)
+    got = fit_mer_pixel_map(wide, wide_shape)
+    assert np.array_equal(got.beta[:stack.ny, :stack.nx], want.beta, equal_nan=True)
+    assert np.isnan(got.theta[stack.ny:]).all() and np.isnan(got.theta[:, stack.nx:]).all()
+    model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6)
+    assert model.fit(wide, wide_shape).coefficient_maps()[0].shape == wide_shape
+    # a fit on a grid that is not the samples' own
+    for fit in (lambda s, g: model.fit(s, g), fit_mer_pixel_map,
+                lambda s, g: choose_penalty(s, g, 4, 4, 9)):
+        for s, g in ((samples, wide_shape), (wide, shape), (smallest, shape)):
+            with pytest.raises(ValueError, match="cannot be fitted on"):
+                fit(s, g)
 
 
 def test_five_array_samples_check_their_fields():

@@ -20,6 +20,7 @@ from exrange import (
 )
 from exrange.morphology import RangeField
 from exrange.tailfit import RangeSamples, lad_objective
+from spline_reference import objective_and_grad, sample_design
 
 
 def lad_oracle(x, y):
@@ -389,18 +390,20 @@ def test_spline_gradient_matches_finite_differences():
         levels=[0.85, 0.9, 0.95], reps=2, noise=0.3,
     )
     model = SplineMerModel(knots_x=5, knots_y=5, penalty=0.7, iters=10)
-    design = model._design(samples, (12, 12))
+    design = sample_design(model, samples, (12, 12))
     from exrange.tailfit import _roughness_penalty
 
     pen = _roughness_penalty(5, 5)
     params = rng.standard_normal(2 * 25) * 0.5
-    _, grad = model.objective_and_grad(params, design, samples.x, samples.y, 1e-3, pen)
+    _, grad = objective_and_grad(model, params, design, samples.x, samples.y, 1e-3, pen)
     h = 1e-6
     for k in rng.choice(params.size, size=12, replace=False):
         ek = np.zeros_like(params)
         ek[k] = h
-        f_plus, _ = model.objective_and_grad(params + ek, design, samples.x, samples.y, 1e-3, pen)
-        f_minus, _ = model.objective_and_grad(params - ek, design, samples.x, samples.y, 1e-3, pen)
+        f_plus, _ = objective_and_grad(model, params + ek, design, samples.x, samples.y, 1e-3,
+                                       pen)
+        f_minus, _ = objective_and_grad(model, params - ek, design, samples.x, samples.y, 1e-3,
+                                        pen)
         fd = (f_plus - f_minus) / (2 * h)
         denom = max(abs(fd), abs(grad[k]), 1e-8)
         assert abs(grad[k] - fd) / denom < 1e-5
@@ -643,7 +646,7 @@ def test_spline_pixel_normal_equations_match_sample_design():
     assert cw.shape == (6, ny * nx) and not cw[0].any()
     assert (cw == 0).any(axis=1).all() and np.count_nonzero(cw[-1]) <= 12
     data_block, rhs = _pixel_normal_equations(*model._grid_bases((ny, nx)), xl, cw, cwy)
-    d = model._design(samples, (ny, nx)).toarray()
+    d = sample_design(model, samples, (ny, nx)).toarray()
     dc = -samples.x[:, None] * d  # d(prediction)/dc
     full = np.hstack([d, dc])
     expected_block = full.T @ (w[:, None] * full)
@@ -718,7 +721,7 @@ def test_spline_mm_iterations_never_increase_objective(monkeypatch):
     assert len(iterates) == model.iters
     assert np.array_equal(iterates[-1], np.r_[model.coef_beta_, model.coef_theta_])
 
-    design = model._design(samples, (ny, nx))
+    design = sample_design(model, samples, (ny, nx))
     pen = _roughness_penalty(5, 6)
     beta0, theta0 = _pooled_median_line(samples)
     path = [np.r_[np.full(30, beta0), np.full(30, theta0)]] + iterates
@@ -726,7 +729,7 @@ def test_spline_mm_iterations_never_increase_objective(monkeypatch):
     for kappa, n_iter in _kappa_stages(model.iters):
         # each stage starts from the previous stage's last iterate
         objective = [
-            model.objective_and_grad(p, design, samples.x, samples.y, kappa, pen)[0]
+            objective_and_grad(model, p, design, samples.x, samples.y, kappa, pen)[0]
             for p in path[start:start + n_iter + 1]
         ]
         start += n_iter
