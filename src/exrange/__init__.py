@@ -21,8 +21,7 @@ _EXPORTS = {
     "simgrf": ("AdSimConfig", "GaussianSimConfig", "matern_alpha", "matern_correlation",
                "simulate_ad_field", "simulate_gaussian"),
     "samples": ("RangeSamples", "SamplePool"),
-    "tailfit": ("MerSurface", "SplineMerModel",
-                "collect_samples", "consistency_check_theta", "fit_mer_pixel",
+    "tailfit": ("MerSurface", "SplineMerModel", "collect_samples", "fit_mer_pixel",
                 "fit_mer_pixel_map", "jackknife", "jackknife_estimates", "loglog_level",
                 "predict_mer_map", "theta_hat"),
     "thresholds": ("BoundaryPolicy", "ExcursionMask", "ThresholdField",

@@ -84,10 +84,11 @@ def _parse_fit_levels(spec: str) -> list[float]:
     return levels
 
 
-def _parse_fit_options(args) -> tuple[int, int, float | None]:
-    """--knots as (NY, NX) and --penalty (None for 'auto'), with --iters,
-    --min-range and --predict-p checked too, so that a bad value fails before
-    any work."""
+def _fit_pass(args):
+    """Check --knots, --penalty, --iters, --min-range and --predict-p before
+    any work, and return ``fit(samples) -> MerSurface``: the ``--fit`` surface
+    on the samples' grid, the spline's penalty chosen by block CV under
+    ``--penalty auto``."""
     try:
         ky, kx = (int(k) for k in args.knots.lower().split("x"))
         penalty = None if args.penalty == "auto" else float(args.penalty)
@@ -100,7 +101,15 @@ def _parse_fit_options(args) -> tuple[int, int, float | None]:
     predict_p = getattr(args, "predict_p", None)
     if predict_p is not None and not 0.0 < predict_p < 1.0:
         raise ValueError(f"--predict-p must lie strictly inside (0,1), got {predict_p}")
-    return ky, kx, penalty
+    if args.fit == "pixel":
+        return tailfit.fit_mer_pixel_map
+
+    def fit(samples: tailfit.RangeSamples) -> tailfit.MerSurface:
+        lam = tailfit.choose_penalty(samples, ky, kx, args.iters) if penalty is None else penalty
+        model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam, iters=args.iters)
+        return model.fit(samples).to_surface()
+
+    return fit
 
 
 def _parse_lags(spec: str) -> list[tuple[int, int]]:
@@ -153,9 +162,10 @@ def _level_pass(args):
 
 
 def _sample_pass(each_level, stack: raster.RasterStack, levels: list[float], blocks,
-                 min_range: float, visit=lambda thr, entries: None) -> tailfit.SamplePool:
-    """Every level's regression samples in one pool sized from the thresholds;
-    ``visit(thr, entries)`` sees each level's entries before they are collected."""
+                 min_range: float, visit=lambda thr, entries: None) -> tailfit.RangeSamples:
+    """Every level's regression samples, from one pool sized from the
+    thresholds; ``visit(thr, entries)`` sees each level's entries before they
+    are collected."""
     thrs = thresholds.quantile_fields(stack, levels)
     pool = tailfit.SamplePool.for_thresholds(stack, thrs)
 
@@ -164,7 +174,7 @@ def _sample_pass(each_level, stack: raster.RasterStack, levels: list[float], blo
         tailfit.collect_samples({thr.p: entries}, stack.domain(), blocks, min_range, pool)
 
     each_level(stack, thrs, collect)
-    return pool
+    return pool.samples()
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -390,35 +400,21 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _fit_surface(stack: raster.RasterStack, samples: tailfit.RangeSamples, args,
-                 fit_options: tuple[int, int, float | None]):
-    """The ``args.fit`` surface; ``fit_options`` is ``_parse_fit_options(args)``."""
-    if args.fit == "pixel":
-        return tailfit.fit_mer_pixel_map(samples, (stack.ny, stack.nx))
-    ky, kx, penalty = fit_options
-    if penalty is None:
-        penalty = tailfit.choose_penalty(samples, (stack.ny, stack.nx), ky, kx, args.iters)
-    model = tailfit.SplineMerModel(knots_x=kx, knots_y=ky, penalty=penalty,
-                                   iters=args.iters)
-    return model.fit(samples, (stack.ny, stack.nx)).to_surface()
-
-
 def _cmd_mer(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
-    fit_options = _parse_fit_options(args)
+    fit = _fit_pass(args)
     each_level = _level_pass(args)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
-    pool = _sample_pass(each_level, stack, levels, blocks, args.min_range)
-    _save_fit_maps(Path(args.out), _fit_surface(stack, pool.samples(), args, fit_options),
-                   stack, args.predict_p)
+    samples = _sample_pass(each_level, stack, levels, blocks, args.min_range)
+    _save_fit_maps(Path(args.out), fit(samples), stack, args.predict_p)
     return 0
 
 
 def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
-    fit_options = _parse_fit_options(args)
+    fit = _fit_pass(args)
     each_level = _level_pass(args)
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
@@ -428,8 +424,7 @@ def _cmd_jackknife(args) -> int:
         # the i-th replicate leaves out the i-th smallest block; its samples
         # keep the block ids of the slices left, for the block-wise CV
         kept = block_ids[block_ids != next(dropped)]
-        pool = _sample_pass(each_level, sub, levels, kept, args.min_range)
-        surface = _fit_surface(sub, pool.samples(), args, fit_options)
+        surface = fit(_sample_pass(each_level, sub, levels, kept, args.min_range))
         return np.stack([surface.beta, surface.theta])
 
     se = tailfit.jackknife(stack, block_ids, estimator)
@@ -442,7 +437,7 @@ def _cmd_jackknife(args) -> int:
 def _cmd_pipeline(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
-    fit_options = _parse_fit_options(args)
+    fit = _fit_pass(args)
     each_level = _level_pass(args)
     domain = stack.domain()
     out = Path(args.out)
@@ -461,7 +456,7 @@ def _cmd_pipeline(args) -> int:
         if thr.p in (levels[0], levels[-1]):
             med_maps[thr.p] = ranges.median_range_map(entries, domain)
 
-    pool = _sample_pass(each_level, stack, levels, blocks, args.min_range, level_rows)
+    samples = _sample_pass(each_level, stack, levels, blocks, args.min_range, level_rows)
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
     _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)
     _write_csv(out / "ivdens.csv", IVDENS_HEADER, iv_rows)
@@ -469,8 +464,7 @@ def _cmd_pipeline(args) -> int:
     p_lo, p_hi = levels[0], levels[-1]
     _save_theta_map(out, stack, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
 
-    surface = _fit_surface(stack, pool.samples(), args, fit_options)
-    _save_fit_maps(out, surface, stack, args.predict_p)
+    _save_fit_maps(out, fit(samples), stack, args.predict_p)
     print(f"pipeline outputs written to {out}")
     return 0
 

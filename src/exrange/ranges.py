@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morphology import RangeField, distance_transform, distance_transform_squared
+from .morphology import RangeField, distance_transform
 from .raster import DomainMask, RasterStack
 from .thresholds import (BoundaryPolicy, ExcursionMask, ThresholdField, exceedance_stack,
                          quantile_field)
@@ -69,11 +69,7 @@ def _domain_distance(domain: DomainMask, dx: float) -> np.ndarray:
     """Distance from each pixel center to the nearest center outside the
     domain, the region outside the grid counting as outside the domain.
     The squared distances are computed once per domain and kept on it."""
-    d2 = domain._distance2
-    if d2 is None:
-        d2 = distance_transform_squared(domain.inside, edge_is_false=True)
-        object.__setattr__(domain, "_distance2", d2)
-    return dx * np.sqrt(d2.astype(np.float64))
+    return dx * np.sqrt(domain.distance2.astype(np.float64))
 
 
 def domain_inradius(domain: DomainMask, dx: float) -> float:

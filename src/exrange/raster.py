@@ -8,6 +8,7 @@ Nodata is an exact sentinel value, never NaN.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StackFormatError
+from .morphology import distance_transform_squared
 
 DEFAULT_NODATA = -9999.0
 
@@ -28,10 +30,6 @@ class DomainMask:
     """Pixels whose centers belong to the study domain (time invariant)."""
 
     inside: np.ndarray  # (ny, nx) bool, a read-only copy
-    # squared distance to the nearest center outside the domain, set by the
-    # first ``ranges`` call that needs it
-    _distance2: np.ndarray | None = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         inside = np.array(self.inside, dtype=bool)
@@ -41,6 +39,15 @@ class DomainMask:
             raise ValueError("domain mask has no inside pixel")
         inside.flags.writeable = False
         object.__setattr__(self, "inside", inside)
+
+    @functools.cached_property
+    def distance2(self) -> np.ndarray:
+        """Squared distance from each pixel center to the nearest center
+        outside the domain, the region outside the grid counting as outside;
+        computed on first use and kept, read-only."""
+        d2 = distance_transform_squared(self.inside, edge_is_false=True)
+        d2.flags.writeable = False
+        return d2
 
     @property
     def n_pixels(self) -> int:

@@ -62,10 +62,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError
-from .ranges import _as_entries, median_range, range_entries
+from .ranges import _as_entries
 from .raster import DomainMask, RasterStack
 from .samples import RangeSamples, SamplePool, loglog_level
-from .thresholds import BoundaryPolicy, quantile_fields
 
 _PENALTY_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)  # roughness penalties ``choose_penalty`` tries
 _CV_FOLDS = 5
@@ -138,11 +137,6 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
         return pool.samples()
     return pool.add(((p, _as_entries(r, domain)) for p, r in range_fields_by_level.items()),
                     blocks, min_range)
-
-
-def _check_grid(samples: RangeSamples, shape: tuple[int, int]) -> None:
-    if samples.shape != tuple(shape):
-        raise ValueError(f"samples on the grid {samples.shape} cannot be fitted on {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +414,9 @@ class SplineMerModel:
     """Spatially smooth median regression of log range on log(-log(1-p)).
 
     Estimator-style interface: construct with hyperparameters, ``fit`` on
-    samples, then ``coefficient_maps`` or ``to_surface`` for the fitted
-    beta and theta maps (``predict_mer_map`` turns a surface into medians
-    at a level).
+    samples, then ``to_surface`` for the fitted beta and theta maps on the
+    samples' grid (``predict_mer_map`` turns a surface into medians at a
+    level).
     """
 
     def __init__(self, knots_x: int = 8, knots_y: int = 8, penalty: float = 1.0,
@@ -440,8 +434,7 @@ class SplineMerModel:
         return (_basis_1d(np.arange(ny), 0.0, float(ny - 1), self.knots_y),
                 _basis_1d(np.arange(nx), 0.0, float(nx - 1), self.knots_x))
 
-    def fit(self, samples: RangeSamples, shape: tuple[int, int],
-            train: np.ndarray | None = None) -> "SplineMerModel":
+    def fit(self, samples: RangeSamples, train: np.ndarray | None = None) -> "SplineMerModel":
         """Minimize the annealed smoothed-pinball objective by
         majorize-minimize: each iteration reweights the quadratic
         majorizer of the smoothed pinball at the current residuals and
@@ -460,7 +453,6 @@ class SplineMerModel:
         coefficients are bit-identical to a fit on the training samples
         alone, without copying them.
         """
-        _check_grid(samples, shape)
         nb = self.knots_x * self.knots_y
         if train is not None and (train.dtype != np.bool_ or train.shape != (samples.n,)):
             raise ValueError(f"train must be a boolean mask of length {samples.n}")
@@ -471,10 +463,10 @@ class SplineMerModel:
             )
         beta0, theta0 = _pooled_median_line(samples, train)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
-        by, bx = self._grid_bases(shape)
+        by, bx = self._grid_bases(samples.shape)
         pen_block = np.kron(np.eye(2), _roughness_penalty(self.knots_y, self.knots_x))
         xl = samples.level_x   # ascending level covariates, held-out levels included
-        cells = (xl.size, shape[0] * shape[1])
+        cells = (xl.size, math.prod(samples.shape))
         # take and bincount index with intp: one copy serves every iteration
         cell = samples.cell.astype(np.intp)
         w = np.empty(samples.n)   # with ``cell``, the only per-sample arrays of the fit
@@ -500,29 +492,30 @@ class SplineMerModel:
                 # arbitrarily large and must not leak into the null space
                 mat[np.diag_indices(2 * nb)] += 1e-10 * float(np.trace(data_block)) / (2 * nb)
                 params = np.linalg.solve(mat, rhs)
-        self.shape_ = shape
+        self.shape_ = samples.shape
         self.coef_beta_ = params[:nb].copy()
         self.coef_theta_ = params[nb:].copy()
         return self
 
-    def coefficient_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate the fitted surfaces at every pixel center."""
-        by, bx = self._grid_bases(self.shape_)
-        return _surface(by, bx, self.coef_beta_), _surface(by, bx, self.coef_theta_)
-
     def to_surface(self) -> MerSurface:
-        beta, theta = self.coefficient_maps()
-        return MerSurface(beta=beta, theta=theta)
+        """The fitted surfaces evaluated at every pixel center."""
+        by, bx = self._grid_bases(self.shape_)
+        return MerSurface(beta=_surface(by, bx, self.coef_beta_),
+                          theta=_surface(by, bx, self.coef_theta_))
 
 
-def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: int,
-                   iters: int) -> float:
+def choose_penalty(samples: RangeSamples, ky: int, kx: int, iters: int) -> float:
     """Pick the roughness penalty from ``_PENALTY_GRID`` by block-wise
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
     pooled samples under its training mask, copying none. DegenerateFitError
-    when every penalty has a degenerate fold fit, as one block always gives."""
+    before any fit when fewer than two blocks hold a sample, since a fold
+    then trains on nothing or holds nothing out, and when every penalty has
+    a degenerate fold fit."""
     run_n = np.diff(samples.runs)
     blocks = _distinct(samples.run_block[run_n > 0])
+    if blocks.size < 2:
+        raise DegenerateFitError(f"penalty cross-validation over {blocks.size} block(s): "
+                                 "a fold needs a block to train on and one to hold out")
     # the i-th smallest block id goes to fold i mod _CV_FOLDS: a fold per run of
     # samples, expanded once to the narrowest dtype
     run_fold = np.searchsorted(blocks, samples.run_block) % _CV_FOLDS
@@ -535,14 +528,13 @@ def choose_penalty(samples: RangeSamples, shape: tuple[int, int], ky: int, kx: i
             model = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
                                    iters=max(60, iters // 3))
             try:
-                model.fit(samples, shape, train)
+                surface = model.fit(samples, train).to_surface()
             except DegenerateFitError:
                 total = math.inf
                 break
-            beta, theta = model.coefficient_maps()
             hold = ~train
             # each held-out sample's cell prediction, as the fit gathers it
-            pred = np.take(beta.ravel() - samples.level_x[:, None] * theta.ravel(),
+            pred = np.take(surface.beta.ravel() - samples.level_x[:, None] * surface.theta.ravel(),
                            samples.cell[hold])
             total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
         if (total, lam) < best:
@@ -578,17 +570,17 @@ def _kappa_stages(iters: int) -> list[tuple[float, int]]:
     return [(0.1, third), (0.01, third), (0.001, iters - 2 * third)]
 
 
-def fit_mer_pixel_map(samples: RangeSamples, shape: tuple[int, int]) -> MerSurface:
-    """Independent exact LAD fit at every pixel with enough observations.
+def fit_mer_pixel_map(samples: RangeSamples) -> MerSurface:
+    """Independent exact LAD fit at every pixel of the samples' grid with
+    enough observations.
 
     Pixels with fewer than ``_MIN_PIXEL_SAMPLES`` observations or a single
     distinct level get NaN coefficients; DegenerateFitError when no pixel
     is left to fit.
     """
-    ny, nx = shape
-    beta = np.full(shape, np.nan)
-    theta = np.full(shape, np.nan)
-    _check_grid(samples, shape)
+    ny, nx = samples.shape
+    beta = np.full(samples.shape, np.nan)
+    theta = np.full(samples.shape, np.nan)
     npix = ny * nx
     # each pixel's samples in pooled order, from one stable sort of the pixels
     # in their narrowest dtype, which numpy radix-sorts up to 16 bits
@@ -657,42 +649,3 @@ def jackknife(stack: RasterStack, block_ids: Sequence[int],
     mean = est.mean(axis=0)
     return np.sqrt((n_blocks - 1) / n_blocks * ((est - mean) ** 2).sum(axis=0))
 
-
-# ---------------------------------------------------------------------------
-# consistency harness for the two-level estimator
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThetaConsistencyRow:
-    n: int
-    p_n: float
-    theta: float
-
-
-def consistency_check_theta(simulate: Callable[[int], RasterStack],
-                            n_values: Sequence[int], gamma: float,
-                            p0: float = 0.9) -> list[ThetaConsistencyRow]:
-    """Tabulate theta_hat(p0, 1 - n^-gamma) against the number of slices.
-
-    ``simulate`` maps a slice count to a stack; the level sequence
-    p_n = 1 - n^-gamma keeps n*(1-p_n) growing for gamma in (0,1).
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    rows = []
-    for n in n_values:
-        if n < 2:
-            raise ValueError(f"need at least 2 slices, got {n}")
-        p_n = 1.0 - float(n) ** (-gamma)
-        if not p_n > p0:
-            raise ValueError(f"p_n={p_n} must exceed p0={p0}; increase n or gamma")
-        stack = simulate(n)
-        medians = {
-            thr.p: median_range(range_entries(stack, thr, BoundaryPolicy.FILL_EXCEED),
-                                stack.domain())
-            for thr in quantile_fields(stack, (p0, p_n))
-        }
-        rows.append(ThetaConsistencyRow(
-            n=n, p_n=p_n, theta=theta_hat(medians[p0], medians[p_n], p0, p_n)
-        ))
-    return rows

@@ -6,6 +6,8 @@ rate trend, the scale-mixture plateau, and jackknife scaling. Fixed seeds
 keep every value reproducible.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -14,7 +16,6 @@ from exrange import (
     AdSimConfig,
     GaussianSimConfig,
     ThresholdField,
-    consistency_check_theta,
     ecdf,
     excursion_mask,
     jackknife,
@@ -27,6 +28,7 @@ from exrange import (
     simulate_ad_field,
     simulate_gaussian,
     tail_dependence,
+    theta_hat,
 )
 from exrange.thresholds import BoundaryPolicy
 
@@ -104,7 +106,14 @@ def test_theta_two_level_trend_toward_gaussian_limit():
             GaussianSimConfig(nx=96, ny=96, n_slices=n, nu=2.0, ell=10.0, seed=11)
         )
 
-    rows = consistency_check_theta(sim, [100, 400], gamma=0.869, p0=0.9)
+    # theta_hat(0.9, p_n) at p_n = 1 - n^-0.869, so that n (1 - p_n) grows with n
+    rows = []
+    for n in (100, 400):
+        p_n = 1.0 - float(n) ** -0.869
+        stack = sim(n)
+        medians = [median_range(range_entries(stack, thr, BoundaryPolicy.FILL_EXCEED),
+                                stack.domain()) for thr in quantile_fields(stack, (0.9, p_n))]
+        rows.append(SimpleNamespace(p_n=p_n, theta=theta_hat(*medians, 0.9, p_n)))
     assert rows[0].p_n < rows[1].p_n
     for row in rows:
         assert 0.3 < row.theta < 1.0

@@ -454,11 +454,12 @@ def test_pooled_samples_equal_concatenated_levels(sim_dir, tmp_path, monkeypatch
     from exrange import cli
 
     seen = []
-    fit_surface = cli._fit_surface
+    sample_pass = cli._sample_pass
 
-    def recording(stack, samples, *args):
+    def recording(each_level, stack, *args):
+        samples = sample_pass(each_level, stack, *args)
         seen.append((stack, {f: getattr(samples, f).copy() for f in SAMPLE_FIELDS}))
-        return fit_surface(stack, samples, *args)
+        return samples
 
     def check(stack, got, want):
         for f in SAMPLE_FIELDS:
@@ -466,7 +467,7 @@ def test_pooled_samples_equal_concatenated_levels(sim_dir, tmp_path, monkeypatch
         assert got["pixel_y"].dtype == got["pixel_x"].dtype == np.int32
         assert got["block"].dtype == np.int64
 
-    monkeypatch.setattr(cli, "_fit_surface", recording)
+    monkeypatch.setattr(cli, "_sample_pass", recording)
     stack = load_stack(sim_dir / "stack.f32")
     fit = ["--knots", "4x4", "--iters", "9", "--penalty", "1.0"]
     # 0.99 leaves no exceedance at nt = 40

@@ -161,11 +161,11 @@ def test_ecdf_counts_on_ragged_domain_with_holes(dx):
 def test_domain_is_transformed_once(monkeypatch):
     # ecdf at every level, domain_inradius and eroded_domain share one
     # transform of a domain, at any dx; the domain's pixels are read-only
-    import exrange.ranges
+    import exrange.raster
 
     calls = []
-    original = exrange.ranges.distance_transform_squared
-    monkeypatch.setattr(exrange.ranges, "distance_transform_squared",
+    original = exrange.raster.distance_transform_squared
+    monkeypatch.setattr(exrange.raster, "distance_transform_squared",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     inside = np.ones((12, 12), dtype=bool)
     inside[:3, :5] = False

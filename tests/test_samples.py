@@ -147,11 +147,11 @@ def test_pool_capacity_bounds_the_samples_with_ties():
     assert pool.n == _in_domain_exceedances(stack, thrs) < pool._y.size
 
 
-def _fits(samples, shape):
+def _fits(samples):
     """The spline coefficients, the chosen penalty and the pixel map."""
-    model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6).fit(samples, shape)
-    pixel = fit_mer_pixel_map(samples, shape)
-    return (np.r_[model.coef_beta_, model.coef_theta_], choose_penalty(samples, shape, 4, 4, 9),
+    model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6).fit(samples)
+    pixel = fit_mer_pixel_map(samples)
+    return (np.r_[model.coef_beta_, model.coef_theta_], choose_penalty(samples, 4, 4, 9),
             pixel.beta, pixel.theta)
 
 
@@ -179,7 +179,8 @@ def test_empty_declared_levels_leave_the_fits_bit_identical(min_range):
     filled = RangeSamples(*(getattr(samples, name) for name in FIELDS), shape=shape)
     assert filled.level_x.size == len(LEVELS) - (min_range > 0)
     assert np.array_equal(filled.y, samples.y) and not np.array_equal(filled.cell, samples.cell)
-    _equal_fits(_fits(samples, shape), _fits(filled, shape))
+    assert filled.shape == samples.shape == shape
+    _equal_fits(_fits(samples), _fits(filled))
 
 
 def test_levels_arriving_unsorted_are_fitted_as_sorted():
@@ -205,8 +206,8 @@ def test_levels_arriving_unsorted_are_fitted_as_sorted():
     # cell sums, and with them its coefficients, are bit-identical too
     model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6)
     coef = [np.r_[m.coef_beta_, m.coef_theta_] for m in (
-        model.fit(collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS),
-                  shape) for arrival in (LEVELS, (0.9, 0.6, 0.75)))]
+        model.fit(collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS))
+        for arrival in (LEVELS, (0.9, 0.6, 0.75)))]
     assert np.array_equal(coef[0], coef[1])
 
 
@@ -228,7 +229,7 @@ def test_pool_rejects_a_level_it_was_not_made_with_or_another_grid():
     assert pool.n == n
 
 
-def test_samples_take_their_grid_and_fits_reject_another():
+def test_samples_take_their_grid_and_fits_read_it():
     stack = _stack()
     shape, wide_shape = (stack.ny, stack.nx), (stack.ny + 2, stack.nx + 3)
     samples = _pooled(stack, LEVELS, BLOCKS)[0].samples()
@@ -244,18 +245,15 @@ def test_samples_take_their_grid_and_fits_reject_another():
     _equal_fields(wide, samples)
     # the pixel fits do not depend on the grid: the wide map holds the
     # stack's, and NaN beyond it
-    want = fit_mer_pixel_map(samples, shape)
-    got = fit_mer_pixel_map(wide, wide_shape)
+    want = fit_mer_pixel_map(samples)
+    got = fit_mer_pixel_map(wide)
+    assert want.beta.shape == shape and got.beta.shape == wide_shape
     assert np.array_equal(got.beta[:stack.ny, :stack.nx], want.beta, equal_nan=True)
     assert np.isnan(got.theta[stack.ny:]).all() and np.isnan(got.theta[:, stack.nx:]).all()
     model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6)
-    assert model.fit(wide, wide_shape).coefficient_maps()[0].shape == wide_shape
-    # a fit on a grid that is not the samples' own
-    for fit in (lambda s, g: model.fit(s, g), fit_mer_pixel_map,
-                lambda s, g: choose_penalty(s, g, 4, 4, 9)):
-        for s, g in ((samples, wide_shape), (wide, shape), (smallest, shape)):
-            with pytest.raises(ValueError, match="cannot be fitted on"):
-                fit(s, g)
+    surface = model.fit(wide).to_surface()
+    assert surface.beta.shape == surface.theta.shape == wide_shape
+    assert model.fit(smallest).to_surface().beta.shape == smallest.shape
 
 
 def test_five_array_samples_check_their_fields():
@@ -280,15 +278,37 @@ def test_penalty_cv_folds_follow_the_block_runs(monkeypatch):
     trains = []
     fit = SplineMerModel.fit
 
-    def recording(self, s, shape, train=None):
+    def recording(self, s, train=None):
         trains.append(train)
-        return fit(self, s, shape, train)
+        return fit(self, s, train)
 
     monkeypatch.setattr(SplineMerModel, "fit", recording)
-    choose_penalty(samples, (stack.ny, stack.nx), 4, 4, 9)
+    choose_penalty(samples, 4, 4, 9)
     assert len(trains) == 25
     for k, train in enumerate(trains):
         assert np.array_equal(train, want != k % 5), k
+
+
+def test_penalty_cv_over_fewer_than_two_blocks_raises_before_a_fit(monkeypatch):
+    # no sample, or samples in one block, leave no fold with both a block to
+    # train on and one to hold out: no penalty can be scored, so none is fitted
+    calls = []
+    fit = SplineMerModel.fit
+
+    def recording(self, s, train=None):
+        calls.append(train)
+        return fit(self, s, train)
+
+    monkeypatch.setattr(SplineMerModel, "fit", recording)
+    e = np.zeros(0, np.int64)
+    empty = RangeSamples(e, e, np.zeros(0), np.zeros(0), e, shape=(4, 4))
+    stack = _stack()
+    one = _pooled(stack, LEVELS, np.full(stack.nt, 5))[0].samples()
+    assert empty.n == 0 and one.n > 0 and one.run_block.tolist() == [5] * one.run_block.size
+    for samples, n_blocks in ((empty, 0), (one, 1)):
+        with pytest.raises(DegenerateFitError, match=rf"over {n_blocks} block\(s\)"):
+            choose_penalty(samples, 4, 4, 9)
+    assert calls == []
 
 
 def test_penalty_cv_takes_two_bytes_a_sample_before_its_first_fit(monkeypatch):
@@ -301,14 +321,14 @@ def test_penalty_cv_takes_two_bytes_a_sample_before_its_first_fit(monkeypatch):
     class FirstFit(Exception):
         pass
 
-    def first_fit(self, s, shape, train=None):
+    def first_fit(self, s, train=None):
         raise FirstFit(tracemalloc.get_traced_memory()[1])
 
     monkeypatch.setattr(SplineMerModel, "fit", first_fit)
     tracemalloc.start()
     try:
         with pytest.raises(FirstFit) as stop:
-            choose_penalty(samples, (ny, nx), 4, 4, 9)
+            choose_penalty(samples, 4, 4, 9)
     finally:
         tracemalloc.stop()
     # the uint8 folds and the fold's boolean training mask

@@ -10,7 +10,6 @@ from exrange import (
     RasterStack,
     SplineMerModel,
     collect_samples,
-    consistency_check_theta,
     fit_mer_pixel,
     fit_mer_pixel_map,
     jackknife,
@@ -201,7 +200,7 @@ def test_pixel_map_fit_ragged_pixels_match_enumeration():
     y = np.log(np.sqrt(rng.integers(1, 30, pix.size)))
     samples = RangeSamples(pixel_y=pix // nx, pixel_x=pix % nx, x=x, y=y,
                            block=np.zeros(pix.size, dtype=np.int64))
-    surf = fit_mer_pixel_map(samples, (ny, nx))
+    surf = fit_mer_pixel_map(samples)
     for f in range(ny * nx):
         b, t = surf.beta[f // nx, f % nx], surf.theta[f // nx, f % nx]
         sel = np.flatnonzero(pix == f)           # stable: the order the map fit sees
@@ -242,7 +241,7 @@ def test_pixel_map_fit_matches_enumeration_across_cached_pair_counts(monkeypatch
 
     monkeypatch.setattr(tailfit, "fit_mer_pixel", counting)
     tailfit._pair_design.cache_clear()
-    surf = fit_mer_pixel_map(samples, (ny, nx))
+    surf = fit_mer_pixel_map(samples)
     fitted = [f for f in range(ny * nx) if counts[f] >= 3 and f != single]
     sizes = [len(c) // 8 for c in calls]
     assert sorted(sizes) == sorted(counts[fitted].tolist())
@@ -282,7 +281,7 @@ def test_pixel_map_fit_pair_design_cache_is_sound():
     samples = RangeSamples(pixel_y=pix // nx, pixel_x=pix % nx, x=x, y=y,
                            block=np.zeros(pix.size, dtype=np.int64))
     tailfit._pair_design.cache_clear()
-    surf = fit_mer_pixel_map(samples, (ny, nx))
+    surf = fit_mer_pixel_map(samples)
     cache = tailfit._pair_design.cache_info()
     assert (cache.hits, cache.misses) == (4, 8)
     for f in range(ny * nx):
@@ -416,8 +415,9 @@ def test_spline_recovers_constant_truth():
         levels=[0.7, 0.9, 0.97, 0.995], reps=5, noise=0.25,
     )
     model = SplineMerModel(knots_x=6, knots_y=6, penalty=1.0, iters=60)
-    model.fit(samples, (16, 16))
-    beta, theta = model.coefficient_maps()
+    model.fit(samples)
+    surface = model.to_surface()
+    beta, theta = surface.beta, surface.theta
     assert np.all(np.abs(beta - 2.0) < 0.1)
     assert np.all(np.abs(theta - 0.5) < 0.1)
 
@@ -431,8 +431,9 @@ def test_spline_huge_penalty_approaches_pooled_constant_fit():
         levels=[0.85, 0.92, 0.97], reps=3, noise=0.4,
     )
     model = SplineMerModel(knots_x=5, knots_y=5, penalty=1e9, iters=900)
-    model.fit(samples, (10, 10))
-    beta, theta = model.coefficient_maps()
+    model.fit(samples)
+    surface = model.to_surface()
+    beta, theta = surface.beta, surface.theta
     assert beta.max() - beta.min() < 1e-6
     assert theta.max() - theta.min() < 1e-6
     # oracle: the constant-coefficient optimum of the same smoothed
@@ -464,8 +465,9 @@ def test_spline_smooth_truth_recovery():
         rng, 24, 24, beta_fn, theta_fn, levels=[0.85, 0.9, 0.95, 0.98], reps=4, noise=0.2,
     )
     model = SplineMerModel(knots_x=6, knots_y=6, penalty=0.5, iters=60)
-    model.fit(samples, (24, 24))
-    beta, theta = model.coefficient_maps()
+    model.fit(samples)
+    surface = model.to_surface()
+    beta, theta = surface.beta, surface.theta
     yy, xx = np.mgrid[0:24, 0:24]
     assert np.abs(beta - beta_fn(yy, xx)).mean() < 0.08
     assert np.abs(theta - theta_fn(yy, xx)).mean() < 0.08
@@ -477,12 +479,12 @@ def test_spline_degenerate_inputs():
                                 lambda y, x: 0.5 + 0 * x, levels=[0.9], reps=1)
     model = SplineMerModel(knots_x=8, knots_y=8, penalty=1.0, iters=5)
     with pytest.raises(DegenerateFitError, match="coefficients"):
-        model.fit(few, (2, 2))
+        model.fit(few)
     one_level = _samples_from_surface(rng, 20, 20, lambda y, x: 1.0 + 0 * x,
                                       lambda y, x: 0.5 + 0 * x, levels=[0.9], reps=3)
     model_small = SplineMerModel(knots_x=4, knots_y=4, penalty=1.0, iters=5)
     with pytest.raises(DegenerateFitError, match="level"):
-        model_small.fit(one_level, (20, 20))
+        model_small.fit(one_level)
 
 
 @pytest.mark.parametrize("params", [
@@ -500,7 +502,7 @@ def test_pixel_map_fit():
         rng, 6, 6, lambda y, x: 1.0 + 0.1 * x, lambda y, x: 0.3 + 0.05 * y,
         levels=[0.85, 0.9, 0.95], reps=2,
     )
-    surf = fit_mer_pixel_map(samples, (6, 6))
+    surf = fit_mer_pixel_map(samples)
     yy, xx = np.mgrid[0:6, 0:6]
     assert np.allclose(surf.beta, 1.0 + 0.1 * xx, atol=1e-9)
     assert np.allclose(surf.theta, 0.3 + 0.05 * yy, atol=1e-9)
@@ -585,21 +587,6 @@ def test_collect_samples_filters_and_blocks():
     assert set(samples.block.tolist()) == {4, 9}
     assert np.allclose(np.sort(np.exp(samples.y)), [1.0, 2.0, 3.0])
     assert np.all(samples.x == loglog_level(0.9))
-
-
-def test_consistency_check_validation():
-    from exrange import GaussianSimConfig, simulate_gaussian
-
-    def sim(n):
-        return simulate_gaussian(GaussianSimConfig(nx=12, ny=12, n_slices=n, ell=2.0, seed=1))
-
-    with pytest.raises(ValueError, match="gamma"):
-        consistency_check_theta(sim, [10], gamma=1.5)
-    with pytest.raises(ValueError, match="at least 2"):
-        consistency_check_theta(sim, [0], gamma=0.9)
-    rows = consistency_check_theta(sim, [40], gamma=0.9, p0=0.5)
-    assert rows[0].n == 40
-    assert 0.5 < rows[0].p_n < 1.0
 
 
 def _non_square_samples(rng, ny=7, nx=11, n=400):
@@ -716,7 +703,7 @@ def test_spline_mm_iterations_never_increase_objective(monkeypatch):
         return iterates[-1]
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    model.fit(samples, (ny, nx))
+    model.fit(samples)
     monkeypatch.undo()
     assert len(iterates) == model.iters
     assert np.array_equal(iterates[-1], np.r_[model.coef_beta_, model.coef_theta_])
@@ -768,14 +755,14 @@ def test_spline_fold_mask_fit_equals_fit_on_copy():
     assert not (top & (folds != 0)).any()
     for f in range(5):
         train = folds != f
-        masked = _coefficients(model.fit(samples, (ny, nx), train))
-        copied = _coefficients(model.fit(_select(samples, train), (ny, nx)))
+        masked = _coefficients(model.fit(samples, train))
+        copied = _coefficients(model.fit(_select(samples, train)))
         assert np.array_equal(masked, copied), f
         # the held-out responses do not enter the fit, however large
         wild = samples.y.copy()
         wild[~train] = np.where(rng.random(np.count_nonzero(~train)) < 0.5, -1e300, 1e300)
         far = RangeSamples(samples.pixel_y, samples.pixel_x, samples.x, wild, samples.block)
-        assert np.array_equal(_coefficients(model.fit(far, (ny, nx), train)), masked), f
+        assert np.array_equal(_coefficients(model.fit(far, train)), masked), f
 
 
 def test_choose_penalty_without_a_fold_fit_raises():
@@ -789,10 +776,10 @@ def test_choose_penalty_without_a_fold_fit_raises():
                               levels=[0.9, 0.95], reps=1, noise=0.1)
     assert np.unique(s.block).tolist() == [0]
     with pytest.raises(DegenerateFitError, match=r"over 1 block\(s\)"):
-        choose_penalty(s, (6, 6), 4, 4, 9)
+        choose_penalty(s, 4, 4, 9)
     by_level = RangeSamples(s.pixel_y, s.pixel_x, s.x, s.y, (s.x == s.x.max()).astype(np.int64))
     with pytest.raises(DegenerateFitError, match=r"over 2 block\(s\)"):
-        choose_penalty(by_level, (6, 6), 4, 4, 9)
+        choose_penalty(by_level, 4, 4, 9)
 
 
 def test_spline_fold_mask_checks():
@@ -803,13 +790,13 @@ def test_spline_fold_mask_checks():
     few = np.zeros(samples.n, dtype=bool)
     few[:59] = True   # 2 * nb - 1 samples
     with pytest.raises(DegenerateFitError, match="coefficients"):
-        model.fit(samples, (ny, nx), few)
+        model.fit(samples, few)
     with pytest.raises(DegenerateFitError, match="level"):
-        model.fit(samples, (ny, nx), samples.x == samples.x[0])
+        model.fit(samples, samples.x == samples.x[0])
     for bad in (np.ones(samples.n, dtype=np.int64), np.arange(samples.n),
                 np.ones(samples.n - 1, dtype=bool), np.ones((1, samples.n), dtype=bool)):
         with pytest.raises(ValueError, match="boolean mask"):
-            model.fit(samples, (ny, nx), bad)
+            model.fit(samples, bad)
 
 
 def test_spline_fit_memory_is_two_per_sample_arrays():
@@ -826,10 +813,10 @@ def test_spline_fit_memory_is_two_per_sample_arrays():
                            x=x, y=1.0 - 0.5 * x + 0.3 * rng.laplace(size=n),
                            block=np.zeros(n, dtype=np.int64))
     model = SplineMerModel(knots_x=6, knots_y=6, iters=3)
-    model.fit(_select(samples, slice(0, 1000)), (ny, nx))   # any first-use set-up
+    model.fit(_select(samples, slice(0, 1000)))   # any first-use set-up
     tracemalloc.start()
     try:
-        model.fit(samples, (ny, nx))
+        model.fit(samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
