@@ -200,7 +200,8 @@ def _save_map_with_csv(out_dir: Path, name: str, grid: np.ndarray,
 
 
 def _fmt_p(p: float) -> str:
-    return f"{p:g}"
+    """The shortest text that reads back as ``p``, so levels never share a label."""
+    return repr(float(p))
 
 
 def _default_radii(stack: raster.RasterStack) -> list[float]:

@@ -1,6 +1,5 @@
 """Extremal-range fields, their empirical CDF, pooled and per-pixel
-medians, the pairwise tail-dependence coefficient, and the closed-form
-Gaussian small-radius approximation.
+medians, and the pairwise tail-dependence coefficient.
 
 The range value of an exceedance pixel is the distance to the nearest
 non-exceedance pixel center, so the estimator, the eroded-area identity
@@ -8,11 +7,11 @@ and the erosion routine all agree pixel for pixel. CDF counts are
 restricted to the eroded domain T_{-r}, so a pixel only contributes at
 radii for which the whole disk around it stays inside the domain.
 
-A pixel's range is positive exactly where its slice exceeds the threshold
-and 0 elsewhere, and every estimator reads domain pixels only, so a level's
-ranges are kept as its in-domain exceedances: a ``RangeEntries`` holds, slice
-after slice, the flat pixel iy*nx + ix of each in-domain positive range,
-ascending, its value, and where each slice's run starts. ``range_entries``
+A range field is positive exactly at the domain pixels where its slice
+exceeds the threshold, and 0 elsewhere, so a level's ranges are kept as
+its in-domain exceedances: a ``RangeEntries`` holds, slice after slice,
+the flat pixel iy*nx + ix of each in-domain positive range, ascending, its
+value, and where each slice's run starts. ``range_entries``
 builds it, and ``ecdf``, ``median_range`` and ``median_range_map`` read it.
 They also accept a dense (nt, ny, nx) array or a sequence of ``RangeField``,
 converted once. An entry takes 2 bytes for its pixel (4 on grids of more
@@ -91,7 +90,8 @@ def eroded_domain(domain: DomainMask, radius: float, dx: float) -> np.ndarray:
 
 def range_field(mask: ExcursionMask, domain: DomainMask, dx: float,
                 edge_fallback: bool = False) -> RangeField:
-    """Distance from each pixel to the nearest non-exceedance pixel.
+    """Distance from each domain pixel to the nearest non-exceedance pixel;
+    0 outside the domain.
 
     The stored mask already encodes the boundary policy (outside-domain
     pixels appear as exceedances under FILL_EXCEED and as non-exceedances
@@ -102,12 +102,13 @@ def range_field(mask: ExcursionMask, domain: DomainMask, dx: float,
     exceed = mask.exceed
     if exceed.shape != domain.inside.shape:
         raise ValueError(f"mask shape {exceed.shape} != domain shape {domain.inside.shape}")
-    if exceed.all() and not edge_fallback:
+    everywhere = exceed.all()
+    if everywhere and not edge_fallback:
         raise ValueError(
             "mask has no non-exceedance pixel; pass edge_fallback=True to "
             "measure distances to the grid edge"
         )
-    return distance_transform(exceed, dx=dx, edge_is_false=exceed.all())
+    return distance_transform(exceed, dx=dx, edge_is_false=everywhere, targets=domain.inside)
 
 
 def _pmap(fn, items, n_threads: int) -> list:

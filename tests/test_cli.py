@@ -243,8 +243,9 @@ def test_range_maps_written(sim_dir, tmp_path):
 @pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
 def test_range_maps_are_the_range_fields_on_a_ragged_stack(tmp_path, policy):
     # each map's bytes are those of the slice's range field saved as float32,
-    # with 0 at the nodata pixels, though fill-exceed gives them positive
-    # ranges; slice 2 exceeds at every domain pixel and slice 4 nowhere
+    # which is 0 at the nodata pixels under both policies, though fill-exceed
+    # makes them exceedances; slice 2 exceeds at every domain pixel and slice
+    # 4 nowhere
     from exrange import (RasterStack, excursion_mask, quantile_fields, range_field, save_map,
                          save_stack)
 
@@ -260,12 +261,13 @@ def test_range_maps_are_the_range_fields_on_a_ragged_stack(tmp_path, policy):
     dom = stack.domain()
     for thr in quantile_fields(stack, [0.6, 0.9]):
         for t in range(stack.nt):
-            r = range_field(excursion_mask(stack, t, thr, policy), dom, stack.dx,
-                            edge_fallback=True).r
-            assert (r[~dom.inside] > 0).all() == (policy == "fill-exceed")
+            mask = excursion_mask(stack, t, thr, policy)
+            assert mask.exceed[~dom.inside].all() == (policy == "fill-exceed")
+            r = range_field(mask, dom, stack.dx, edge_fallback=True).r
+            assert not r[~dom.inside].any()
             name = f"range_p{thr.p:g}_t{t}.f32"
-            save_map(tmp_path / "want" / name, np.where(dom.inside, r, 0).astype(np.float32),
-                     dx=stack.dx, unit=stack.unit)
+            save_map(tmp_path / "want" / name, r.astype(np.float32), dx=stack.dx,
+                     unit=stack.unit)
             for suffix in ("", ".json"):
                 assert ((out / (name + suffix)).read_bytes()
                         == (tmp_path / "want" / (name + suffix)).read_bytes()), name
@@ -289,6 +291,23 @@ def test_mer_and_predict(sim_dir, tmp_path):
     pred, _ = load_map(tmp_path / "mer_p0.99.f32")
     assert np.isfinite(beta).all()
     assert (pred > 0).all()
+
+
+def test_level_labels_keep_every_digit(sim_dir, tmp_path):
+    # two levels equal to six significant digits, and a prediction level that
+    # six significant digits round to 1
+    levels = "0.9999991,0.9999994"
+    assert main(["cdf", "--in", str(sim_dir), "--out", str(tmp_path), "--p", levels,
+                 "--radii", "1,2"]) == 0
+    assert sorted(path.name for path in tmp_path.glob("cdf_p*.csv")) == [
+        "cdf_p0.9999991.csv", "cdf_p0.9999994.csv"]
+    assert main(["hist", "--in", str(sim_dir), "--out", str(tmp_path), "--p", levels]) == 0
+    assert {row[0] for row in _read_csv(tmp_path / "hist.csv")[1:]} == {
+        "0.9999991", "0.9999994"}
+    assert main(["mer", "--in", str(sim_dir), "--out", str(tmp_path), "--fit", "pixel",
+                 "--levels", "0.85,0.9,0.95", "--predict-p", "0.9999999"]) == 0
+    assert sorted(path.name for path in tmp_path.glob("mer_p*")) == [
+        "mer_p0.9999999.csv", "mer_p0.9999999.f32", "mer_p0.9999999.f32.json"]
 
 
 def test_pipeline_outputs_and_determinism(sim_dir, tmp_path):
@@ -850,3 +869,45 @@ def test_penalty_cv_identical_across_blas_threads(tmp_path):
     # reduction order that a caller's OPENBLAS_NUM_THREADS picks
     one, two = (_fit_run(tmp_path, "mer", OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one == two
+
+
+@pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
+def test_pipeline_respects_the_symmetries_of_a_ragged_stack(tmp_path, policy):
+    # the whole chain on a stack with a nodata notch and a hole, against the
+    # same stack with its values doubled, its grid transposed and its columns
+    # mirrored; the maps are compared after undoing the transform
+    from exrange import RasterStack, save_stack
+
+    assert main(["simulate", "--nx", "40", "--ny", "32", "--n", "60", "--ell", "6",
+                 "--seed", "3", "--out", str(tmp_path / "sim")]) == 0
+    stack = load_stack(tmp_path / "sim" / "stack.f32")
+    values = stack.values.copy()
+    values[:, :5, 30:] = values[:, 14:17, 10:13] = stack.nodata
+    inside = values[0] != stack.nodata
+    variants = {"base": (values, None), "doubled": (np.where(inside, 2 * values, values), None),
+                "transposed": (values.transpose(0, 2, 1), np.transpose),
+                "mirrored": (values[:, :, ::-1], np.fliplr)}
+    outs = {}
+    for name, (vals, _) in variants.items():
+        save_stack(tmp_path / name / "stack.f32", RasterStack(vals, dx=stack.dx))
+        outs[name] = tmp_path / f"out-{name}"
+        assert main(["pipeline", "--in", str(tmp_path / name), "--out", str(outs[name]),
+                     "--levels", "0.85:0.95:0.05", "--policy", policy]) == 0
+    files = sorted(path.name for path in outs["base"].iterdir())
+    assert "theta_map.f32" in files and "mer_beta.f32" in files
+    for name, (_, undo) in variants.items():
+        assert sorted(path.name for path in outs[name].iterdir()) == files
+        for f in files:
+            got, want = outs[name] / f, outs["base"] / f
+            if undo is None or f in ("cdf.csv", "hist.csv"):
+                assert got.read_bytes() == want.read_bytes(), (name, f)
+            elif f.endswith(".f32"):
+                assert np.array_equal(undo(load_map(got)[0]), load_map(want)[0]), (name, f)
+        # c0 and c2 are exact; c1 and the slope it feeds are sums of segment
+        # lengths, which run in another order on the transformed grid
+        got, want = (_read_csv(outs[k] / "ivdens.csv") for k in (name, "base"))
+        assert got[0] == want[0] and len(got) == len(want) == 4
+        for g, w in zip(got[1:], want[1:]):
+            assert g[:2] == w[:2] and g[3] == w[3], name
+            assert float(g[2]) == pytest.approx(float(w[2]), rel=1e-12, abs=0)
+            assert float(g[4]) == pytest.approx(float(w[4]), rel=1e-12, abs=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exrange import distance_transform, distance_transform_squared, erode, morphology
+from exrange import distance_transform, distance_transform_squared, erode
 
 
 def brute_force_sq(mask):
@@ -100,8 +100,8 @@ def brute_force_sq_by_row(mask):
 
 
 def long_range_masks():
-    """Masks with distances above 144 (the most offsets the row pass takes
-    before the lower envelope), each with its ``edge_is_false`` flag."""
+    """Masks with distances above 144 px, each with its ``edge_is_false``
+    flag."""
     rng = np.random.default_rng(46)
     yy, xx = np.mgrid[0:260, 0:300]
     # a small domain under fill-exceed: false pixels only inside a disk
@@ -118,34 +118,47 @@ def long_range_masks():
     yield scattered, False
 
 
-def test_long_ranges_take_the_lower_envelope_and_match_brute_force(monkeypatch):
-    calls = []
-    envelope = morphology._lower_envelope
-    monkeypatch.setattr(morphology, "_lower_envelope",
-                        lambda *args: calls.append(args[0].shape) or envelope(*args))
+def test_long_ranges_match_brute_force():
     for mask, edge in long_range_masks():
         expected = (brute_force_sq_by_row(np.pad(mask, 1))[1:-1, 1:-1] if edge
                     else brute_force_sq_by_row(mask))
         assert expected.max() > 144 ** 2
-        n_calls = len(calls)
         d2 = distance_transform_squared(mask, edge_is_false=edge)
         assert d2.dtype == np.int64 and np.array_equal(d2, expected)
-        assert len(calls) == n_calls + 1
 
 
-def test_lower_envelope_matches_brute_force():
-    # min over j of h[:, j] + (x - cols[j])^2, with ties, a single column,
-    # skipped columns and some values far above the rest
-    rng = np.random.default_rng(47)
-    for _ in range(300):
-        nx = int(rng.integers(1, 30))
-        cols = np.sort(rng.choice(nx, size=int(rng.integers(1, nx + 1)), replace=False))
-        h = rng.integers(0, int(rng.integers(1, 900)), size=(int(rng.integers(1, 7)), len(cols)))
-        h[rng.random(h.shape) < 0.2] *= 50
-        x = np.arange(nx)
-        expected = (h[:, None, :] + (x[:, None] - cols[None, :]) ** 2).min(axis=2)
-        got = morphology._lower_envelope(h, cols, nx)
-        assert np.array_equal(got, expected)
+@pytest.mark.parametrize("edge", [False, True], ids=["no-edge", "edge"])
+def test_targets_match_brute_force_there_and_read_zero_elsewhere(edge):
+    # random masks and random targets, plus no target and every pixel a
+    # target; the pixels off the targets still act as False pixels
+    def brute(mask):
+        return brute_force_sq_by_row(np.pad(mask, 1))[1:-1, 1:-1] if edge else (
+            brute_force_sq_by_row(mask))
+
+    rng = np.random.default_rng(50)
+    for i in range(60):
+        ny, nx = (int(n) for n in rng.integers(1, 30, size=2))
+        mask = rng.random((ny, nx)) < rng.uniform(0.3, 1.0)
+        if not edge and mask.all():
+            mask[rng.integers(ny), rng.integers(nx)] = False
+        targets = [rng.random((ny, nx)) < rng.uniform(0.05, 0.95),
+                   np.zeros((ny, nx), dtype=bool), np.ones((ny, nx), dtype=bool)][i % 3]
+        want = np.where(targets, brute(mask), 0)
+        d2 = distance_transform_squared(mask, edge_is_false=edge, targets=targets)
+        assert d2.dtype == np.int64 and np.array_equal(d2, want)
+        r = distance_transform(mask, dx=2.5, edge_is_false=edge, targets=targets).r
+        assert np.array_equal(r, 2.5 * np.sqrt(want))
+    # targets far from a disk of False pixels, across pixels they do not target
+    yy, xx = np.mgrid[0:90, 0:120]
+    mask = (yy - 20) ** 2 + (xx - 30) ** 2 >= 8 ** 2
+    targets = xx >= 100
+    d2 = distance_transform_squared(mask, edge_is_false=edge, targets=targets)
+    assert np.array_equal(d2, np.where(targets, brute(mask), 0))
+
+
+def test_targets_must_match_the_mask():
+    with pytest.raises(ValueError, match="targets shape"):
+        distance_transform_squared(np.zeros((3, 4), dtype=bool), targets=np.ones((4, 3), bool))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 8)],

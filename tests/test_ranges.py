@@ -277,10 +277,10 @@ def test_median_range_map_matches_full_sort_on_ragged_cases(policy):
     dom = stack.domain()
     thr = quantile_field(stack, 0.6)
     cube = stacked_range_fields(stack, thr, policy)
-    assert np.array_equal(dense(range_entries(stack, thr, policy)), np.where(inside, cube, 0))
-    # fill-exceed gives nodata pixels a positive range in every slice, which
-    # the dense input carries and the medians ignore
-    assert (cube[:, ~inside] > 0).all() == (policy is BoundaryPolicy.FILL_EXCEED)
+    assert np.array_equal(dense(range_entries(stack, thr, policy)), cube)
+    assert not cube[:, ~inside].any()
+    # positive ranges written in at the nodata pixels, which the medians ignore
+    cube[:, ~inside] = rng.uniform(1.0, 5.0, size=(nt, np.count_nonzero(~inside)))
     cube[:, 1, 1] = 0.0                                  # no positive range
     cube[:, 1, 2] = [0, 2, 0, 2, 1, 0, 0, 3, 0]          # even count, tied median
     cube[:, 1, 3] = [0, 0, 5, 0, 1, 0, 1, 0, 0]          # odd count, tied median
@@ -348,8 +348,9 @@ def stacked_range_fields(stack, thr, policy):
 @pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
 @pytest.mark.parametrize("policy", list(BoundaryPolicy))
 def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes):
-    # the range cube the level's entries stand for, pixel for pixel at the
-    # domain pixels and 0 outside; one stack, dx != 1, with slices that exceed
+    # the range cube the level's entries stand for, and each slice's range
+    # field, pixel for pixel at the domain pixels against the brute force on
+    # the whole mask, and 0 outside; one stack, dx != 1, with slices that exceed
     # nowhere, somewhere and everywhere; on the full grid an everywhere slice
     # takes the edge fallback under both policies, with holes only under
     # fill-exceed
@@ -379,8 +380,8 @@ def test_range_cube_mixed_slices_match_range_field_and_brute_force(policy, holes
         else:
             expected = brute_nearest_false(exceed, dx)
         rf = range_field(excursion_mask(stack, t, thr, policy), dom, dx, edge_fallback=True)
-        assert np.array_equal(rf.r, expected)
-        assert np.array_equal(cube[t], np.where(inside, expected, 0))
+        assert np.array_equal(rf.r, np.where(inside, expected, 0))
+        assert np.array_equal(cube[t], rf.r)
     assert np.array_equal(flat_positions(entries), np.flatnonzero(cube))
     assert not cube[[0, 4]][:, inside].any() and cube[[2, 7]][:, inside].all()
 
@@ -446,8 +447,8 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
                                                                     n_threads):
     # slices 0 and 5 exceed nowhere; slice 3 exceeds at every domain pixel,
     # which on the full grid, or under fill-exceed, is an all-True mask that
-    # takes the edge fallback; the entries hold the domain pixels only, though
-    # fill-exceed gives the nodata pixels positive ranges
+    # takes the edge fallback; fill-exceed makes the nodata pixels exceedances
+    # in every mask, and the range fields and entries hold 0 there
     from exrange.cli import _hist_rows
 
     rng = np.random.default_rng(45)
@@ -468,13 +469,13 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         check_layout(entries, np.uint8)
         cube = stacked_range_fields(stack, thr, policy)
         exceed = cube > 0
-        assert np.array_equal(flat_positions(entries), np.flatnonzero(exceed & inside))
-        assert np.array_equal(flat_positions(entries), np.flatnonzero(
-            np.stack([excursion_mask(stack, t, thr, policy).exceed for t in range(nt)])
-            & inside))
-        assert np.array_equal(entries.value, cube[exceed & inside])
-        assert not exceed[[0, 5]][:, inside].any() and exceed[3].all() == (fill or not ragged)
-        assert exceed[:, ~inside].all() if fill else not exceed[:, ~inside].any()
+        masks = np.stack([excursion_mask(stack, t, thr, policy).exceed for t in range(nt)])
+        assert np.array_equal(flat_positions(entries), np.flatnonzero(exceed))
+        assert np.array_equal(flat_positions(entries), np.flatnonzero(masks & inside))
+        assert np.array_equal(entries.value, cube[exceed])
+        assert not exceed[[0, 5]][:, inside].any() and masks[3].all() == (fill or not ragged)
+        assert masks[:, ~inside].all() if fill else not masks[:, ~inside].any()
+        assert not cube[:, ~inside].any()
         by_level[thr.p], dense_by_level[thr.p] = entries, cube
 
         radii = [1.5, 2.0, 3.0, 4.5]
@@ -485,7 +486,7 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         assert (median_range_map(entries, dom) == full_sort_median_map(cube, inside)).all()
         edges = np.arange(0.0, 9.0, stack.dx)
         rows = _hist_rows(thr.p, entries, edges)
-        counts, _ = np.histogram(cube[exceed & inside], bins=edges)
+        counts, _ = np.histogram(cube[exceed], bins=edges)
         assert [row[3] for row in rows] == counts.tolist()
         assert [row[1:3] for row in rows] == [[lo, hi] for lo, hi in zip(edges, edges[1:])]
     got = collect_samples(by_level, dom, blocks=list(range(10, 10 + nt)), min_range=2.0)
