@@ -493,7 +493,8 @@ def _add_fit_options(sub, penalty_default: str = "auto"):
     sub.add_argument("--penalty", default=penalty_default,
                      help="roughness penalty, a finite value >= 0 or 'auto' for block CV")
     sub.add_argument("--iters", type=int, default=60,
-                     help="optimizer iteration budget, at least 3")
+                     help="optimizer iteration budget, at least 3; each fold fit of "
+                          "--penalty auto runs max(60, ITERS // 3) iterations")
     sub.add_argument("--min-range", type=float, default=0.0, dest="min_range",
                      help="drop range observations below this length, finite and >= 0")
 

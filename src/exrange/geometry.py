@@ -12,12 +12,16 @@ resolved by the sign of the cell-center average, deterministically.
 A level's densities come from its (nt, ny, nx) stack in blocks of slices:
 per block, one threshold comparison and marching squares over the block's
 (slices, ny-1, nx-1) cells. The output bytes fix each slice's float sums:
-one numpy ``.sum()`` per (slice, table row) over that slice's cells in
-row-major order, added to the slice's length in ``_CASE_TABLE`` order (a
-saddle row's two segment sums added to each other first); the slice
-densities are then added in slice order. A block's (slice, table row) sums
-come from one zero-prefixed ``np.add.reduceat``, which gives each the bits
-of its ``.sum()``, so the blocks change no bit.
+for each table row, one numpy ``.sum()`` of the first segments of that
+row's cells in the slice, in row-major order, and one of their second
+segments (0.0 for a row of one segment); the two are added to each other
+and then to the slice's length, from 0.0, in ``_CASE_TABLE`` order; the
+slice densities are then added in slice order. A block's crossed cells are
+sorted once, stably, by table row, so that each row's cells form one run
+in (slice, row-major) order; each row's segments are measured on its run,
+and every (table row, slice) group is summed by one zero-prefixed
+``np.add.reduceat``, which gives each group the bits of its ``.sum()``, so
+the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -110,15 +114,21 @@ _CASE_TABLE = (
 # table row of each key 2*case + (center > 0); cases 0 and 15 are never looked up
 _ROW = np.array([next((r for r, (c, pos, _) in enumerate(_CASE_TABLE)
                        if c == key // 2 and pos in (None, key % 2 == 1)), 0)
-                 for key in range(32)])
-# where each edge's crossing point is found in the rows of ``pts`` (see
-# _curve_lengths): (x, y) in cell units, x along columns, y along rows
-_EDGE_PTS = {"T": (2, 0), "R": (1, 3), "B": (4, 1), "L": (0, 5)}
-# (x1, y1, x2, y2) rows of each table row's first and second segment; a row
-# with one segment repeats it and its second is never added
-_SEG_PTS = np.array([[[*_EDGE_PTS[e1], *_EDGE_PTS[e2]] for e1, e2 in (segs[0], segs[-1])]
-                     for _, _, segs in _CASE_TABLE], dtype=np.int8)
-_TWO_SEGMENTS = np.array([len(segs) == 2 for _, _, segs in _CASE_TABLE])
+                 for key in range(32)], dtype=np.uint8)
+
+
+def _crossing(edge: str, f00, f01, f10, f11):
+    """(x, y) in cell units, x along columns and y along rows, where the
+    level curve crosses ``edge`` of cells with corner differences ``fab``.
+    The curve crosses the edge, so one of its corners is > 0 and the other
+    <= 0, and no denominator is 0."""
+    if edge == "T":
+        return f00 / (f00 - f01), 0.0
+    if edge == "R":
+        return 1.0, f01 / (f01 - f11)
+    if edge == "B":
+        return f10 / (f10 - f11), 1.0
+    return 0.0, f00 / (f00 - f10)
 
 
 def _curve_lengths(values: np.ndarray, u: np.ndarray, above: np.ndarray,
@@ -140,69 +150,49 @@ def _curve_lengths(values: np.ndarray, u: np.ndarray, above: np.ndarray,
     n_cells = int(np.count_nonzero(valid))
     if t.size == 0:
         return lengths, n_cells
+    key = 2 * case[t, i, j]  # _ROW's key, before the center sign is added
+    del case  # the cell block goes before the per-cell arrays come
     u = np.asarray(u, dtype=np.float64)
-    f00, f01, f10, f11 = (values[t, i + di, j + dj] - u[i + di, j + dj]
-                          for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    row = _ROW[2 * case[t, i, j] + ((f00 + f01 + f10 + f11) > 0)]
-    del case, i, j  # the cell block goes before the per-cell arrays come
-    # the constants 0 and 1, then the crossing points along T, R, B and L
-    pts = np.empty((6, t.size))
-    pts[0], pts[1] = 0.0, 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pts[2] = f00 / (f00 - f01)
-        pts[3] = f01 / (f01 - f11)
-        pts[4] = f10 / (f10 - f11)
-        pts[5] = f00 / (f00 - f10)
-    del f00, f01, f10, f11
-    cell = np.arange(t.size)
-
-    def segment_lengths(k):
-        x1, y1, x2, y2 = _SEG_PTS[row, k].T
-        ddx = pts[x1, cell] - pts[x2, cell]
-        ddy = pts[y1, cell] - pts[y2, cell]
-        return np.sqrt(ddx * ddx + ddy * ddy)
-
-    first, second = segment_lengths(0), segment_lengths(1)
-    del pts, cell
-    # one group per (slice, table row), its cells kept in row-major order
-    key = t * len(_CASE_TABLE) + row
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    head = np.empty(key.size, dtype=bool)
-    head[0] = True
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    slice_of, row_of = np.divmod(key[head], len(_CASE_TABLE))
-    del key
-    one, two = _group_sums((first, second), order, head)
-    total = np.where(_TWO_SEGMENTS[row_of], one + two, one)
-    np.add.at(lengths, slice_of, total)  # each slice's groups added in table order
+    f = [values[t, i + di, j + dj] - u[i + di, j + dj]
+         for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    row = _ROW[key + ((f[0] + f[1] + f[2] + f[3]) > 0)]
+    del key, i, j
+    # each table row's cells in one run, in (slice, row-major) order within it
+    order = np.argsort(row, kind="stable")
+    row, t = row[order], t[order]
+    for k in range(4):
+        f[k] = f[k][order]
+    del order
+    bounds = np.cumsum(np.bincount(row, minlength=len(_CASE_TABLE)))
+    # the length of each cell's first and second segment; a one-segment row's
+    # second is 0.0
+    seg = np.zeros((2, t.size))
+    for (_, _, segs), stop, start in zip(_CASE_TABLE, bounds, (0, *bounds)):
+        if start == stop:
+            continue
+        for k, edges in enumerate(segs):
+            (x1, y1), (x2, y2) = (_crossing(e, *(fk[start:stop] for fk in f)) for e in edges)
+            ddx, ddy = x1 - x2, y1 - y2
+            np.sqrt(ddx * ddx + ddy * ddy, out=seg[k, start:stop])
+    del f
+    # one group per (table row, slice)
+    starts = np.flatnonzero(np.r_[True, (t[1:] != t[:-1]) | (row[1:] != row[:-1])])
+    one, two = _run_sums(seg, starts)
+    np.add.at(lengths, t[starts], one + two)  # each slice's groups added in table order
     return lengths, n_cells
 
 
-def _group_sums(arrays, order: np.ndarray, head: np.ndarray) -> list[np.ndarray]:
-    """For each of ``arrays``, the ``.sum()`` of every group of
-    ``a[order]``, bit for bit; a group is a run that starts where ``head``
-    is True (``head[0]`` is).
+def _run_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ``.sum()`` of each run along the last axis of ``a`` that begins
+    at one of the increasing ``starts`` (``starts[0]`` is 0) and ends at the
+    next, bit for bit.
 
-    One ``np.add.reduceat`` sums every group, with a 0.0 placed ahead of
-    each: a bare reduceat starts from the group's first element, which
-    differs from ``.sum()`` in the last bit. Sorted element k goes to slot
-    k + 1 + (groups before it), placed from ``order`` directly, so no sorted
-    copy of an array is made.
+    One ``np.add.reduceat`` with a 0.0 put ahead of each run: a bare
+    reduceat starts from the run's first element, which differs from
+    ``.sum()`` in the last bit.
     """
-    slot = np.cumsum(head)
-    slot += np.arange(slot.size)
-    place = np.empty_like(slot)
-    place[order] = slot
-    del slot
-    zeros = np.flatnonzero(head)
-    zeros += np.arange(zeros.size)
-    padded = np.zeros(place.size + zeros.size)
-    sums = []
-    for a in arrays:
-        padded[place] = a
-        sums.append(np.add.reduceat(padded, zeros))
-    return sums
+    padded = np.insert(a, starts, 0.0, axis=-1)
+    return np.add.reduceat(padded, starts + np.arange(starts.size), axis=-1)
 
 
 def level_curve_length(field: np.ndarray, threshold: np.ndarray | float,

@@ -507,7 +507,8 @@ class SplineMerModel:
 def choose_penalty(samples: RangeSamples, ky: int, kx: int, iters: int) -> float:
     """Pick the roughness penalty from ``_PENALTY_GRID`` by block-wise
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
-    pooled samples under its training mask, copying none. DegenerateFitError
+    pooled samples under its training mask, copying none, with
+    ``max(60, iters // 3)`` iterations, so never fewer than 60. DegenerateFitError
     before any fit when fewer than two blocks hold a sample, since a fold
     then trains on nothing or holds nothing out, and when every penalty has
     a degenerate fold fit."""

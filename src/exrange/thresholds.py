@@ -29,6 +29,8 @@ def order_statistic_index(p: float, n: int) -> int:
     inverse-ECDF order statistic. Robust to float roundoff in p*n."""
     k = int(math.ceil(p * n))
     k = min(max(k, 1), n)
+    while k < n and k / n < p:
+        k += 1
     while k > 1 and (k - 1) / n >= p:
         k -= 1
     return k

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -157,7 +159,10 @@ def test_perimeter_density_pairs_with_threshold_field():
     assert c1 == length / (2.0 * n_cells)
 
 
-def test_batched_densities_equal_slice_by_slice():
+def _ragged_stack():
+    """A ragged 6x26x21 stack with holes in its domain and a threshold field:
+    slice 3 has no exceedance, every in-domain pixel of slice 4 exceeds, and
+    slice 5 has a block of saddle cells."""
     rng = np.random.default_rng(24)
     nt, ny, nx, dx = 6, 26, 21, 2.5
     inside = rng.random((ny, nx)) > 0.1  # ragged, with holes
@@ -170,9 +175,15 @@ def test_batched_densities_equal_slice_by_slice():
     values = values.astype(np.float32)
     values[:, ~inside] = -9999.0
     stack = RasterStack(values, dx=dx)
-    domain = stack.domain()
     thr = ThresholdField(p=0.7, u=np.where(inside, 0.05, np.nan).astype(np.float32))
+    return stack, thr
 
+
+def test_batched_densities_equal_slice_by_slice():
+    stack, thr = _ragged_stack()
+    values, nt, dx = stack.values, stack.nt, stack.dx
+    domain = stack.domain()
+    inside = domain.inside
     exceed = (values > thr.u) & inside
     chi = [euler_characteristic(exceed[t]) for t in range(nt)]
     assert all(type(c) is int for c in chi)
@@ -186,6 +197,58 @@ def test_batched_densities_equal_slice_by_slice():
     dens = intrinsic_densities(stack, thr)
     assert (dens.c0, dens.c1, dens.c2) == (c0 / nt, c1 / nt, c2 / nt)
     assert 0.0 < dens.c2 < 1.0 and dens.c1 > 0
+
+
+def _reference_curve_length(values, u, inside):
+    """Marching-squares length of {values = u} on one slice, in plain Python,
+    summed as the ``geometry`` docstring fixes it: for each ``_CASE_TABLE``
+    row in order, a numpy ``.sum()`` of the first segments of that row's
+    cells in row-major order and one of their second segments, the two added
+    to each other and then to the length, from 0.0. Also the set of table
+    rows met."""
+    from exrange.geometry import _CASE_TABLE
+
+    ny, nx = values.shape
+
+    def crossing(edge, f00, f01, f10, f11):
+        return {"T": (f00 / (f00 - f01), 0.0), "R": (1.0, f01 / (f01 - f11)),
+                "B": (f10 / (f10 - f11), 1.0), "L": (0.0, f00 / (f00 - f10))}[edge]
+
+    segments = {r: ([], []) for r in range(len(_CASE_TABLE))}
+    for i in range(ny - 1):
+        for j in range(nx - 1):
+            corners = [(i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)]
+            if not all(inside[c] for c in corners):
+                continue
+            f00, f01, f10, f11 = (float(values[c]) - float(u[c]) for c in corners)
+            case = (f00 > 0) + 2 * (f01 > 0) + 4 * (f11 > 0) + 8 * (f10 > 0)
+            center = f00 + f01 + f10 + f11 > 0
+            for r, (c, pos, segs) in enumerate(_CASE_TABLE):
+                if c == case and pos in (None, center):
+                    for (e1, e2), out in zip(segs, segments[r]):
+                        (x1, y1) = crossing(e1, f00, f01, f10, f11)
+                        (x2, y2) = crossing(e2, f00, f01, f10, f11)
+                        out.append(math.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2))
+                    break
+    length = 0.0
+    for first, second in segments.values():
+        length += np.array(first).sum() + np.array(second).sum()
+    return length, {r for r, (first, _) in segments.items() if first}
+
+
+def test_curve_lengths_match_a_plain_reference_bit_for_bit():
+    from exrange.geometry import _CASE_TABLE, _curve_lengths
+
+    stack, thr = _ragged_stack()
+    inside = stack.domain().inside
+    lengths, _ = _curve_lengths(stack.values, thr.u, (stack.values > thr.u) & inside, inside)
+    rows_met = set()
+    for t, got in enumerate(lengths.tolist()):
+        want, rows = _reference_curve_length(stack.values[t], thr.u, inside)
+        assert float(got).hex() == float(want).hex(), t
+        rows_met |= rows
+    assert lengths[3] == lengths[4] == 0.0 < lengths[[0, 1, 2, 5]].min()
+    assert rows_met == set(range(len(_CASE_TABLE)))  # every row, both saddle signs included
 
 
 def test_saddle_rule_is_deterministic():
@@ -209,24 +272,21 @@ def test_cdf_slope():
         cdf_slope(0.1, 0.0)
 
 
-def test_group_sums_are_bitwise_per_group_sums():
+def test_run_sums_are_bitwise_per_run_sums():
     # numpy's pairwise .sum() changes its blocking at 8 and 128 elements, so
-    # the groups straddle both, and run to thousands; the elements arrive
-    # shuffled and are grouped through ``order``, as the cell lengths are
-    from exrange.geometry import _group_sums
+    # the runs straddle both, and run to thousands
+    from exrange.geometry import _run_sums
 
     rng = np.random.default_rng(48)
     sizes = [*range(1, 10), 127, 128, 129, 1000, 4099, 70_001]
     sizes = [sizes[i] for i in rng.permutation(len(sizes))]
     n = sum(sizes)
-    values = [rng.random(n) * 10.0 ** rng.integers(-3, 4, n), rng.standard_normal(n)]
-    order = rng.permutation(n)
-    head = np.zeros(n, dtype=bool)
-    head[np.cumsum([0, *sizes[:-1]])] = True
-    sums = _group_sums(values, order, head)
+    values = np.stack([rng.random(n) * 10.0 ** rng.integers(-3, 4, n), rng.standard_normal(n)])
     bounds = np.cumsum([0, *sizes])
+    sums = _run_sums(values, bounds[:-1])
     for v, got in zip(values, sums):
-        want = np.array([v[order][a:b].sum() for a, b in zip(bounds, bounds[1:])])
+        want = np.array([v[a:b].sum() for a, b in zip(bounds, bounds[1:])])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        bare = np.add.reduceat(v[order], bounds[:-1])
-        assert not np.array_equal(bare, want)  # the 0.0 ahead of each group matters
+        assert np.array_equal(_run_sums(v, bounds[:-1]), got)  # one array as one row
+        bare = np.add.reduceat(v, bounds[:-1])
+        assert not np.array_equal(bare, want)  # the 0.0 ahead of each run matters

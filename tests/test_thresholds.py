@@ -57,6 +57,15 @@ def test_order_statistic_index_float_roundoff():
     assert order_statistic_index(0.5, 5) == 3
 
 
+def test_order_statistic_index_p_just_above_k_over_n():
+    # p * n rounding down onto an integer k must not keep a k with k/n < p
+    for p, k in ((0.33333333333333337, 2), (0.6666666666666667, 3)):
+        assert (k - 1) / 3 < p <= k / 3
+        assert order_statistic_index(p, 3) == k
+        stack = _stack_from_series([[1, 2, 3]])
+        assert quantile_field(stack, p).u[0, 0] == brute_quantile([1, 2, 3], p) == k
+
+
 def test_quantile_validation():
     stack = _stack_from_series([[1, 2, 3]])
     with pytest.raises(ValueError):
