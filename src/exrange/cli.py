@@ -142,23 +142,17 @@ def _resolve_input(path_arg: str) -> Path:
     return p
 
 
-def _threads(args) -> int:
-    """--threads: one worker unless asked, since a second is slower on every
-    slice size measured (README)."""
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    return args.threads
-
-
 def _level_pass(args):
     """Check --policy and --threads, and return ``each_level(stack, thrs,
     visit)``: each threshold's ``RangeEntries`` in turn go to ``visit(thr,
     entries)`` as a temporary, freed before the next level's are computed,
     and the visits' results come back in order."""
     policy = BoundaryPolicy(args.policy)
-    n_threads = _threads(args)
+    # one worker unless asked, since a second is slower on every slice size measured (README)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     return lambda stack, thrs, visit: [
-        visit(thr, ranges.range_entries(stack, thr, policy, n_threads)) for thr in thrs]
+        visit(thr, ranges.range_entries(stack, thr, policy, args.threads)) for thr in thrs]
 
 
 def _sample_pass(each_level, stack: raster.RasterStack, levels: list[float], blocks,
@@ -241,8 +235,8 @@ def _ivdens_row(stack: raster.RasterStack, thr: thresholds.ThresholdField) -> li
     return [_fmt_p(thr.p), dens.c0, dens.c1, dens.c2, slope]
 
 
-def _save_theta_map(out: Path, stack: raster.RasterStack, p1: float, med1: np.ndarray,
-                    p2: float, med2: np.ndarray) -> None:
+def _save_theta_map(out: Path, domain: raster.DomainMask, dx: float, p1: float,
+                    med1: np.ndarray, p2: float, med2: np.ndarray) -> None:
     """Write θ from the median range maps at two levels, 0 where either is 0. A level
     without positive range leaves no θ (a map needs a value), which stderr reports."""
     for p, med in ((p1, med1), (p2, med2)):
@@ -250,19 +244,17 @@ def _save_theta_map(out: Path, stack: raster.RasterStack, p1: float, med1: np.nd
             print(f"exrange: theta_map not written: level {_fmt_p(p)} has no positive range",
                   file=sys.stderr)
             return
-    _save_map_with_csv(out, "theta_map", tailfit.theta_hat(med1, med2, p1, p2),
-                       stack.domain(), stack.dx, "theta")
+    _save_map_with_csv(out, "theta_map", tailfit.theta_hat(med1, med2, p1, p2), domain, dx,
+                       "theta")
 
 
-def _save_fit_maps(out: Path, surface: tailfit.MerSurface, stack: raster.RasterStack,
-                   predict_p: float | None) -> None:
-    domain = stack.domain()
-    _save_map_with_csv(out, "mer_beta", surface.beta, domain, stack.dx, "log-range")
-    _save_map_with_csv(out, "mer_theta", surface.theta, domain, stack.dx, "theta")
+def _save_fit_maps(out: Path, surface: tailfit.MerSurface, domain: raster.DomainMask,
+                   dx: float, unit: str, predict_p: float | None) -> None:
+    _save_map_with_csv(out, "mer_beta", surface.beta, domain, dx, "log-range")
+    _save_map_with_csv(out, "mer_theta", surface.theta, domain, dx, "theta")
     if predict_p is not None:
         pred = tailfit.predict_mer_map(surface, predict_p)
-        _save_map_with_csv(out, f"mer_p{_fmt_p(predict_p)}", pred, domain,
-                           stack.dx, stack.unit)
+        _save_map_with_csv(out, f"mer_p{_fmt_p(predict_p)}", pred, domain, dx, unit)
 
 
 def _load_blocks(path: str, nt: int) -> np.ndarray:
@@ -397,7 +389,7 @@ def _cmd_theta(args) -> int:
     each_level = _level_pass(args)
     med1, med2 = each_level(stack, thresholds.quantile_fields(stack, (args.p1, args.p2)),
                             lambda _, entries: ranges.median_range_map(entries, stack.domain()))
-    _save_theta_map(Path(args.out), stack, args.p1, med1, args.p2, med2)
+    _save_theta_map(Path(args.out), stack.domain(), stack.dx, args.p1, med1, args.p2, med2)
     return 0
 
 
@@ -407,8 +399,10 @@ def _cmd_mer(args) -> int:
     fit = _fit_pass(args)
     each_level = _level_pass(args)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
+    domain, dx, unit = stack.domain(), stack.dx, stack.unit
     samples = _sample_pass(each_level, stack, levels, blocks, args.min_range)
-    _save_fit_maps(Path(args.out), fit(samples), stack, args.predict_p)
+    del stack   # the fit reads the samples only
+    _save_fit_maps(Path(args.out), fit(samples), domain, dx, unit, args.predict_p)
     return 0
 
 
@@ -425,7 +419,9 @@ def _cmd_jackknife(args) -> int:
         # the i-th replicate leaves out the i-th smallest block; its samples
         # keep the block ids of the slices left, for the block-wise CV
         kept = block_ids[block_ids != next(dropped)]
-        surface = fit(_sample_pass(each_level, sub, levels, kept, args.min_range))
+        samples = _sample_pass(each_level, sub, levels, kept, args.min_range)
+        del sub   # the fit reads the samples only
+        surface = fit(samples)
         return np.stack([surface.beta, surface.theta])
 
     se = tailfit.jackknife(stack, block_ids, estimator)
@@ -440,7 +436,7 @@ def _cmd_pipeline(args) -> int:
     levels = _parse_fit_levels(args.levels)
     fit = _fit_pass(args)
     each_level = _level_pass(args)
-    domain = stack.domain()
+    domain, dx, unit = stack.domain(), stack.dx, stack.unit
     out = Path(args.out)
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
     hist_edges = _hist_edges(stack)
@@ -451,21 +447,22 @@ def _cmd_pipeline(args) -> int:
 
     def level_rows(thr, entries):
         cdf_rows.extend([_fmt_p(thr.p), *row]
-                        for row in _cdf_rows(entries, domain, radii, stack.dx))
+                        for row in _cdf_rows(entries, domain, radii, dx))
         hist_rows.extend(_hist_rows(thr.p, entries, hist_edges))
         iv_rows.append(_ivdens_row(stack, thr))
         if thr.p in (levels[0], levels[-1]):
             med_maps[thr.p] = ranges.median_range_map(entries, domain)
 
     samples = _sample_pass(each_level, stack, levels, blocks, args.min_range, level_rows)
+    del stack   # the theta map and the fit read the medians and the samples only
     _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
     _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)
     _write_csv(out / "ivdens.csv", IVDENS_HEADER, iv_rows)
 
     p_lo, p_hi = levels[0], levels[-1]
-    _save_theta_map(out, stack, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
+    _save_theta_map(out, domain, dx, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
 
-    _save_fit_maps(out, fit(samples), stack, args.predict_p)
+    _save_fit_maps(out, fit(samples), domain, dx, unit, args.predict_p)
     print(f"pipeline outputs written to {out}")
     return 0
 
@@ -480,7 +477,9 @@ def _add_common_io(sub, with_policy: bool = True, with_threads: bool = True):
     sub.add_argument("--out", required=True, help="output directory")
     if with_threads:
         sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the range fields (default: 1)")
+                         help="worker threads for the range fields (default: 1); outputs "
+                              "are identical for every count, and a second worker was "
+                              "slower at every slice size measured")
     if with_policy:
         sub.add_argument("--policy", choices=[p.value for p in BoundaryPolicy],
                          default=BoundaryPolicy.FILL_EXCEED.value,

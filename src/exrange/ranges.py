@@ -40,14 +40,12 @@ class CdfEstimate:
     """Empirical CDF of the extremal range on a radius grid.
 
     ``n_exceed[i]`` is the denominator count (exceedance pixel-days inside
-    the eroded domain) behind ``F[i]``; ``r_max`` is the largest radius at
-    which the eroded domain is nonempty.
+    the eroded domain) behind ``F[i]``.
     """
 
     radii: np.ndarray
     F: np.ndarray
     n_exceed: np.ndarray
-    r_max: float
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=np.float64)
@@ -187,8 +185,8 @@ def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolic
     outside = ~domain.inside if policy is BoundaryPolicy.FILL_EXCEED else False
 
     def fill(t: int) -> None:
-        mask = ExcursionMask(exceed=exceed[t] | outside, policy=policy, p=thr.p, t_index=t)
-        r = range_field(mask, domain, stack.dx, edge_fallback=True).r
+        r = range_field(ExcursionMask(exceed[t] | outside), domain, stack.dx,
+                        edge_fallback=True).r
         a, b = entries.bounds[t], entries.bounds[t + 1]
         np.take(r, entries.pixel[a:b], out=entries.value[a:b])
 
@@ -239,7 +237,7 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
 
     F(r) = sum_i #{t in T_{-r} : 0 < R_i(t) <= r} / sum_i #{t in T_{-r} :
     R_i(t) > 0}, with F(r) = 0 where the denominator vanishes. Radii must
-    lie strictly inside (0, r_max). ``range_fields`` is a level's
+    lie strictly inside (0, ``domain_inradius``). ``range_fields`` is a level's
     ``RangeEntries``, (nt, ny, nx) range array or sequence of ``RangeField``.
     """
     radii = np.asarray(radii, dtype=np.float64)
@@ -263,7 +261,7 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
                    dtype=np.int64)
     with np.errstate(invalid="ignore"):
         F = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-    return CdfEstimate(radii=radii, F=F, n_exceed=den, r_max=r_max)
+    return CdfEstimate(radii=radii, F=F, n_exceed=den)
 
 
 def median_range(range_fields, domain: DomainMask) -> float:

@@ -46,7 +46,8 @@ The pooled samples of many levels exist in one copy, 12 bytes a sample (see
 the thresholds, and ``collect_samples`` writes each level into it. The fits
 read each sample's (level, pixel) cell index as it is stored. The spline fit
 adds two per-sample arrays, an intp copy of the cells for its gathers and
-bincounts and the IRLS weights, and copies no sample.
+bincounts and the IRLS weights; a cross-validation fold also gathers its
+training responses, and runs over its training samples only.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -447,11 +448,9 @@ class SplineMerModel:
         the normal equations from those sums (``_pixel_normal_equations``).
 
         ``train``, a boolean mask of length ``samples.n``, fits only the
-        samples it marks, as a cross-validation fold does: the others get
-        weight 0, and the warm start takes the training samples' medians.
-        The cell sums then add exact zeros to the training sums, so the
-        coefficients are bit-identical to a fit on the training samples
-        alone, without copying them.
+        samples it marks, as a cross-validation fold does: their cells and
+        responses are gathered once, and the warm start takes their medians,
+        so the coefficients are those of a fit on the training samples alone.
         """
         nb = self.knots_x * self.knots_y
         if train is not None and (train.dtype != np.bool_ or train.shape != (samples.n,)):
@@ -467,9 +466,12 @@ class SplineMerModel:
         pen_block = np.kron(np.eye(2), _roughness_penalty(self.knots_y, self.knots_x))
         xl = samples.level_x   # ascending level covariates, held-out levels included
         cells = (xl.size, math.prod(samples.shape))
+        cell, y = samples.cell, samples.y
+        if train is not None:
+            cell, y = cell[train], y[train]
         # take and bincount index with intp: one copy serves every iteration
-        cell = samples.cell.astype(np.intp)
-        w = np.empty(samples.n)   # with ``cell``, the only per-sample arrays of the fit
+        cell = cell.astype(np.intp)
+        w = np.empty(cell.size)   # with ``cell`` and a fold's ``y``, the fit's per-sample arrays
         for kappa, n_iter in _kappa_stages(self.iters):
             for _ in range(n_iter):
                 b = _surface(by, bx, params[:nb]).ravel()
@@ -478,13 +480,11 @@ class SplineMerModel:
                 # and the majorizer weight 1 / (2 max(|e|, kappa)) = 0.5 / max(|e|, kappa);
                 # take's default mode would buffer its output, the bincounts check cells
                 np.take(b - xl[:, None] * c, cell, out=w, mode="clip")
-                np.subtract(samples.y, w, out=w)
+                np.subtract(y, w, out=w)
                 np.maximum(np.abs(w, out=w), kappa, out=w)
                 np.divide(0.5, w, out=w)
-                if train is not None:
-                    np.multiply(w, train, out=w)   # held-out weights to +0.0
                 cw = np.bincount(cell, w, math.prod(cells)).reshape(cells)
-                np.multiply(w, samples.y, out=w)
+                np.multiply(w, y, out=w)
                 cwy = np.bincount(cell, w, math.prod(cells)).reshape(cells)
                 data_block, rhs = _pixel_normal_equations(by, bx, xl, cw, cwy)
                 mat = data_block + 2.0 * self.penalty * pen_block
@@ -507,11 +507,10 @@ class SplineMerModel:
 def choose_penalty(samples: RangeSamples, ky: int, kx: int, iters: int) -> float:
     """Pick the roughness penalty from ``_PENALTY_GRID`` by block-wise
     cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
-    pooled samples under its training mask, copying none, with
-    ``max(60, iters // 3)`` iterations, so never fewer than 60. DegenerateFitError
-    before any fit when fewer than two blocks hold a sample, since a fold
-    then trains on nothing or holds nothing out, and when every penalty has
-    a degenerate fold fit."""
+    samples its training mask marks, with ``max(60, iters // 3)`` iterations,
+    so never fewer than 60. DegenerateFitError before any fit when fewer than
+    two blocks hold a sample, since a fold then trains on nothing or holds
+    nothing out, and when every penalty has a degenerate fold fit."""
     run_n = np.diff(samples.runs)
     blocks = _distinct(samples.run_block[run_n > 0])
     if blocks.size < 2:

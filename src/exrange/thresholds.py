@@ -55,19 +55,16 @@ class ThresholdField:
 
 @dataclass(frozen=True)
 class ExcursionMask:
-    """Binary exceedance grid for one time slice under a boundary policy."""
+    """Binary exceedance grid for one time slice; its out-of-domain pixels
+    already hold the boundary policy that made it."""
 
     exceed: np.ndarray  # (ny, nx) bool
-    policy: BoundaryPolicy
-    p: float
-    t_index: int
 
     def __post_init__(self):
         exceed = np.asarray(self.exceed, dtype=bool)
         if exceed.ndim != 2:
             raise ValueError(f"mask must be 2-d, got shape {exceed.shape}")
         object.__setattr__(self, "exceed", exceed)
-        object.__setattr__(self, "policy", BoundaryPolicy(self.policy))
 
 
 # bytes of the stack that ``quantile_fields`` sorts at a time
@@ -130,8 +127,7 @@ def excursion_mask(stack: RasterStack, t_index: int, thr: ThresholdField,
     policy = BoundaryPolicy(policy)
     if not 0 <= t_index < stack.nt:
         raise ValueError(f"slice index {t_index} outside [0, {stack.nt})")
-    return ExcursionMask(exceed=_exceedances(stack, t_index, thr, policy), policy=policy,
-                         p=thr.p, t_index=t_index)
+    return ExcursionMask(exceed=_exceedances(stack, t_index, thr, policy))
 
 
 def exceedance_stack(stack: RasterStack, thr: ThresholdField,

@@ -187,7 +187,7 @@ def test_a4_erosion_identity():
     dom = DomainMask(np.ones((32, 32), dtype=bool))
     for _ in range(50):
         m = rng.random((32, 32)) < rng.uniform(0.2, 0.9)
-        em = ExcursionMask(exceed=m, policy=BoundaryPolicy.FILL_EXCEED, p=0.9, t_index=0)
+        em = ExcursionMask(exceed=m)
         rf = range_field(em, dom, 1.0, edge_fallback=True)
         for r in range(1, 9):
             t_in = eroded_domain(dom, float(r), 1.0)

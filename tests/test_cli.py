@@ -871,6 +871,16 @@ def test_penalty_cv_identical_across_blas_threads(tmp_path):
     assert one == two
 
 
+def _ragged_values(tmp_path):
+    """A simulated 40x32x60 stack's values with a nodata notch and a hole, and its nodata."""
+    assert main(["simulate", "--nx", "40", "--ny", "32", "--n", "60", "--ell", "6",
+                 "--seed", "3", "--out", str(tmp_path / "sim")]) == 0
+    stack = load_stack(tmp_path / "sim" / "stack.f32")
+    values = stack.values.copy()
+    values[:, :5, 30:] = values[:, 14:17, 10:13] = stack.nodata
+    return values, stack.nodata
+
+
 @pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
 def test_pipeline_respects_the_symmetries_of_a_ragged_stack(tmp_path, policy):
     # the whole chain on a stack with a nodata notch and a hole, against the
@@ -878,18 +888,14 @@ def test_pipeline_respects_the_symmetries_of_a_ragged_stack(tmp_path, policy):
     # mirrored; the maps are compared after undoing the transform
     from exrange import RasterStack, save_stack
 
-    assert main(["simulate", "--nx", "40", "--ny", "32", "--n", "60", "--ell", "6",
-                 "--seed", "3", "--out", str(tmp_path / "sim")]) == 0
-    stack = load_stack(tmp_path / "sim" / "stack.f32")
-    values = stack.values.copy()
-    values[:, :5, 30:] = values[:, 14:17, 10:13] = stack.nodata
-    inside = values[0] != stack.nodata
+    values, nodata = _ragged_values(tmp_path)
+    inside = values[0] != nodata
     variants = {"base": (values, None), "doubled": (np.where(inside, 2 * values, values), None),
                 "transposed": (values.transpose(0, 2, 1), np.transpose),
                 "mirrored": (values[:, :, ::-1], np.fliplr)}
     outs = {}
     for name, (vals, _) in variants.items():
-        save_stack(tmp_path / name / "stack.f32", RasterStack(vals, dx=stack.dx))
+        save_stack(tmp_path / name / "stack.f32", RasterStack(vals))
         outs[name] = tmp_path / f"out-{name}"
         assert main(["pipeline", "--in", str(tmp_path / name), "--out", str(outs[name]),
                      "--levels", "0.85:0.95:0.05", "--policy", policy]) == 0
@@ -911,3 +917,41 @@ def test_pipeline_respects_the_symmetries_of_a_ragged_stack(tmp_path, policy):
             assert g[:2] == w[:2] and g[3] == w[3], name
             assert float(g[2]) == pytest.approx(float(w[2]), rel=1e-12, abs=0)
             assert float(g[4]) == pytest.approx(float(w[4]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
+def test_pipeline_on_twice_the_spacing(tmp_path, policy):
+    # the same ragged stack at dx 1 and dx 2: ranges, radii and bin edges
+    # double exactly, so every F, n_exceed and histogram count keeps its bits,
+    # and the densities scale by powers of two, exactly. The maps pass through
+    # the fit's float64 iterations and are written as float32: beta gains
+    # log 2, theta keeps its value and the predicted median doubles, each
+    # within 1e-6, a few float32 ulps of these maps
+    from exrange import RasterStack, save_stack
+
+    values, _ = _ragged_values(tmp_path)
+    for dx in (1, 2):
+        save_stack(tmp_path / f"dx{dx}" / "stack.f32", RasterStack(values, dx=float(dx)))
+        assert main(["pipeline", "--in", str(tmp_path / f"dx{dx}"), "--out",
+                     str(tmp_path / f"out{dx}"), "--levels", "0.85:0.95:0.05",
+                     "--policy", policy]) == 0
+    one, two = tmp_path / "out1", tmp_path / "out2"
+    cdf1, cdf2 = _read_csv(one / "cdf.csv"), _read_csv(two / "cdf.csv")
+    assert cdf1[0] == cdf2[0] and len(cdf1) == len(cdf2) > 1
+    for (p, r, f, n), row in zip(cdf1[1:], cdf2[1:]):
+        assert row == [p, repr(2 * float(r)), f, n]
+    hist1, hist2 = _read_csv(one / "hist.csv"), _read_csv(two / "hist.csv")
+    assert hist1[0] == hist2[0] and len(hist1) == len(hist2) > 1
+    for (p, lo, hi, count), row in zip(hist1[1:], hist2[1:]):
+        assert row == [p, repr(2 * float(lo)), repr(2 * float(hi)), count]
+    iv1, iv2 = _read_csv(one / "ivdens.csv"), _read_csv(two / "ivdens.csv")
+    assert iv1[0] == iv2[0] and len(iv1) == len(iv2) == 4
+    for (p, c0, c1, c2, slope), row in zip(iv1[1:], iv2[1:]):
+        assert row == [p, repr(float(c0) / 4), repr(float(c1) / 2), c2, repr(float(slope) / 2)]
+    for name, undo in (("theta_map", lambda m: m), ("mer_beta", lambda m: m - math.log(2)),
+                       ("mer_theta", lambda m: m), ("mer_p0.989", lambda m: m / 2)):
+        got, want = (load_map(out / f"{name}.f32")[0] for out in (two, one))
+        valued = want != -9999.0
+        assert np.array_equal(got != -9999.0, valued), name
+        np.testing.assert_allclose(undo(got[valued].astype(np.float64)), want[valued],
+                                   rtol=1e-6, atol=1e-6, err_msg=name)

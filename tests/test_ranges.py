@@ -24,8 +24,8 @@ from exrange.thresholds import excursion_mask
 from exrange.morphology import RangeField
 
 
-def _mask(m, policy=BoundaryPolicy.FILL_EXCEED, p=0.9, t=0):
-    return ExcursionMask(exceed=np.asarray(m, dtype=bool), policy=policy, p=p, t_index=t)
+def _mask(m):
+    return ExcursionMask(exceed=np.asarray(m, dtype=bool))
 
 
 def full_domain(ny, nx):
@@ -75,8 +75,9 @@ def test_policy_changes_distances_near_domain_boundary():
     inside[1:6, 1:6] = True
     dom = DomainMask(inside)
     exceed_inside = inside.copy()
-    fill = _mask(exceed_inside | ~inside, BoundaryPolicy.FILL_EXCEED)
-    erode_pol = _mask(exceed_inside & inside, BoundaryPolicy.ERODE)
+    # each mask holds its policy in its out-of-domain pixels
+    fill = _mask(exceed_inside | ~inside)
+    erode_pol = _mask(exceed_inside & inside)
     r_fill = range_field(fill, dom, dx=1.0, edge_fallback=True)
     r_erode = range_field(erode_pol, dom, dx=1.0)
     # FILL_EXCEED measures to the grid edge, ERODE stops at the domain edge
@@ -149,7 +150,8 @@ def test_ecdf_counts_on_ragged_domain_with_holes(dx):
         fields.append(range_field(_mask(m), dom, dx=dx))
     radii = sorted({dx * 1.0, np.sqrt(8), dx * 2.0, dx * np.sqrt(8), dx * 3.0})
     est = ecdf(fields, dom, radii, dx=dx)
-    assert est.r_max == domain_inradius(dom, dx)
+    with pytest.raises(ValueError, match="inradius"):
+        ecdf(fields, dom, [domain_inradius(dom, dx)], dx=dx)
     for j, r in enumerate(radii):
         t_er = eroded_domain(dom, r, dx)
         den = sum(np.count_nonzero(t_er & (rf.r > 0)) for rf in fields)
@@ -173,8 +175,8 @@ def test_domain_is_transformed_once(monkeypatch):
     inside[:] = False  # the mask keeps its own copy
     fields = [range_field(_mask(np.eye(12, dtype=bool) | ~dom.inside), dom, dx=1.0)]
     for dx in (1.0, 2.0, 1.0):
-        est = ecdf(fields, dom, [1.0], dx=dx)
-        assert est.r_max == domain_inradius(dom, dx) == dx * domain_inradius(dom, 1.0)
+        ecdf(fields, dom, [1.0], dx=dx)
+        assert domain_inradius(dom, dx) == dx * domain_inradius(dom, 1.0)
         assert eroded_domain(dom, 2.0 * dx, dx).sum() == eroded_domain(dom, 2.0, 1.0).sum()
     assert len(calls) == 1
     with pytest.raises(ValueError):
@@ -648,3 +650,70 @@ def test_matern_alpha():
     assert matern_alpha(2.0, 2.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         matern_alpha(1.0, 1.0)
+
+
+def _stencil_stack(seed: int, ragged: bool) -> RasterStack:
+    """simulate's 40x32x60 Gaussian stack at ell 6; when ``ragged``, with the
+    nodata notch and hole of the CLI's ragged-stack test."""
+    from exrange.simgrf import GaussianSimConfig, simulate_gaussian
+
+    stack = simulate_gaussian(GaussianSimConfig(nx=40, ny=32, n_slices=60, ell=6.0, seed=seed))
+    if not ragged:
+        return stack
+    values = stack.values.copy()
+    values[:, :5, 30:] = values[:, 14:17, 10:13] = stack.nodata
+    return RasterStack(values, dx=stack.dx)
+
+
+# (row, column) offsets of the four edge neighbours, then of the four corner ones
+_EDGE_LAGS = [(0, 1), (0, -1), (1, 0), (-1, 0)]
+_CORNER_LAGS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _shifted(exceed: np.ndarray, lag: tuple[int, int]) -> np.ndarray:
+    """Whether each pixel's neighbour at ``lag`` exceeds; False past the grid edge."""
+    dy, dx = lag
+    ny, nx = exceed.shape[1:]
+    out = np.zeros_like(exceed)
+    out[:, max(0, -dy):ny - max(0, dy), max(0, -dx):nx - max(0, dx)] = \
+        exceed[:, max(0, dy):ny - max(0, -dy), max(0, dx):nx - max(0, -dx)]
+    return out
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["full", "ragged"])
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_ecdf_at_one_and_root_two_pixels_counts_full_stencils(policy, ragged):
+    # an exceedance at a pixel of T_{-r} has range above r = dx exactly when
+    # its four edge neighbours exceed, and above r = sqrt(2) dx when all eight
+    # neighbours do; they lie in the domain, so n_exceed (1 - F(r)) is a count
+    # of shifted ANDs, with no transform and under either policy. At r = dx the
+    # pairs of each unit lag, counted by the per-pixel tail dependence, bound
+    # that count: sum_h J_h - 3 n_exceed <= n_exceed (1 - F(dx)) <= min_h J_h
+    from exrange.ranges import _tail_dependence
+    from exrange.thresholds import exceedance_stack
+
+    for seed, p in [(3, 0.85), (3, 0.95), (5, 0.85), (5, 0.95)]:
+        stack = _stencil_stack(seed, ragged)
+        dom = stack.domain()
+        thr = quantile_field(stack, p)
+        exceed = exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
+        radii = [stack.dx, math.sqrt(2.0) * stack.dx]
+        est = ecdf(range_entries(stack, thr, policy), dom, radii, stack.dx)
+        stencil = exceed.copy()
+        for j, lags in enumerate((_EDGE_LAGS, _CORNER_LAGS)):
+            for lag in lags:
+                stencil &= _shifted(exceed, lag)
+            interior = eroded_domain(dom, radii[j], stack.dx)
+            n = np.count_nonzero(exceed & interior)
+            above = np.count_nonzero(stencil & interior)
+            assert 0 < above < n
+            assert est.n_exceed[j] == n, (seed, p, j)
+            assert est.F[j] == (n - above) / n, (seed, p, j)
+            if j == 0:
+                n_ref = exceed.sum(axis=0)
+                joint = [np.nansum(_tail_dependence(exceed, dom.inside, lag, per_pixel=True)
+                                   * n_ref * interior) for lag in _EDGE_LAGS]
+                joint = [int(np.rint(jh)) for jh in joint]
+                assert joint == [np.count_nonzero(exceed & _shifted(exceed, lag) & interior)
+                                 for lag in _EDGE_LAGS]
+                assert sum(joint) - 3 * n <= above <= min(joint), (seed, p)
