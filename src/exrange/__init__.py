@@ -13,9 +13,8 @@ _EXPORTS = {
                  "intrinsic_densities", "level_curve_length"),
     "morphology": ("RangeField", "distance_transform", "distance_transform_squared",
                    "erode"),
-    "ranges": ("CdfEstimate", "RangeEntries", "domain_inradius", "ecdf", "eroded_domain",
-               "median_range", "median_range_map", "range_entries", "range_field",
-               "tail_dependence"),
+    "ranges": ("CdfEstimate", "RangeEntries", "domain_distance", "ecdf", "median_range",
+               "median_range_map", "range_entries", "range_field", "tail_dependence"),
     "raster": ("DomainMask", "RasterStack", "load_map", "load_stack", "save_map",
                "save_stack"),
     "simgrf": ("AdSimConfig", "GaussianSimConfig", "matern_alpha", "matern_correlation",

@@ -199,7 +199,7 @@ def _fmt_p(p: float) -> str:
 
 
 def _default_radii(stack: raster.RasterStack) -> list[float]:
-    r_max = ranges.domain_inradius(stack.domain(), stack.dx)
+    r_max = ranges.domain_distance(stack.domain(), stack.dx).max()
     radii = [r for r in (k * stack.dx for k in range(1, 9)) if r < r_max]
     if not radii:
         raise ValueError(f"domain inradius {r_max} leaves no usable radius")
@@ -216,7 +216,7 @@ def _cdf_rows(entries: ranges.RangeEntries, domain: raster.DomainMask, radii,
 
 
 def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
-    r_max = ranges.domain_inradius(stack.domain(), stack.dx)
+    r_max = ranges.domain_distance(stack.domain(), stack.dx).max()
     return np.arange(0.0, r_max + stack.dx, stack.dx)
 
 
@@ -360,15 +360,15 @@ def _cmd_chi(args) -> int:
         exceed = thresholds.exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
         rows = []
         for dy, dxp in lags:
-            chi = ranges._tail_dependence(exceed, domain.inside, (dy, dxp))
+            chi = ranges.tail_dependence(exceed, domain.inside, (dy, dxp))
             rows.append([dxp, dy, float(chi)])
             name = f"chi_p{_fmt_p(thr.p)}_lag{dxp}x{dy}"
             if args.per_pixel and math.isnan(chi):  # 0/0: a map would hold no value
                 print(f"exrange: {name} not written: no in-domain pair at lag {dxp}:{dy} "
                       "has an exceeding reference pixel", file=sys.stderr)
             elif args.per_pixel:
-                chi_map = ranges._tail_dependence(exceed, domain.inside, (dy, dxp),
-                                                  per_pixel=True)
+                chi_map = ranges.tail_dependence(exceed, domain.inside, (dy, dxp),
+                                                 per_pixel=True)
                 _save_map_with_csv(out, name, chi_map, domain, stack.dx, "chi")
         _write_csv(out / f"chi_p{_fmt_p(thr.p)}.csv", ["lag_x", "lag_y", "chi"], rows)
     return 0

@@ -31,8 +31,7 @@ import numpy as np
 
 from .morphology import RangeField, distance_transform
 from .raster import DomainMask, RasterStack
-from .thresholds import (BoundaryPolicy, ExcursionMask, ThresholdField, exceedance_stack,
-                         quantile_field)
+from .thresholds import BoundaryPolicy, ExcursionMask, ThresholdField, exceedance_stack
 
 
 @dataclass(frozen=True)
@@ -62,28 +61,14 @@ class CdfEstimate:
         object.__setattr__(self, "n_exceed", n_exceed)
 
 
-def _domain_distance(domain: DomainMask, dx: float) -> np.ndarray:
+def domain_distance(domain: DomainMask, dx: float) -> np.ndarray:
     """Distance from each pixel center to the nearest center outside the
-    domain, the region outside the grid counting as outside the domain.
-    The squared distances are computed once per domain and kept on it."""
+    domain, the region outside the grid counting as outside the domain, as
+    for a compact study domain embedded in the plane. The eroded domain
+    T_{-r} is where it exceeds r, and its maximum, the domain inradius, is
+    the largest r with a nonempty T_{-r}. The squared distances are
+    computed once per domain and kept on it."""
     return dx * np.sqrt(domain.distance2.astype(np.float64))
-
-
-def domain_inradius(domain: DomainMask, dx: float) -> float:
-    """Largest radius r with a nonempty eroded domain T_{-r}.
-
-    The region outside the grid counts as outside the domain, matching a
-    compact study domain embedded in the plane.
-    """
-    return float(_domain_distance(domain, dx).max())
-
-
-def eroded_domain(domain: DomainMask, radius: float, dx: float) -> np.ndarray:
-    """Pixels of T_{-r}: centers strictly farther than r from the domain
-    complement (grid exterior included)."""
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    return _domain_distance(domain, dx) > radius
 
 
 def range_field(mask: ExcursionMask, domain: DomainMask, dx: float,
@@ -236,8 +221,9 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
     """Pooled empirical CDF of the extremal range over many slices.
 
     F(r) = sum_i #{t in T_{-r} : 0 < R_i(t) <= r} / sum_i #{t in T_{-r} :
-    R_i(t) > 0}, with F(r) = 0 where the denominator vanishes. Radii must
-    lie strictly inside (0, ``domain_inradius``). ``range_fields`` is a level's
+    R_i(t) > 0}, with F(r) = 0 where the denominator vanishes; T_{-r} is
+    where ``domain_distance`` exceeds r. Radii must lie strictly between 0
+    and its maximum, the domain inradius. ``range_fields`` is a level's
     ``RangeEntries``, (nt, ny, nx) range array or sequence of ``RangeField``.
     """
     radii = np.asarray(radii, dtype=np.float64)
@@ -245,7 +231,7 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
         raise ValueError("need at least one radius")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    domain_dist = _domain_distance(domain, dx)
+    domain_dist = domain_distance(domain, dx)
     r_max = float(domain_dist.max())
     if radii[0] <= 0:
         raise ValueError(f"radii must be positive, got {radii[0]}")
@@ -290,27 +276,20 @@ def median_range_map(range_fields, domain: DomainMask) -> np.ndarray:
     return med.reshape(domain.inside.shape)
 
 
-def tail_dependence(stack: RasterStack, p: float, lag: tuple[int, int],
+def tail_dependence(exceed: np.ndarray, inside: np.ndarray, lag: tuple[int, int],
                     per_pixel: bool = False):
-    """Tail-dependence coefficient at one pixel lag.
+    """Tail-dependence coefficient at one pixel lag, from one level's
+    in-domain exceedances: the (nt, ny, nx) ``exceedance_stack`` under ERODE,
+    which every lag of the level can share.
 
-    chi_p = #{days and pairs with both pixels exceeding} / #{days and
-    pairs with the reference pixel exceeding}. By default every in-domain
-    pair at the given (row, column) offset is pooled (stationarity
-    assumed), and chi_p is NaN when no pair has an exceeding reference
-    pixel (0/0); with ``per_pixel`` the ratio is computed per reference
-    pixel over time only, returning a map with NaN where the pair leaves
-    the domain or the reference pixel never exceeds.
+    Each in-domain pair at the (row, column) offset ``lag`` counts the
+    slices where its reference pixel exceeds and those where both pixels
+    do. chi_p is the ratio of the two counts summed over every pair
+    (stationarity assumed), NaN when no pair has an exceeding reference
+    pixel (0/0); with ``per_pixel`` it is their ratio at each reference
+    pixel, a map with NaN where the pair leaves the domain or the reference
+    pixel never exceeds.
     """
-    exceed = exceedance_stack(stack, quantile_field(stack, p), BoundaryPolicy.ERODE)
-    return _tail_dependence(exceed, stack.domain().inside, lag, per_pixel)
-
-
-def _tail_dependence(exceed: np.ndarray, inside: np.ndarray, lag: tuple[int, int],
-                     per_pixel: bool = False):
-    """``tail_dependence`` from one level's in-domain exceedances, the
-    (nt, ny, nx) ``exceedance_stack`` under ERODE, which every lag of the
-    level can share."""
     dy, dxp = int(lag[0]), int(lag[1])
     ny, nx = inside.shape
     if abs(dy) >= ny or abs(dxp) >= nx:
@@ -320,16 +299,14 @@ def _tail_dependence(exceed: np.ndarray, inside: np.ndarray, lag: tuple[int, int
     oth_rows = slice(max(0, dy), ny - max(0, -dy))
     oth_cols = slice(max(0, dxp), nx - max(0, -dxp))
     pair_ok = inside[ref_rows, ref_cols] & inside[oth_rows, oth_cols]
-    ref = exceed[:, ref_rows, ref_cols] & pair_ok[None]
-    oth = exceed[:, oth_rows, oth_cols] & pair_ok[None]
-    if per_pixel:
-        n_ref = ref.sum(axis=0)
-        joint = (ref & oth).sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            chi = np.where(n_ref > 0, joint / np.maximum(n_ref, 1), np.nan)
-        chi[~pair_ok] = np.nan
-        out = np.full((ny, nx), np.nan)
-        out[ref_rows, ref_cols] = chi
-        return out
-    n_ref = int(np.count_nonzero(ref))
-    return int(np.count_nonzero(ref & oth)) / n_ref if n_ref else math.nan
+    ref = exceed[:, ref_rows, ref_cols] & pair_ok
+    n_ref = np.count_nonzero(ref, axis=0)
+    joint = np.count_nonzero(ref & exceed[:, oth_rows, oth_cols], axis=0)
+    if not per_pixel:
+        total = int(n_ref.sum())
+        return int(joint.sum()) / total if total else math.nan
+    out = np.full((ny, nx), np.nan)
+    with np.errstate(invalid="ignore"):
+        # 0/0, nan, where the reference pixel never exceeds or its pair leaves the domain
+        out[ref_rows, ref_cols] = joint / n_ref
+    return out

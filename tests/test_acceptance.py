@@ -29,10 +29,11 @@ from exrange import (
     SplineMerModel,
     ThresholdField,
     distance_transform_squared,
+    domain_distance,
     ecdf,
     erode,
-    eroded_domain,
     euler_characteristic,
+    exceedance_stack,
     excursion_mask,
     fit_mer_pixel,
     jackknife,
@@ -190,7 +191,7 @@ def test_a4_erosion_identity():
         em = ExcursionMask(exceed=m)
         rf = range_field(em, dom, 1.0, edge_fallback=True)
         for r in range(1, 9):
-            t_in = eroded_domain(dom, float(r), 1.0)
+            t_in = domain_distance(dom, 1.0) > float(r)
             lhs = int(np.count_nonzero((rf.r > r) & t_in))
             rhs = int(np.count_nonzero(erode(m, float(r)) & t_in))
             assert lhs == rhs
@@ -205,8 +206,9 @@ def test_a5_tail_dependence_inequality(gaussian_stack, range_cubes):
         cube = range_cubes("quantile", p)
         radii = [1.0, 2.0, 4.0, 8.0]
         est = ecdf(_fields(cube), dom, radii, 1.0)
+        exceed = exceedance_stack(gaussian_stack, quantile_field(gaussian_stack, p), "erode")
         for j, lag in enumerate((1, 2, 4, 8)):
-            chi = tail_dependence(gaussian_stack, p, (0, lag))
+            chi = tail_dependence(exceed, dom.inside, (0, lag))
             n_ref = N_SLICES * GRID * (GRID - lag) * (1 - p)
             se_chi = math.sqrt(max(chi * (1 - chi), 1e-12) / n_ref)
             f_val = float(est.F[j])

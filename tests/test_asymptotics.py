@@ -17,6 +17,7 @@ from exrange import (
     GaussianSimConfig,
     ThresholdField,
     ecdf,
+    exceedance_stack,
     excursion_mask,
     jackknife,
     level_curve_length,
@@ -137,7 +138,8 @@ def test_scale_mixture_range_plateau_and_chi():
         medians[p] = median_range(fields, dom)
     assert medians[0.99] >= 0.7 * medians[0.9]
     for p in (0.9, 0.95, 0.99):
-        assert tail_dependence(ad, p, (0, 2)) > 0.3
+        exceed = exceedance_stack(ad, quantile_field(ad, p), "erode")
+        assert tail_dependence(exceed, dom.inside, (0, 2)) > 0.3
 
 
 def test_jackknife_theta_sign_on_independent_tails():

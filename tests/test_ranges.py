@@ -8,10 +8,10 @@ from exrange import (
     ExcursionMask,
     RasterStack,
     collect_samples,
-    domain_inradius,
+    domain_distance,
     ecdf,
     erode,
-    eroded_domain,
+    exceedance_stack,
     matern_alpha,
     median_range,
     median_range_map,
@@ -120,7 +120,7 @@ def test_erosion_identity_pixel_exact():
     radii = [1.0, 2.0, np.sqrt(8), 3.0]
     est = ecdf(fields, dom, radii, dx=1.0)
     for j, r in enumerate(radii):
-        t_er = eroded_domain(dom, r, 1.0)
+        t_er = domain_distance(dom, 1.0) > r
         num = 0
         den = 0
         for m in masks:
@@ -133,7 +133,7 @@ def test_erosion_identity_pixel_exact():
 
 @pytest.mark.parametrize("dx", [1.0, 2.5])
 def test_ecdf_counts_on_ragged_domain_with_holes(dx):
-    # one shared domain transform must give the counts of eroded_domain at
+    # one shared domain transform must give the counts of T_{-r} at
     # every radius, on a ragged outline with nodata holes and dx != 1
     rng = np.random.default_rng(33)
     ny, nx = 30, 34
@@ -151,9 +151,9 @@ def test_ecdf_counts_on_ragged_domain_with_holes(dx):
     radii = sorted({dx * 1.0, np.sqrt(8), dx * 2.0, dx * np.sqrt(8), dx * 3.0})
     est = ecdf(fields, dom, radii, dx=dx)
     with pytest.raises(ValueError, match="inradius"):
-        ecdf(fields, dom, [domain_inradius(dom, dx)], dx=dx)
+        ecdf(fields, dom, [domain_distance(dom, dx).max()], dx=dx)
     for j, r in enumerate(radii):
-        t_er = eroded_domain(dom, r, dx)
+        t_er = domain_distance(dom, dx) > r
         den = sum(np.count_nonzero(t_er & (rf.r > 0)) for rf in fields)
         num = sum(np.count_nonzero(t_er & (rf.r > 0) & (rf.r <= r)) for rf in fields)
         assert est.n_exceed[j] == den > 0
@@ -161,8 +161,8 @@ def test_ecdf_counts_on_ragged_domain_with_holes(dx):
 
 
 def test_domain_is_transformed_once(monkeypatch):
-    # ecdf at every level, domain_inradius and eroded_domain share one
-    # transform of a domain, at any dx; the domain's pixels are read-only
+    # ecdf at every level and domain_distance share one transform of a
+    # domain, at any dx; the domain's pixels are read-only
     import exrange.raster
 
     calls = []
@@ -176,8 +176,9 @@ def test_domain_is_transformed_once(monkeypatch):
     fields = [range_field(_mask(np.eye(12, dtype=bool) | ~dom.inside), dom, dx=1.0)]
     for dx in (1.0, 2.0, 1.0):
         ecdf(fields, dom, [1.0], dx=dx)
-        assert domain_inradius(dom, dx) == dx * domain_inradius(dom, 1.0)
-        assert eroded_domain(dom, 2.0 * dx, dx).sum() == eroded_domain(dom, 2.0, 1.0).sum()
+        assert domain_distance(dom, dx).max() == dx * domain_distance(dom, 1.0).max()
+        n_eroded = (domain_distance(dom, dx) > 2.0 * dx).sum()
+        assert n_eroded == (domain_distance(dom, 1.0) > 2.0).sum()
     assert len(calls) == 1
     with pytest.raises(ValueError):
         dom.inside[0, 0] = True
@@ -198,7 +199,7 @@ def test_cdf_monotone_and_bounded():
 def test_radius_validation():
     dom = full_domain(10, 10)
     rf = range_field(_mask(np.zeros((10, 10))), dom, dx=1.0)
-    r_max = domain_inradius(dom, 1.0)
+    r_max = domain_distance(dom, 1.0).max()
     assert r_max == 5.0
     with pytest.raises(ValueError, match="inradius"):
         ecdf([rf], dom, [r_max], dx=1.0)
@@ -569,7 +570,7 @@ def test_range_entries_never_build_the_dense_range_array():
     stack = RasterStack(rng.standard_normal((200, 64, 64)).astype(np.float32))
     thr = quantile_field(stack, 0.9)
     dom = stack.domain()
-    domain_inradius(dom, stack.dx)                # the domain's transform, kept on it
+    domain_distance(dom, stack.dx)                # the domain's transform, kept on it
     pool = SamplePool.for_thresholds(stack, [thr])  # the samples are output
     dense_bytes = 8 * stack.values.size
     tracemalloc.start()
@@ -588,17 +589,23 @@ def test_range_entries_never_build_the_dense_range_array():
     assert peak < dense_bytes / 2, peak
 
 
+def _chi(stack: RasterStack, p: float, lag: tuple[int, int], per_pixel: bool = False):
+    """``tail_dependence`` at level ``p`` of ``stack``, from the level's exceedances."""
+    exceed = exceedance_stack(stack, quantile_field(stack, p), "erode")
+    return tail_dependence(exceed, stack.domain().inside, lag, per_pixel)
+
+
 def test_tail_dependence_lag_zero_is_one():
     rng = np.random.default_rng(35)
     stack = RasterStack(rng.standard_normal((40, 8, 8)).astype(np.float32))
-    assert tail_dependence(stack, 0.9, (0, 0)) == 1.0
+    assert _chi(stack, 0.9, (0, 0)) == 1.0
 
 
 def test_tail_dependence_independent_noise():
     rng = np.random.default_rng(36)
     stack = RasterStack(rng.standard_normal((400, 20, 20)).astype(np.float32))
     p = 0.9
-    chi = tail_dependence(stack, p, (0, 3))
+    chi = _chi(stack, p, (0, 3))
     n_ref = 400 * 20 * 17 * (1 - p)
     se = np.sqrt((1 - p) * p / n_ref)
     assert abs(chi - (1 - p)) < 3 * se + 2e-3
@@ -609,17 +616,18 @@ def test_tail_dependence_per_pixel_mode():
     values = rng.standard_normal((60, 6, 6)).astype(np.float32)
     values[:, 2, 2] = -9999.0
     stack = RasterStack(values)
-    chi_map = tail_dependence(stack, 0.8, (0, 0), per_pixel=True)
+    exceed = exceedance_stack(stack, quantile_field(stack, 0.8), "erode")
     inside = stack.domain().inside
+    chi_map = tail_dependence(exceed, inside, (0, 0), per_pixel=True)
     assert np.all(chi_map[inside] == 1.0)
     assert np.isnan(chi_map[2, 2])
-    lag_map = tail_dependence(stack, 0.8, (0, 1), per_pixel=True)
+    lag_map = tail_dependence(exceed, inside, (0, 1), per_pixel=True)
     ok = ~np.isnan(lag_map)
     assert np.all((lag_map[ok] >= 0) & (lag_map[ok] <= 1))
     # pairs whose partner is the nodata pixel are undefined
     assert np.isnan(lag_map[2, 1])
     # pooled value is the exceedance-weighted mean of per-pixel values
-    pooled = tail_dependence(stack, 0.8, (0, 1))
+    pooled = tail_dependence(exceed, inside, (0, 1))
     assert 0 <= pooled <= 1
 
 
@@ -628,21 +636,21 @@ def test_tail_dependence_without_reference_pair_is_nan():
     values = rng.standard_normal((20, 4, 3)).astype(np.float32)
     stack = RasterStack(values)
     # the 0.99 quantile of 20 values is the largest: nothing exceeds it
-    assert math.isnan(tail_dependence(stack, 0.99, (0, 1)))
-    assert np.isnan(tail_dependence(stack, 0.99, (0, 1), per_pixel=True)).all()
+    assert math.isnan(_chi(stack, 0.99, (0, 1)))
+    assert np.isnan(_chi(stack, 0.99, (0, 1), per_pixel=True)).all()
     # a one-column domain has no in-domain pair at a horizontal lag
     values[:, :, 1:] = -9999.0
     column = RasterStack(values)
-    assert math.isnan(tail_dependence(column, 0.5, (0, 1)))
-    assert np.isnan(tail_dependence(column, 0.5, (0, 1), per_pixel=True)).all()
-    assert tail_dependence(column, 0.5, (1, 0)) <= 1.0
+    assert math.isnan(_chi(column, 0.5, (0, 1)))
+    assert np.isnan(_chi(column, 0.5, (0, 1), per_pixel=True)).all()
+    assert _chi(column, 0.5, (1, 0)) <= 1.0
 
 
 def test_tail_dependence_errors():
     rng = np.random.default_rng(37)
     stack = RasterStack(rng.standard_normal((10, 4, 4)).astype(np.float32))
     with pytest.raises(ValueError, match="grid"):
-        tail_dependence(stack, 0.9, (0, 10))
+        _chi(stack, 0.9, (0, 10))
 
 
 def test_matern_alpha():
@@ -689,9 +697,6 @@ def test_ecdf_at_one_and_root_two_pixels_counts_full_stencils(policy, ragged):
     # of shifted ANDs, with no transform and under either policy. At r = dx the
     # pairs of each unit lag, counted by the per-pixel tail dependence, bound
     # that count: sum_h J_h - 3 n_exceed <= n_exceed (1 - F(dx)) <= min_h J_h
-    from exrange.ranges import _tail_dependence
-    from exrange.thresholds import exceedance_stack
-
     for seed, p in [(3, 0.85), (3, 0.95), (5, 0.85), (5, 0.95)]:
         stack = _stencil_stack(seed, ragged)
         dom = stack.domain()
@@ -703,7 +708,7 @@ def test_ecdf_at_one_and_root_two_pixels_counts_full_stencils(policy, ragged):
         for j, lags in enumerate((_EDGE_LAGS, _CORNER_LAGS)):
             for lag in lags:
                 stencil &= _shifted(exceed, lag)
-            interior = eroded_domain(dom, radii[j], stack.dx)
+            interior = domain_distance(dom, stack.dx) > radii[j]
             n = np.count_nonzero(exceed & interior)
             above = np.count_nonzero(stencil & interior)
             assert 0 < above < n
@@ -711,7 +716,7 @@ def test_ecdf_at_one_and_root_two_pixels_counts_full_stencils(policy, ragged):
             assert est.F[j] == (n - above) / n, (seed, p, j)
             if j == 0:
                 n_ref = exceed.sum(axis=0)
-                joint = [np.nansum(_tail_dependence(exceed, dom.inside, lag, per_pixel=True)
+                joint = [np.nansum(tail_dependence(exceed, dom.inside, lag, per_pixel=True)
                                    * n_ref * interior) for lag in _EDGE_LAGS]
                 joint = [int(np.rint(jh)) for jh in joint]
                 assert joint == [np.count_nonzero(exceed & _shifted(exceed, lag) & interior)
