@@ -15,8 +15,7 @@ _EXPORTS = {
                    "erode"),
     "ranges": ("CdfEstimate", "RangeEntries", "domain_distance", "ecdf", "median_range",
                "median_range_map", "range_entries", "range_field", "tail_dependence"),
-    "raster": ("DomainMask", "RasterStack", "load_map", "load_stack", "save_map",
-               "save_stack"),
+    "raster": ("DomainMask", "RasterStack", "load_stack", "save_map", "save_stack"),
     "simgrf": ("AdSimConfig", "GaussianSimConfig", "matern_alpha", "matern_correlation",
                "simulate_ad_field", "simulate_gaussian"),
     "samples": ("RangeSamples", "SamplePool"),

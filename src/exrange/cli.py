@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import sys
@@ -34,7 +35,7 @@ if "numpy" not in sys.modules and not any(
 import numpy as np
 
 from . import geometry, ranges, raster, simgrf, tailfit, thresholds
-from .errors import ExrangeError, StackFormatError
+from .errors import DegenerateFitError, ExrangeError, StackFormatError
 from .thresholds import BoundaryPolicy
 
 EXIT_VALIDATION = 2
@@ -57,15 +58,25 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         start, stop, step = (float(x) for x in parts)
         if step <= 0:
             raise ValueError(f"{name}: step must be positive")
-        n = int(math.floor((stop - start) / step + 0.5))
-        values = [round(start + i * step, 12) for i in range(n + 1)]
-        values = [v for v in values if v <= stop + step * 1e-9]
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"{name}: start, stop and step must be finite, got {spec!r}")
+        # points start + i*step for i <= last, rounded to 12 decimals, up to stop; they
+        # never decrease, so a step below that rounding shows as a repeat, refused at once
+        last = (stop - start) / step + 0.5
+        values = []
+        for i in itertools.count():
+            v = round(start + i * step, 12)
+            if i > last or v > stop + step * 1e-9:
+                break
+            if values and v <= values[-1]:
+                raise ValueError(f"{name}: step {step} repeats {v} at 12 decimals")
+            values.append(v)
     else:
         values = [float(x) for x in spec.split(",") if x.strip()]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"{name}: values must be strictly increasing, got {values}")
     if not values:
         raise ValueError(f"{name}: empty list")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name}: values must be strictly increasing, got {values}")
     return values
 
 
@@ -182,15 +193,21 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _save_map_with_csv(out_dir: Path, name: str, grid: np.ndarray,
                        domain: raster.DomainMask, dx: float, unit: str) -> None:
-    filled = np.asarray(grid, dtype=np.float64).copy()
-    filled[~domain.inside] = raster.DEFAULT_NODATA
-    filled[~np.isfinite(filled)] = raster.DEFAULT_NODATA
-    grid32 = filled.astype(np.float32)
+    """Write ``grid`` as a float32 map and as CSV rows (x_index, y_index, value),
+    row-major, of its valued pixels: in the domain, finite as float32 and not
+    the nodata sentinel, which the map holds everywhere else. A map without a
+    valued pixel is a compute error, raised before either file is written."""
+    with np.errstate(over="ignore"):   # a value past float32's range is not valued
+        grid32 = np.array(grid, dtype=np.float32)
+    nodata = np.float32(raster.DEFAULT_NODATA)
+    valued = domain.inside & np.isfinite(grid32) & (grid32 != nodata)
+    if not valued.any():
+        raise DegenerateFitError(f"{name} not written: no domain pixel has a finite value")
+    grid32[~valued] = nodata
     raster.save_map(out_dir / f"{name}.f32", grid32, dx=dx, unit=unit)
-    # every pixel outside the domain holds nodata, so the valued pixels lie inside it
-    valued = raster.DomainMask(grid32 != np.float32(raster.DEFAULT_NODATA))
+    iy, ix = np.nonzero(valued)
     _write_csv(out_dir / f"{name}.csv", ["x_index", "y_index", "value"],
-               raster.map_to_csv_rows(grid32, valued))
+               zip(ix.tolist(), iy.tolist(), grid32[valued].tolist()))
 
 
 def _fmt_p(p: float) -> str:
@@ -284,29 +301,26 @@ def _cmd_simulate(args) -> int:
         stack = simgrf.simulate_gaussian(cfg)
     else:
         stack = simgrf.simulate_ad_field(simgrf.AdSimConfig(base=cfg, a_mix=args.a_mix))
-    out = Path(args.out)
-    raster.save_stack(out / "stack.f32", stack)
-    print(f"wrote {out / 'stack.f32'} ({stack.nt}x{stack.ny}x{stack.nx})")
+    raster.save_stack(args.out / "stack.f32", stack)
+    print(f"wrote {args.out / 'stack.f32'} ({stack.nt}x{stack.ny}x{stack.nx})")
     return 0
 
 
 def _cmd_quantiles(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    out = Path(args.out)
     domain = stack.domain()
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
-        _save_map_with_csv(out, f"threshold_p{_fmt_p(thr.p)}", thr.u, domain, stack.dx,
+        _save_map_with_csv(args.out, f"threshold_p{_fmt_p(thr.p)}", thr.u, domain, stack.dx,
                            stack.unit)
     return 0
 
 
 def _cmd_excursion(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    out = Path(args.out)
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
         exceed = thresholds.exceedance_stack(stack, thr, args.policy)
         for t in range(stack.nt):
-            raster.save_map(out / f"excursion_p{_fmt_p(thr.p)}_t{t}.f32",
+            raster.save_map(args.out / f"excursion_p{_fmt_p(thr.p)}_t{t}.f32",
                             exceed[t].astype(np.float32), dx=stack.dx, unit="bool")
     return 0
 
@@ -314,11 +328,10 @@ def _cmd_excursion(args) -> int:
 def _cmd_range(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     each_level = _level_pass(args)
-    out = Path(args.out)
 
     def save(thr, entries):
         for t, r in enumerate(ranges._slice_maps(entries, np.float32)):
-            raster.save_map(out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
+            raster.save_map(args.out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
                             unit=stack.unit)
 
     each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)), save)
@@ -330,10 +343,9 @@ def _cmd_cdf(args) -> int:
     each_level = _level_pass(args)
     domain = stack.domain()
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
-    out = Path(args.out)
 
     def write(thr, entries):
-        _write_csv(out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
+        _write_csv(args.out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
                    _cdf_rows(entries, domain, radii, stack.dx))
 
     each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)), write)
@@ -346,14 +358,13 @@ def _cmd_hist(args) -> int:
     edges = _hist_edges(stack)
     rows = each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)),
                       lambda thr, entries: _hist_rows(thr.p, entries, edges))
-    _write_csv(Path(args.out) / "hist.csv", HIST_HEADER, [r for level in rows for r in level])
+    _write_csv(args.out / "hist.csv", HIST_HEADER, [r for level in rows for r in level])
     return 0
 
 
 def _cmd_chi(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     lags = _parse_lags(args.lags)
-    out = Path(args.out)
     domain = stack.domain()
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
         # one level's exceedances serve every lag and map
@@ -369,8 +380,8 @@ def _cmd_chi(args) -> int:
             elif args.per_pixel:
                 chi_map = ranges.tail_dependence(exceed, domain.inside, (dy, dxp),
                                                  per_pixel=True)
-                _save_map_with_csv(out, name, chi_map, domain, stack.dx, "chi")
-        _write_csv(out / f"chi_p{_fmt_p(thr.p)}.csv", ["lag_x", "lag_y", "chi"], rows)
+                _save_map_with_csv(args.out, name, chi_map, domain, stack.dx, "chi")
+        _write_csv(args.out / f"chi_p{_fmt_p(thr.p)}.csv", ["lag_x", "lag_y", "chi"], rows)
     return 0
 
 
@@ -378,7 +389,7 @@ def _cmd_ivdens(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     rows = [_ivdens_row(stack, thr)
             for thr in thresholds.quantile_fields(stack, _parse_levels(args.p))]
-    _write_csv(Path(args.out) / "ivdens.csv", IVDENS_HEADER, rows)
+    _write_csv(args.out / "ivdens.csv", IVDENS_HEADER, rows)
     return 0
 
 
@@ -389,7 +400,7 @@ def _cmd_theta(args) -> int:
     each_level = _level_pass(args)
     med1, med2 = each_level(stack, thresholds.quantile_fields(stack, (args.p1, args.p2)),
                             lambda _, entries: ranges.median_range_map(entries, stack.domain()))
-    _save_theta_map(Path(args.out), stack.domain(), stack.dx, args.p1, med1, args.p2, med2)
+    _save_theta_map(args.out, stack.domain(), stack.dx, args.p1, med1, args.p2, med2)
     return 0
 
 
@@ -402,7 +413,7 @@ def _cmd_mer(args) -> int:
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
     samples = _sample_pass(each_level, stack, levels, blocks, args.min_range)
     del stack   # the fit reads the samples only
-    _save_fit_maps(Path(args.out), fit(samples), domain, dx, unit, args.predict_p)
+    _save_fit_maps(args.out, fit(samples), domain, dx, unit, args.predict_p)
     return 0
 
 
@@ -425,9 +436,8 @@ def _cmd_jackknife(args) -> int:
         return np.stack([surface.beta, surface.theta])
 
     se = tailfit.jackknife(stack, block_ids, estimator)
-    out = Path(args.out)
-    _save_map_with_csv(out, "se_beta", se[0], domain, stack.dx, "se")
-    _save_map_with_csv(out, "se_theta", se[1], domain, stack.dx, "se")
+    _save_map_with_csv(args.out, "se_beta", se[0], domain, stack.dx, "se")
+    _save_map_with_csv(args.out, "se_theta", se[1], domain, stack.dx, "se")
     return 0
 
 
@@ -437,7 +447,6 @@ def _cmd_pipeline(args) -> int:
     fit = _fit_pass(args)
     each_level = _level_pass(args)
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
-    out = Path(args.out)
     radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
     hist_edges = _hist_edges(stack)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
@@ -455,15 +464,15 @@ def _cmd_pipeline(args) -> int:
 
     samples = _sample_pass(each_level, stack, levels, blocks, args.min_range, level_rows)
     del stack   # the theta map and the fit read the medians and the samples only
-    _write_csv(out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
-    _write_csv(out / "hist.csv", HIST_HEADER, hist_rows)
-    _write_csv(out / "ivdens.csv", IVDENS_HEADER, iv_rows)
+    _write_csv(args.out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
+    _write_csv(args.out / "hist.csv", HIST_HEADER, hist_rows)
+    _write_csv(args.out / "ivdens.csv", IVDENS_HEADER, iv_rows)
 
     p_lo, p_hi = levels[0], levels[-1]
-    _save_theta_map(out, domain, dx, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
+    _save_theta_map(args.out, domain, dx, p_lo, med_maps[p_lo], p_hi, med_maps[p_hi])
 
-    _save_fit_maps(out, fit(samples), domain, dx, unit, args.predict_p)
-    print(f"pipeline outputs written to {out}")
+    _save_fit_maps(args.out, fit(samples), domain, dx, unit, args.predict_p)
+    print(f"pipeline outputs written to {args.out}")
     return 0
 
 
@@ -474,7 +483,7 @@ def _cmd_pipeline(args) -> int:
 def _add_common_io(sub, with_policy: bool = True, with_threads: bool = True):
     sub.add_argument("--in", dest="input", required=True,
                      help="stack file (.f32) or directory holding one")
-    sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--out", type=Path, required=True, help="output directory")
     if with_threads:
         sub.add_argument("--threads", type=int, default=1,
                          help="worker threads for the range fields (default: 1); outputs "
@@ -515,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dx", type=float, default=1.0)
     s.add_argument("--a-mix", type=float, default=1.0, dest="a_mix")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", required=True)
+    s.add_argument("--out", type=Path, required=True)
     s.set_defaults(func=_cmd_simulate)
 
     s = subs.add_parser("quantiles", help="per-pixel threshold maps")

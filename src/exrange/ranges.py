@@ -229,6 +229,8 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
         raise ValueError("need at least one radius")
+    if not np.isfinite(radii).all():
+        raise ValueError(f"radii must be finite, got {radii.tolist()}")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
     domain_dist = domain_distance(domain, dx)

@@ -205,21 +205,3 @@ def save_map(path, grid: np.ndarray, dx: float = 1.0, nodata: float = DEFAULT_NO
     if grid.ndim != 2:
         raise ValueError(f"map must be 2-d, got shape {grid.shape}")
     save_stack(path, RasterStack(grid[None, :, :], dx=dx, nodata=nodata, unit=unit))
-
-
-def load_map(path) -> tuple[np.ndarray, RasterStack]:
-    """Load an nt=1 stack; returns (grid, full stack for metadata)."""
-    stack = load_stack(path)
-    if stack.nt != 1:
-        raise StackFormatError(f"{path}: expected a single-slice map, got nt={stack.nt}")
-    return stack.values[0], stack
-
-
-def map_to_csv_rows(grid: np.ndarray, domain: DomainMask) -> list:
-    """(x_index, y_index, value) for every domain pixel, row-major, as
-    Python ints and floats."""
-    grid = np.asarray(grid)
-    if grid.shape != domain.inside.shape:
-        raise ValueError(f"grid shape {grid.shape} != domain shape {domain.inside.shape}")
-    iy, ix = np.nonzero(domain.inside)
-    return list(zip(ix.tolist(), iy.tolist(), grid[iy, ix].tolist()))

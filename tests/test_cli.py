@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import exrange
-from exrange import load_map, load_stack
+from exrange import load_stack
 from exrange.cli import build_parser, main
 
 SRC = str(Path(exrange.__file__).resolve().parents[1])
@@ -126,12 +126,35 @@ def test_quantiles_and_threshold_monotone(sim_dir, tmp_path):
     code = main(["quantiles", "--in", str(sim_dir), "--out", str(tmp_path),
                  "--p", "0.8,0.9"])
     assert code == 0
-    lo, _ = load_map(tmp_path / "threshold_p0.8.f32")
-    hi, _ = load_map(tmp_path / "threshold_p0.9.f32")
+    lo = load_stack(tmp_path / "threshold_p0.8.f32").values[0]
+    hi = load_stack(tmp_path / "threshold_p0.9.f32").values[0]
     assert np.all(lo <= hi)
     rows = _read_csv(tmp_path / "threshold_p0.9.csv")
     assert rows[0] == ["x_index", "y_index", "value"]
     assert len(rows) == 1 + 32 * 32
+
+
+def test_map_csv_rows_are_the_valued_pixels(tmp_path):
+    # a map's CSV lists, row-major, the pixels its .f32 holds a value at: in
+    # the domain and finite as float32 (1e39 is not); a map without one is a
+    # compute error that writes neither file
+    from exrange import DegenerateFitError, DomainMask
+    from exrange.cli import _save_map_with_csv
+
+    grid = np.array([[1.5, 2.0, np.nan], [3.0, 1e39, -np.inf], [4.25, -0.5, 6.0]])
+    domain = DomainMask(np.array([[True, False, True], [True, True, True], [True, True, False]]))
+    _save_map_with_csv(tmp_path, "m", grid, domain, 2.0, "px")
+    stack = load_stack(tmp_path / "m.f32")
+    assert stack.dx == 2.0 and stack.nt == 1
+    assert np.array_equal(stack.domain().inside, [[True, False, False], [True, False, False],
+                                                  [True, True, False]])
+    assert _read_csv(tmp_path / "m.csv") == [
+        ["x_index", "y_index", "value"], ["0", "0", "1.5"], ["0", "1", "3.0"],
+        ["0", "2", "4.25"], ["1", "2", "-0.5"]]
+    with pytest.raises(DegenerateFitError, match="^empty not written"):
+        _save_map_with_csv(tmp_path, "empty", grid[:, [2]], DomainMask([[True], [True], [False]]),
+                           1.0, "px")
+    assert not list(tmp_path.glob("empty*"))
 
 
 def test_cdf_csv_schema(sim_dir, tmp_path):
@@ -159,7 +182,7 @@ def test_chi_per_pixel_maps(sim_dir, tmp_path):
     code = main(["chi", "--in", str(sim_dir), "--out", str(tmp_path),
                  "--p", "0.9", "--lags", "1:0", "--per-pixel"])
     assert code == 0
-    grid, _ = load_map(tmp_path / "chi_p0.9_lag1x0.f32")
+    grid = load_stack(tmp_path / "chi_p0.9_lag1x0.f32").values[0]
     valid = grid != -9999.0
     assert valid.any()
     assert np.all((grid[valid] >= 0) & (grid[valid] <= 1))
@@ -235,7 +258,7 @@ def test_hist_counts_match_exceedances(sim_dir, tmp_path):
 def test_range_maps_written(sim_dir, tmp_path):
     code = main(["range", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.95"])
     assert code == 0
-    grid, _ = load_map(tmp_path / "range_p0.95_t0.f32")
+    grid = load_stack(tmp_path / "range_p0.95_t0.f32").values[0]
     assert grid.shape == (32, 32)
     assert grid.min() >= 0
 
@@ -277,7 +300,7 @@ def test_theta_map_subcommand(sim_dir, tmp_path):
     code = main(["theta", "--in", str(sim_dir), "--out", str(tmp_path),
                  "--p1", "0.85", "--p2", "0.95"])
     assert code == 0
-    grid, _ = load_map(tmp_path / "theta_map.f32")
+    grid = load_stack(tmp_path / "theta_map.f32").values[0]
     assert grid.shape == (32, 32)
     assert np.isfinite(grid).all()
 
@@ -287,8 +310,8 @@ def test_mer_and_predict(sim_dir, tmp_path):
                  "--levels", "0.85,0.9,0.95", "--knots", "4x4",
                  "--penalty", "1.0", "--iters", "30", "--predict-p", "0.99"])
     assert code == 0
-    beta, _ = load_map(tmp_path / "mer_beta.f32")
-    pred, _ = load_map(tmp_path / "mer_p0.99.f32")
+    beta = load_stack(tmp_path / "mer_beta.f32").values[0]
+    pred = load_stack(tmp_path / "mer_p0.99.f32").values[0]
     assert np.isfinite(beta).all()
     assert (pred > 0).all()
 
@@ -401,7 +424,7 @@ def test_jackknife_subcommand(sim_dir, tmp_path):
                  "--levels", "0.85,0.9", "--blocks-by", str(blocks),
                  "--knots", "4x4", "--iters", "20"])
     assert code == 0
-    se, _ = load_map(tmp_path / "se_theta.f32")
+    se = load_stack(tmp_path / "se_theta.f32").values[0]
     assert (se >= 0).all()
     assert se.max() > 0
 
@@ -636,6 +659,29 @@ def test_bad_fit_option_rejected_before_any_output(sim_dir, tmp_path, capsys, co
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, grid", [
+    (["mer", "--levels", "inf:1:0.1"], "levels"),
+    (["cdf", "--radii", "1:inf:1"], "radii"),
+    (["cdf", "--p", "0.1:nan:0.1"], "levels"),
+    (["hist", "--p", "0.1:0.9:1e-300"], "levels"),
+    (["cdf", "--p", "0.9", "--radii", "nan"], "radii"),
+    (["cdf", "--p", "0.9", "--radii", "1,nan"], "radii"),
+], ids=["levels-inf-start", "radii-inf-stop", "levels-nan-stop", "levels-step-below-rounding",
+        "radius-nan", "radii-nan-last"])
+def test_bad_grid_or_radius_rejected_before_any_output(sim_dir, tmp_path, command, grid):
+    # a non-finite grid bound, a step that 12-decimal rounding repeats at once
+    # (a grid of 8e299 points) and a non-finite radius are validation errors
+    # naming the grid, never a traceback or a hang
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", "exrange.cli", *command, "--in", str(sim_dir),
+                          "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"exrange: error: validation: {grid}")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_mer_penalty_auto_picks_from_grid(sim_dir, tmp_path, monkeypatch):
     from exrange import tailfit
 
@@ -794,6 +840,23 @@ def test_pixel_fit_without_fitted_pixel_exits_compute(tmp_path, capsys, command)
                  "--levels", "0.97,0.98"]) == 5
     assert "min_samples=3" in capsys.readouterr().err
     assert not list(out.glob("mer_*"))
+
+
+def test_jackknife_without_valued_se_pixel_exits_compute(tmp_path, capsys):
+    # each of the three replicates fits 2 pixels, and different ones, so every
+    # pixel's SE is NaN: neither SE map has a value, which is a compute error
+    # (exit 5) with no se_* output
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "6", "--ny", "6", "--n", "30", "--ell", "2", "--seed", "3",
+                 "--out", str(sim)]) == 0
+    capsys.readouterr()
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(30)))
+    out = tmp_path / "out"
+    assert main(["jackknife", "--in", str(sim), "--out", str(out), "--blocks-by", str(blocks),
+                 "--levels", "0.85,0.95", "--fit", "pixel", "--min-range", "1.2"]) == 5
+    assert "compute: se_beta not written" in capsys.readouterr().err
+    assert not list(out.glob("se_*"))
 
 
 def test_level_without_exceedance_is_nodata(tmp_path, capsys):
@@ -974,7 +1037,8 @@ def test_pipeline_respects_the_symmetries_of_a_ragged_stack(tmp_path, policy):
             if undo is None or f in ("cdf.csv", "hist.csv"):
                 assert got.read_bytes() == want.read_bytes(), (name, f)
             elif f.endswith(".f32"):
-                assert np.array_equal(undo(load_map(got)[0]), load_map(want)[0]), (name, f)
+                got, want = (load_stack(path).values[0] for path in (got, want))
+                assert np.array_equal(undo(got), want), (name, f)
         # c0 and c2 are exact under a transform of the grid; c1 and the slope
         # it feeds are sums of segment lengths, which run in another order on
         # the transformed grid. All four sum over slices in slice order, so a
@@ -1020,7 +1084,7 @@ def test_pipeline_on_twice_the_spacing(tmp_path, policy):
         assert row == [p, repr(float(c0) / 4), repr(float(c1) / 2), c2, repr(float(slope) / 2)]
     for name, undo in (("theta_map", lambda m: m), ("mer_beta", lambda m: m - math.log(2)),
                        ("mer_theta", lambda m: m), ("mer_p0.989", lambda m: m / 2)):
-        got, want = (load_map(out / f"{name}.f32")[0] for out in (two, one))
+        got, want = (load_stack(out / f"{name}.f32").values[0] for out in (two, one))
         valued = want != -9999.0
         assert np.array_equal(got != -9999.0, valued), name
         np.testing.assert_allclose(undo(got[valued].astype(np.float64)), want[valued],
@@ -1052,7 +1116,7 @@ def test_pixel_fit_on_permuted_slices(tmp_path):
         out = tmp_path / f"out-{name}"
         assert main(["mer", "--in", str(tmp_path / name), "--out", str(out),
                      "--levels", "0.9:0.98:0.02", "--fit", "pixel"]) == 0
-        maps[name] = [load_map(out / f"mer_{c}.f32")[0] for c in ("beta", "theta")]
+        maps[name] = [load_stack(out / f"mer_{c}.f32").values[0] for c in ("beta", "theta")]
     for got, want in zip(maps["permuted"], maps["sim"]):
         assert np.array_equal(got, want)
 
@@ -1092,7 +1156,7 @@ def test_pipeline_inside_a_nodata_ring(tmp_path, policy, fit):
     maps = [f[:-len(".f32")] for f in files if f.endswith(".f32")]
     assert {"theta_map", "mer_beta", "mer_theta"} <= set(maps)
     for name in maps:
-        got, want = (load_map(outs[k] / f"{name}.f32")[0] for k in ("ringed", "sim"))
+        got, want = (load_stack(outs[k] / f"{name}.f32").values[0] for k in ("ringed", "sim"))
         assert np.array_equal(got[1:-1, 1:-1], want), name
         assert np.all(got[[0, -1]] == stack.nodata) and np.all(got[:, [0, -1]] == stack.nodata)
         got, want = (_read_csv(outs[k] / f"{name}.csv") for k in ("ringed", "sim"))
@@ -1116,7 +1180,7 @@ def test_non_square_knots_transpose_with_the_grid(tmp_path):
         out = tmp_path / f"out-{name}"
         assert main(["pipeline", "--in", str(tmp_path / name), "--out", str(out),
                      "--levels", "0.9,0.95", "--fit", "spline", "--knots", knots]) == 0
-        maps[name] = {m: load_map(out / f"{m}.f32")[0]
+        maps[name] = {m: load_stack(out / f"{m}.f32").values[0]
                       for m in ("mer_beta", "mer_theta", "mer_p0.989")}
     for m, want in maps["crop"].items():
         assert np.array_equal(maps["transposed"][m].T, want), m

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from exrange import DomainMask, RasterStack, StackFormatError, load_map, load_stack, save_map, save_stack
-from exrange.raster import map_to_csv_rows
+from exrange import DomainMask, RasterStack, StackFormatError, load_stack, save_map, save_stack
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -103,15 +102,15 @@ def test_domain_identical_across_slices():
 def test_save_map_round_trip(tmp_path):
     grid = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     save_map(tmp_path / "m.f32", grid)
-    back, meta = load_map(tmp_path / "m.f32")
-    assert np.array_equal(back, grid)
-    assert meta.nt == 1
+    back = load_stack(tmp_path / "m.f32")
+    assert back.nt == 1
+    assert np.array_equal(back.values[0], grid)
 
 
 def test_save_map_sentinel_is_nodata(tmp_path):
     grid = np.array([[1.0, -9999.0], [3.0, 4.0]], dtype=np.float32)
     save_map(tmp_path / "m.f32", grid)
-    _, stack = load_map(tmp_path / "m.f32")
+    stack = load_stack(tmp_path / "m.f32")
     assert not stack.domain().inside[0, 1]
     assert stack.domain().inside[0, 0]
 
@@ -121,13 +120,6 @@ def test_save_map_unwritable_path(tmp_path):
     target.write_text("file, not a directory")
     with pytest.raises(OSError):
         save_map(target / "m.f32", np.zeros((2, 2), dtype=np.float32))
-
-
-def test_map_csv_rows_skip_nodata():
-    grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-    domain = DomainMask(np.array([[True, False], [True, True]]))
-    rows = list(map_to_csv_rows(grid, domain))
-    assert rows == [(0, 0, 1.0), (0, 1, 3.0), (1, 1, 4.0)]
 
 
 def test_empty_domain_rejected():
