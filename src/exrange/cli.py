@@ -134,6 +134,8 @@ def _parse_lags(spec: str) -> list[tuple[int, int]]:
         except ValueError:
             raise ValueError(f"--lags: expected x:y or x with integers x and y, "
                              f"got {item!r}") from None
+        if (y, x) in lags:
+            raise ValueError(f"--lags: lag {item!r} repeats an earlier lag")
         lags.append((y, x))  # stored as (row, col) from "x:y"
     if not lags:
         raise ValueError("empty lag list")
@@ -279,10 +281,10 @@ def _load_blocks(path: str, nt: int) -> np.ndarray:
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.strip():
             try:
-                ids.append(int(line))
-            except ValueError:
+                ids.append(np.int64(int(line)))
+            except (ValueError, OverflowError):
                 raise ValueError(f"{path}: line {number}: block id {line.strip()!r} is not "
-                                 "an integer") from None
+                                 "a 64-bit integer") from None
     if len(ids) != nt:
         raise ValueError(f"{path}: {len(ids)} block ids for {nt} slices")
     return np.asarray(ids)

@@ -154,7 +154,8 @@ def load_stack(path) -> RasterStack:
 
     Raises StackFormatError when the sidecar is missing or malformed (a
     dimension that is not an integer, a ``dx`` that is not finite and
-    positive, a ``nodata`` that is not finite), when the byte count
+    positive, a ``nodata`` that is not finite, a boolean ``dx`` or
+    ``nodata``, a ``unit`` that is not a string), when the byte count
     disagrees with it, when every value is nodata or one is NaN or
     infinite, and when the nodata pattern differs between slices.
     """
@@ -176,9 +177,14 @@ def load_stack(path) -> RasterStack:
         raise StackFormatError(f"sidecar {sidecar} has dimensions {dims}; they must be integers")
     try:
         nx, ny, nt = (int(v) for v in dims)
+        if isinstance(meta["dx"], bool) or isinstance(meta["nodata"], bool):
+            raise TypeError("dx and nodata must be numbers, not booleans")
         dx, nodata = float(meta["dx"]), float(meta["nodata"])
     except (TypeError, ValueError) as exc:
         raise StackFormatError(f"sidecar {sidecar} holds a malformed number: {exc}") from exc
+    unit = meta.get("unit", "px")
+    if not isinstance(unit, str):
+        raise StackFormatError(f"sidecar {sidecar} has unit {unit!r}; it must be a string")
     if min(nx, ny, nt) < 1:
         raise StackFormatError(f"sidecar {sidecar} has non-positive dimensions")
     if not 0.0 < dx < math.inf:
@@ -195,7 +201,7 @@ def load_stack(path) -> RasterStack:
     values = np.frombuffer(raw, dtype="<f4").reshape(nt, ny, nx)
     if not (values[0] != np.float32(nodata)).any() and (values == np.float32(nodata)).all():
         raise StackFormatError(f"{data_path}: every value is nodata, so the domain is empty")
-    return RasterStack(values, dx=dx, nodata=nodata, unit=str(meta.get("unit", "px")))
+    return RasterStack(values, dx=dx, nodata=nodata, unit=unit)
 
 
 def save_map(path, grid: np.ndarray, dx: float = 1.0, nodata: float = DEFAULT_NODATA,

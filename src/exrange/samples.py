@@ -43,9 +43,11 @@ class RangeSamples:
 
     Level index k has covariate log(-log(1-p)) ``level_x[k]``, ascending; a
     level may hold no sample. Run i, samples ``runs[i]:runs[i + 1]``, comes
-    from slices of block ``run_block[i]``. ``pixel_y`` and ``pixel_x``
-    (int32), ``x`` (float64) and ``block`` (int64) are computed from these
-    on each access.
+    from slices of block ``run_block[i]``. ``level`` and ``pixel_y`` and
+    ``pixel_x`` (integers), ``x`` (float64) and ``block`` (int64) are
+    computed from these on each access. A cross-validation fold
+    (``tailfit.choose_penalty``) holds its cells as intp, 16 bytes a sample,
+    so that its fits index them without a copy.
 
     ``RangeSamples(pixel_y, pixel_x, x, y, block, shape=None)`` builds samples
     from one array per field, on ``shape`` or the smallest grid holding them.
@@ -97,8 +99,10 @@ class RangeSamples:
 
     @property
     def level(self) -> np.ndarray:
-        """The level index of each sample."""
-        return self.cell // (self.shape[0] * self.shape[1])
+        """The level index of each sample, in the narrowest dtype that holds
+        every level."""
+        return np.floor_divide(self.cell, self.shape[0] * self.shape[1], casting="unsafe",
+                               out=np.empty(self.n, np.min_scalar_type(self.level_x.size - 1)))
 
     @property
     def x(self) -> np.ndarray:

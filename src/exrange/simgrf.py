@@ -44,17 +44,22 @@ def matern_alpha(nu: float, ell: float) -> float:
 
 
 def matern_correlation(h, nu: float, ell: float) -> np.ndarray:
-    """Matern correlation at distance h (1 at h = 0)."""
+    """Matern correlation at distance h (1 at h = 0); ValueError where its
+    float64 evaluation is not finite, as at a large nu or a tiny ell."""
     if not (0 < nu < math.inf and 0 < ell < math.inf):
         raise ValueError(f"nu and ell must be finite and positive, got nu={nu}, ell={ell}")
     from scipy.special import gamma as gamma_fn, kv  # here, not at start-up: `pipeline` skips it
 
     h = np.asarray(h, dtype=np.float64)
-    x = math.sqrt(2.0 * nu) * h / ell
-    out = np.ones_like(x)
-    pos = x > 0
-    xp = x[pos]
-    out[pos] = (2.0 ** (1.0 - nu) / gamma_fn(nu)) * (xp ** nu) * kv(nu, xp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = math.sqrt(2.0 * nu) * h / ell
+        out = np.ones_like(x)
+        pos = x > 0
+        xp = x[pos]
+        out[pos] = (2.0 ** (1.0 - nu) / gamma_fn(nu)) * (xp ** nu) * kv(nu, xp)
+    if not np.isfinite(out).all():
+        raise ValueError(f"the Matern correlation at nu={nu}, ell={ell} is not finite at "
+                         f"distance {h[~np.isfinite(out)].flat[0]}")
     return out
 
 
@@ -124,7 +129,10 @@ def _embedding_sqrt_eigs(config: GaussianSimConfig) -> tuple[np.ndarray, int, in
         kx = np.minimum(np.arange(mx), mx - np.arange(mx))
         np.add(ky[:, None] ** 2, kx[None, :] ** 2, out=lag2)
         distinct, inverse = np.unique(lag2, return_inverse=True)
-        cov = matern_correlation(config.dx * np.sqrt(distinct), config.nu, config.ell)
+        try:
+            cov = matern_correlation(config.dx * np.sqrt(distinct), config.nu, config.ell)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (grid spacing dx={config.dx})") from None
         lam = np.fft.fft2(cov[inverse.reshape(my, mx)]).real
         if lam.min() > -1e-8 * lam.max():
             lam = np.maximum(lam, 0.0)

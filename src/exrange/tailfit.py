@@ -45,9 +45,10 @@ The pooled samples of many levels exist in one copy, 12 bytes a sample (see
 ``exrange.samples``): a ``SamplePool`` made with every level is sized from
 the thresholds, and ``collect_samples`` writes each level into it. The fits
 read each sample's (level, pixel) cell index as it is stored. The spline fit
-adds two per-sample arrays, an intp copy of the cells for its gathers and
-bincounts and the IRLS weights; a cross-validation fold also gathers its
-training responses, and runs over its training samples only.
+adds the IRLS weights and, unless the cells are intp already, an intp copy of
+them for its gathers and bincounts. Cross-validation gathers a fold's
+training samples once, cells as intp and responses, and fits every penalty
+on them.
 
 Uncertainty comes from a delete-one-block jackknife that reruns the whole
 estimation chain per block.
@@ -435,7 +436,7 @@ class SplineMerModel:
         return (_basis_1d(np.arange(ny), 0.0, float(ny - 1), self.knots_y),
                 _basis_1d(np.arange(nx), 0.0, float(nx - 1), self.knots_x))
 
-    def fit(self, samples: RangeSamples, train: np.ndarray | None = None) -> "SplineMerModel":
+    def fit(self, samples: RangeSamples) -> "SplineMerModel":
         """Minimize the annealed smoothed-pinball objective by
         majorize-minimize: each iteration reweights the quadratic
         majorizer of the smoothed pinball at the current residuals and
@@ -446,32 +447,22 @@ class SplineMerModel:
         An iteration gathers each sample's prediction from its (level,
         pixel) cell, sums w and w*y per cell with two bincounts and forms
         the normal equations from those sums (``_pixel_normal_equations``).
-
-        ``train``, a boolean mask of length ``samples.n``, fits only the
-        samples it marks, as a cross-validation fold does: their cells and
-        responses are gathered once, and the warm start takes their medians,
-        so the coefficients are those of a fit on the training samples alone.
         """
         nb = self.knots_x * self.knots_y
-        if train is not None and (train.dtype != np.bool_ or train.shape != (samples.n,)):
-            raise ValueError(f"train must be a boolean mask of length {samples.n}")
-        n_train = samples.n if train is None else int(np.count_nonzero(train))
-        if n_train < 2 * nb:
+        if samples.n < 2 * nb:
             raise DegenerateFitError(
-                f"{n_train} samples cannot identify {2 * nb} spline coefficients"
+                f"{samples.n} samples cannot identify {2 * nb} spline coefficients"
             )
-        beta0, theta0 = _pooled_median_line(samples, train)
+        beta0, theta0 = _pooled_median_line(samples)
         params = np.concatenate([np.full(nb, beta0), np.full(nb, theta0)])
         by, bx = self._grid_bases(samples.shape)
         pen_block = np.kron(np.eye(2), _roughness_penalty(self.knots_y, self.knots_x))
-        xl = samples.level_x   # ascending level covariates, held-out levels included
+        xl = samples.level_x   # ascending level covariates, empty levels included
         cells = (xl.size, math.prod(samples.shape))
-        cell, y = samples.cell, samples.y
-        if train is not None:
-            cell, y = cell[train], y[train]
-        # take and bincount index with intp: one copy serves every iteration
-        cell = cell.astype(np.intp)
-        w = np.empty(cell.size)   # with ``cell`` and a fold's ``y``, the fit's per-sample arrays
+        # take and bincount index with intp: one copy serves every iteration,
+        # and a cross-validation fold's cells need none
+        cell, y = samples.cell.astype(np.intp, copy=False), samples.y
+        w = np.empty(cell.size)   # with ``cell``, the fit's per-sample arrays
         for kappa, n_iter in _kappa_stages(self.iters):
             for _ in range(n_iter):
                 b = _surface(by, bx, params[:nb]).ravel()
@@ -506,57 +497,58 @@ class SplineMerModel:
 
 def choose_penalty(samples: RangeSamples, ky: int, kx: int, iters: int) -> float:
     """Pick the roughness penalty from ``_PENALTY_GRID`` by block-wise
-    cross-validated pinball loss over ``_CV_FOLDS`` folds; each fold fits the
-    samples its training mask marks, with ``max(60, iters // 3)`` iterations,
-    so never fewer than 60. DegenerateFitError before any fit when fewer than
-    two blocks hold a sample, since a fold then trains on nothing or holds
-    nothing out, and when every penalty has a degenerate fold fit."""
+    cross-validated pinball loss over ``_CV_FOLDS`` folds. Each fold's
+    training samples are gathered once and every penalty is fitted on them,
+    with ``max(60, iters // 3)`` iterations, so never fewer than 60; each
+    penalty's held-out losses add up in fold order, and the smallest sum
+    wins, the smaller penalty on a tie. DegenerateFitError before any fit
+    when fewer than two blocks hold a sample, since a fold then trains on
+    nothing or holds nothing out, and at the first fold whose training
+    samples are too few or at one level, which no penalty mends."""
     run_n = np.diff(samples.runs)
     blocks = _distinct(samples.run_block[run_n > 0])
+    prefix = f"penalty cross-validation over {blocks.size} block(s)"
     if blocks.size < 2:
-        raise DegenerateFitError(f"penalty cross-validation over {blocks.size} block(s): "
-                                 "a fold needs a block to train on and one to hold out")
-    # the i-th smallest block id goes to fold i mod _CV_FOLDS: a fold per run of
-    # samples, expanded once to the narrowest dtype
+        raise DegenerateFitError(f"{prefix}: a fold needs a block to train on and one to "
+                                 "hold out")
+    # the i-th smallest block id goes to fold i mod _CV_FOLDS, one fold per run of samples
     run_fold = np.searchsorted(blocks, samples.run_block) % _CV_FOLDS
-    folds = np.repeat(run_fold.astype(np.min_scalar_type(_CV_FOLDS)), run_n)
-    best = (math.inf, _PENALTY_GRID[0])
-    for lam in _PENALTY_GRID:
-        total = 0.0
-        for f in range(min(_CV_FOLDS, blocks.size)):  # every fold holds a block out
-            train = folds != f
-            model = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
-                                   iters=max(60, iters // 3))
+    totals = [0.0] * len(_PENALTY_GRID)
+    for f in range(min(_CV_FOLDS, blocks.size)):  # every fold holds a block out
+        kept = run_fold != f
+        train = np.repeat(kept, run_n)
+        fold = RangeSamples._of(samples.cell[train].astype(np.intp), samples.y[train],
+                                samples.shape, samples.level_x,
+                                np.r_[0, np.cumsum(run_n[kept])], samples.run_block[kept])
+        del train
+        for i, lam in enumerate(_PENALTY_GRID):
             try:
-                surface = model.fit(samples, train).to_surface()
-            except DegenerateFitError:
-                total = math.inf
-                break
-            hold = ~train
-            # each held-out sample's cell prediction, as the fit gathers it
-            pred = np.take(surface.beta.ravel() - samples.level_x[:, None] * surface.theta.ravel(),
-                           samples.cell[hold])
-            total += float(np.abs(samples.y[hold] - pred).sum()) * 0.5
-        if (total, lam) < best:
-            best = (total, lam)
-    if best[0] == math.inf:
-        raise DegenerateFitError(f"penalty cross-validation over {blocks.size} block(s): "
-                                 "every penalty has a degenerate fold fit")
-    return best[1]
+                surface = SplineMerModel(knots_x=kx, knots_y=ky, penalty=lam,
+                                         iters=max(60, iters // 3)).fit(fold).to_surface()
+            except DegenerateFitError as exc:
+                raise DegenerateFitError(f"{prefix}: fold {f}: {exc}") from None
+            # the held-out mask and gathers end with the call, so only the
+            # fold outlives a fit
+            totals[i] += _pinball_loss(samples, surface, np.repeat(~kept, run_n))
+        del fold   # before the next fold's gathers
+    return min(zip(totals, _PENALTY_GRID))[1]
 
 
-def _pooled_median_line(samples: RangeSamples,
-                        train: np.ndarray | None = None) -> tuple[float, float]:
-    """Warm start: exact LAD line through the per-level response medians of
-    the samples ``train`` marks (all by default), DegenerateFitError on a
-    single level. With one covariate value per level, the pair enumeration
-    stays trivial regardless of sample count."""
+def _pinball_loss(samples: RangeSamples, surface: MerSurface, at: np.ndarray) -> float:
+    """Median pinball loss of the samples that ``at`` marks, each predicted
+    from its cell as the spline fit gathers it."""
+    pred = surface.beta.ravel() - samples.level_x[:, None] * surface.theta.ravel()
+    return float(np.abs(samples.y[at] - np.take(pred, samples.cell[at])).sum()) * 0.5
+
+
+def _pooled_median_line(samples: RangeSamples) -> tuple[float, float]:
+    """Warm start: exact LAD line through the per-level response medians,
+    DegenerateFitError on a single level. With one covariate value per
+    level, the pair enumeration stays trivial regardless of sample count."""
     level = samples.level
     lines = []
     for k, x in enumerate(samples.level_x):
         at = level == k
-        if train is not None:
-            at &= train
         if at.any():
             lines.append((x, _median(samples.y[at])))
     if len(lines) < 2:

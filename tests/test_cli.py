@@ -110,6 +110,28 @@ def test_non_increasing_levels_rejected(sim_dir, tmp_path, capsys):
     assert f"validation: {blocks}: line 22: block id 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mer", "jackknife", "pipeline"])
+def test_block_id_past_64_bits_exits_validation(sim_dir, tmp_path, capsys, command):
+    # 2**70 is an integer, but no int64 block id
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(["0"] * 20 + [str(2 ** 70)] + ["1"] * 19))
+    out = tmp_path / "out"
+    assert main([command, "--in", str(sim_dir), "--out", str(out), "--levels", "0.85,0.9",
+                 "--fit", "pixel", "--blocks-by", str(blocks)]) == 2
+    assert f"validation: {blocks}: line 21: block id '{2 ** 70}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lags", ["1:0,1:0", "1,1:0", "0:2,1:0, 0:2"])
+def test_repeated_lag_exits_validation(sim_dir, tmp_path, capsys, lags):
+    # x and x:0 are one lag; a repeat would write its row and its map twice
+    out = tmp_path / "out"
+    assert main(["chi", "--in", str(sim_dir), "--out", str(out), "--p", "0.9",
+                 "--lags", lags, "--per-pixel"]) == 2
+    assert "validation: --lags: lag" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_sidecar_exit_code(tmp_path):
     bad = tmp_path / "bad.f32"
     bad.write_bytes(b"\x00" * 4)
@@ -673,7 +695,8 @@ def test_bad_grid_or_radius_rejected_before_any_output(sim_dir, tmp_path, comman
     # (a grid of 8e299 points) and a non-finite radius are validation errors
     # naming the grid, never a traceback or a hang
     out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     run = subprocess.run([sys.executable, "-m", "exrange.cli", *command, "--in", str(sim_dir),
                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 2
@@ -721,9 +744,12 @@ def test_level_without_exceedance_is_skipped(tmp_path):
 
 def _child(code: str, *args: str, **env: str) -> str:
     """Stdout of ``python -c code args`` with this source tree first on the
-    path, no caller-set BLAS thread count, and ``env`` added."""
+    path, no caller-set BLAS thread count, a RuntimeWarning an error (as
+    pyproject's ``filterwarnings`` makes it in this process), and ``env``
+    added."""
     child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     child_env["PYTHONPATH"] = SRC + os.pathsep + child_env.get("PYTHONPATH", "")
+    child_env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     child_env.update(env)
     return subprocess.run([sys.executable, "-c", code, *args], env=child_env,
                           capture_output=True, text=True, check=True, timeout=120).stdout

@@ -77,6 +77,7 @@ def test_infinite_value_rejected(tmp_path, value):
     ("dx", "0.0"), ("dx", "-1.5"), ("dx", "Infinity"),
     ("nodata", "NaN"), ("nodata", '"nan"'), ("nodata", "Infinity"), ("nodata", "-Infinity"),
     ("nx", "4.5"), ("nx", "Infinity"),
+    ("dx", "true"), ("nodata", "false"), ("unit", "null"), ("unit", "5"),
 ])
 def test_malformed_sidecar_number_rejected(tmp_path, key, text):
     save_stack(tmp_path / "s.f32", RasterStack(np.ones((2, 3, 4), dtype=np.float32)))

@@ -63,6 +63,23 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu, ell", [(150.0, 20.0), (171.0, 20.0), (2.0, 1e-300)])
+def test_non_finite_matern_correlation_raises(tmp_path, capsys, nu, ell):
+    # kv overflows at a large nu, gamma at nu >= 171, and h / ell at a tiny
+    # ell: an error naming nu, ell and dx, with no RuntimeWarning (an error
+    # under this suite's filter) and no search for a larger torus
+    with pytest.raises(ValueError, match=f"nu={nu}, ell={ell} is not finite at distance 1.0"):
+        matern_correlation(np.array([0.0, 1.0, 2.0]), nu, ell)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--nx", "4", "--ny", "4", "--n", "2", "--nu", str(nu),
+                 "--ell", str(ell), "--dx", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"exrange: error: validation: the Matern correlation at nu={nu}, "
+                          f"ell={ell} is not finite")
+    assert err.rstrip().endswith("(grid spacing dx=0.5)") and "circulant" not in err
+    assert not out.exists()
+
+
 def test_simulate_refused_allocation_exits_compute(tmp_path, capsys):
     # ell = 1e7 asks for a 2^26-square torus, 32 PiB: past any 64-bit address
     # space, so numpy refuses it whatever the overcommit setting

@@ -485,6 +485,12 @@ def test_spline_degenerate_inputs():
     model_small = SplineMerModel(knots_x=4, knots_y=4, penalty=1.0, iters=5)
     with pytest.raises(DegenerateFitError, match="level"):
         model_small.fit(one_level)
+    # 2 * nb samples are enough, one fewer is not
+    samples = _non_square_samples(rng)
+    model = SplineMerModel(knots_x=6, knots_y=5, iters=3)
+    with pytest.raises(DegenerateFitError, match="59 samples cannot identify 60"):
+        model.fit(_select(samples, slice(0, 59)))
+    model.fit(_select(samples, slice(0, 60)))
 
 
 @pytest.mark.parametrize("params", [
@@ -741,62 +747,76 @@ def _coefficients(model):
     return np.r_[model.coef_beta_, model.coef_theta_]
 
 
-def test_spline_fold_mask_fit_equals_fit_on_copy():
-    # held-out samples enter every cell sum as exact zeros, so a masked fit
-    # is bit-identical to a fit on the copied training samples, also when
-    # the training set lacks a level (fold 0 here)
+def _recording_fits(monkeypatch):
+    """The list that each ``SplineMerModel.fit`` call from now on appends its
+    model and samples to."""
+    calls = []
+    fit = SplineMerModel.fit
+
+    def recording(self, s):
+        calls.append((self, s))
+        return fit(self, s)
+
+    monkeypatch.setattr(SplineMerModel, "fit", recording)
+    return calls
+
+
+def test_penalty_cv_fits_each_fold_on_its_training_copy(monkeypatch):
+    # fold by fold, one gathered copy of the fold's training samples, with
+    # intp cells, serves the fits of every penalty, also when it lacks a
+    # level (fold 0 here); fits on copies made by hand give the same
+    # coefficients, and their held-out losses pick the same penalty
+    from exrange.tailfit import _PENALTY_GRID, choose_penalty
+
     rng = np.random.default_rng(55)
-    ny, nx = 7, 11
-    samples = _fold_samples(rng, ny, nx)
+    samples = _fold_samples(rng)
     folds = np.searchsorted(np.unique(samples.block), samples.block) % 5
-    model = SplineMerModel(knots_x=6, knots_y=5, penalty=0.3, iters=12)
     top = samples.x == samples.x.max()
     assert np.unique(folds).tolist() == [0, 1, 2, 3, 4]
     assert not (top & (folds != 0)).any()
-    for f in range(5):
-        train = folds != f
-        masked = _coefficients(model.fit(samples, train))
-        copied = _coefficients(model.fit(_select(samples, train)))
-        assert np.array_equal(masked, copied), f
-        # the held-out responses do not enter the fit, however large
-        wild = samples.y.copy()
-        wild[~train] = np.where(rng.random(np.count_nonzero(~train)) < 0.5, -1e300, 1e300)
-        far = RangeSamples(samples.pixel_y, samples.pixel_x, samples.x, wild, samples.block)
-        assert np.array_equal(_coefficients(model.fit(far, train)), masked), f
+    fits = _recording_fits(monkeypatch)
+    picked = choose_penalty(samples, 5, 6, 9)
+    monkeypatch.undo()
+    assert [model.penalty for model, _ in fits] == list(_PENALTY_GRID) * 5
+    totals = dict.fromkeys(_PENALTY_GRID, 0.0)
+    for k, (model, got) in enumerate(fits):
+        f = k // 5
+        train, held = _select(samples, folds != f), _select(samples, folds == f)
+        assert got is fits[5 * f][1] and got.cell.dtype == np.intp, k
+        for name in ("cell", "y", "block"):
+            assert np.array_equal(getattr(got, name), getattr(train, name)), (k, name)
+        copied = SplineMerModel(knots_x=6, knots_y=5, penalty=model.penalty, iters=60)
+        surface = copied.fit(train).to_surface()
+        assert np.array_equal(_coefficients(copied), _coefficients(model)), k
+        at = (held.pixel_y, held.pixel_x)
+        pred = surface.beta[at] - held.x * surface.theta[at]
+        totals[model.penalty] += float(np.abs(held.y - pred).sum()) * 0.5
+    assert picked == min(totals, key=lambda lam: (totals[lam], lam))
 
 
-def test_choose_penalty_without_a_fold_fit_raises():
+def test_choose_penalty_without_a_fold_fit_raises(monkeypatch):
     # one block leaves its one fold no training sample, and two blocks of one
-    # level each leave every fold one level: no penalty gets a loss, and the
-    # grid's first may not win a tie of losses that were never taken
+    # level each leave every fold one level; a fold whose training samples
+    # are too few, or lack a second level, is degenerate at every penalty, so
+    # its first fit ends the cross-validation
     from exrange.tailfit import choose_penalty
 
     rng = np.random.default_rng(58)
     s = _samples_from_surface(rng, 6, 6, lambda y, x: 1.0 + 0.1 * x, lambda y, x: 0.5 + 0 * x,
                               levels=[0.9, 0.95], reps=1, noise=0.1)
     assert np.unique(s.block).tolist() == [0]
+    fits = _recording_fits(monkeypatch)
     with pytest.raises(DegenerateFitError, match=r"over 1 block\(s\)"):
         choose_penalty(s, 4, 4, 9)
+    assert fits == []
     by_level = RangeSamples(s.pixel_y, s.pixel_x, s.x, s.y, (s.x == s.x.max()).astype(np.int64))
-    with pytest.raises(DegenerateFitError, match=r"over 2 block\(s\)"):
+    with pytest.raises(DegenerateFitError, match=r"over 2 block\(s\): fold 0: .* one level"):
         choose_penalty(by_level, 4, 4, 9)
-
-
-def test_spline_fold_mask_checks():
-    rng = np.random.default_rng(56)
-    ny, nx = 7, 11
-    samples = _fold_samples(rng, ny, nx)
-    model = SplineMerModel(knots_x=6, knots_y=5, iters=3)
-    few = np.zeros(samples.n, dtype=bool)
-    few[:59] = True   # 2 * nb - 1 samples
-    with pytest.raises(DegenerateFitError, match="coefficients"):
-        model.fit(samples, few)
-    with pytest.raises(DegenerateFitError, match="level"):
-        model.fit(samples, samples.x == samples.x[0])
-    for bad in (np.ones(samples.n, dtype=np.int64), np.arange(samples.n),
-                np.ones(samples.n - 1, dtype=bool), np.ones((1, samples.n), dtype=bool)):
-        with pytest.raises(ValueError, match="boolean mask"):
-            model.fit(samples, bad)
+    few = RangeSamples(s.pixel_y, s.pixel_x, s.x, s.y, (np.arange(s.n) < 10).astype(np.int64))
+    with pytest.raises(DegenerateFitError,
+                       match=r"over 2 block\(s\): fold 0: 10 samples cannot identify 32"):
+        choose_penalty(few, 4, 4, 9)
+    assert len(fits) == 2
 
 
 def test_spline_fit_memory_is_two_per_sample_arrays():
