@@ -123,7 +123,8 @@ def _fit_pass(args):
     return fit
 
 
-def _parse_lags(spec: str) -> list[tuple[int, int]]:
+def _parse_lags(spec: str, ny: int, nx: int) -> list[tuple[int, int]]:
+    """The lags of ``spec`` as (row, column) offsets, each within an ny x nx grid."""
     lags = []
     for item in spec.split(","):
         item = item.strip()
@@ -134,6 +135,8 @@ def _parse_lags(spec: str) -> list[tuple[int, int]]:
         except ValueError:
             raise ValueError(f"--lags: expected x:y or x with integers x and y, "
                              f"got {item!r}") from None
+        if abs(x) >= nx or abs(y) >= ny:
+            raise ValueError(f"--lags: lag {x}:{y} exceeds the grid, {nx} columns by {ny} rows")
         if (y, x) in lags:
             raise ValueError(f"--lags: lag {item!r} repeats an earlier lag")
         lags.append((y, x))  # stored as (row, col) from "x:y"
@@ -156,16 +159,15 @@ def _resolve_input(path_arg: str) -> Path:
 
 
 def _level_pass(args):
-    """Check --policy and --threads, and return ``each_level(stack, thrs,
-    visit)``: each threshold's ``RangeEntries`` in turn go to ``visit(thr,
-    entries)`` as a temporary, freed before the next level's are computed,
-    and the visits' results come back in order."""
-    policy = BoundaryPolicy(args.policy)
+    """Check --threads, and return ``each_level(stack, thrs, visit)``: each
+    threshold's ``RangeEntries`` in turn go to ``visit(thr, entries)`` as a
+    temporary, freed before the next level's are computed, and the visits'
+    results come back in order. --policy passes as parsed (argparse's choices)."""
     # one worker unless asked, since a second is slower on every slice size measured (README)
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     return lambda stack, thrs, visit: [
-        visit(thr, ranges.range_entries(stack, thr, policy, args.threads)) for thr in thrs]
+        visit(thr, ranges.range_entries(stack, thr, args.policy, args.threads)) for thr in thrs]
 
 
 def _sample_pass(each_level, stack: raster.RasterStack, levels: list[float], blocks,
@@ -366,7 +368,7 @@ def _cmd_hist(args) -> int:
 
 def _cmd_chi(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    lags = _parse_lags(args.lags)
+    lags = _parse_lags(args.lags, stack.ny, stack.nx)
     domain = stack.domain()
     for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
         # one level's exceedances serve every lag and map
@@ -426,12 +428,9 @@ def _cmd_jackknife(args) -> int:
     each_level = _level_pass(args)
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
-    dropped = iter(tailfit._distinct(block_ids))
 
-    def estimator(sub: raster.RasterStack) -> np.ndarray:
-        # the i-th replicate leaves out the i-th smallest block; its samples
-        # keep the block ids of the slices left, for the block-wise CV
-        kept = block_ids[block_ids != next(dropped)]
+    def estimator(sub: raster.RasterStack, kept: np.ndarray) -> np.ndarray:
+        # the samples keep the block ids of the slices left, for the block-wise CV
         samples = _sample_pass(each_level, sub, levels, kept, args.min_range)
         del sub   # the fit reads the samples only
         surface = fit(samples)

@@ -94,18 +94,19 @@ def range_field(mask: ExcursionMask, domain: DomainMask, dx: float,
     return distance_transform(exceed, dx=dx, edge_is_false=everywhere, targets=domain.inside)
 
 
-def _pmap(fn, items, n_threads: int) -> list:
-    """``[fn(x) for x in items]`` on up to ``n_threads`` threads. Each worker
-    takes one contiguous run of items: one task per item costs more than a
-    small range field."""
-    items = list(items)
+def _pmap(fn, items, n_threads: int) -> None:
+    """``fn(run)`` on each of up to ``n_threads`` contiguous runs of the
+    sequence ``items``, a worker-thread task per run, or ``fn(items)`` on the
+    calling thread for one worker: a task per item costs more than a small
+    range field."""
     n_workers = min(n_threads, len(items))
     if n_workers <= 1:
-        return [fn(x) for x in items]
+        fn(items)
+        return
     bounds = [len(items) * k // n_workers for k in range(n_workers + 1)]
-    runs = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return [r for run in ex.map(lambda run: [fn(x) for x in run], runs) for r in run]
+        for _ in ex.map(fn, [items[a:b] for a, b in zip(bounds, bounds[1:])]):
+            pass   # each result is None; taking it raises the run's exception
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,9 @@ def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolic
     A domain pixel's range is positive exactly where it exceeds, under
     either policy, so the entries are the in-domain exceedances, found by
     one comparison over the stack before any transform. Up to ``n_threads``
-    workers each take the range fields of their own slices, filling the
-    out-of-domain pixels by ``policy``, and copy the entries' ranges into
-    their own part of the preallocated values.
+    workers each take the range fields of their own run of slices, filling
+    the out-of-domain pixels by ``policy``, and copy the entries' ranges
+    into their own part of the preallocated values.
     """
     policy = BoundaryPolicy(policy)
     exceed = exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
@@ -169,11 +170,12 @@ def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolic
     # the out-of-domain pixels that ``policy`` makes exceedances
     outside = ~domain.inside if policy is BoundaryPolicy.FILL_EXCEED else False
 
-    def fill(t: int) -> None:
-        r = range_field(ExcursionMask(exceed[t] | outside), domain, stack.dx,
-                        edge_fallback=True).r
-        a, b = entries.bounds[t], entries.bounds[t + 1]
-        np.take(r, entries.pixel[a:b], out=entries.value[a:b])
+    def fill(run: range) -> None:
+        for t in run:
+            r = range_field(ExcursionMask(exceed[t] | outside), domain, stack.dx,
+                            edge_fallback=True).r
+            a, b = entries.bounds[t], entries.bounds[t + 1]
+            np.take(r, entries.pixel[a:b], out=entries.value[a:b])
 
     _pmap(fill, range(stack.nt), n_threads)
     return entries

@@ -173,10 +173,7 @@ def simulate_gaussian(config: GaussianSimConfig) -> RasterStack:
             if 2 * pair + 1 < n:
                 out[2 * pair + 1] = f.imag
 
-    n_pairs = (n + 1) // 2
-    n_workers = min(2, n_pairs)
-    _pmap(draw, [range(n_pairs * k // n_workers, n_pairs * (k + 1) // n_workers)
-                 for k in range(n_workers)], n_workers)
+    _pmap(draw, range((n + 1) // 2), 2)
     return RasterStack(out, dx=config.dx, unit="px")
 
 

@@ -608,12 +608,14 @@ def fit_mer_pixel_map(samples: RangeSamples) -> MerSurface:
 # ---------------------------------------------------------------------------
 
 def jackknife_estimates(stack: RasterStack, block_ids: Sequence[int],
-                        estimator: Callable[[RasterStack], np.ndarray]) -> np.ndarray:
+                        estimator: Callable[[RasterStack, np.ndarray], np.ndarray]
+                        ) -> np.ndarray:
     """Delete-one-block estimates of a full-chain estimator, one row per
     block (useful for sign diagnostics on top of the standard errors).
 
-    The blocks are left out in sorted order: the i-th call of ``estimator``
-    gets the slices outside the i-th smallest block id, in slice order.
+    The blocks are left out in sorted order: row i is ``estimator(sub,
+    kept)`` on the slices outside the i-th smallest block id, in slice
+    order, and their block ids ``kept``.
     """
     block_ids = np.asarray(block_ids)
     if block_ids.shape != (stack.nt,):
@@ -621,20 +623,18 @@ def jackknife_estimates(stack: RasterStack, block_ids: Sequence[int],
     blocks = _distinct(block_ids)
     if blocks.size < 3:
         raise ValueError(f"need at least 3 blocks, got {blocks.size}")
-    estimates = []
-    for b in blocks:
-        keep = np.flatnonzero(block_ids != b)
-        estimates.append(np.asarray(estimator(stack.subset(keep)), dtype=np.float64))
-    return np.stack(estimates)
+    keeps = (np.flatnonzero(block_ids != b) for b in blocks)
+    return np.stack([np.asarray(estimator(stack.subset(k), block_ids[k]), dtype=np.float64)
+                     for k in keeps])
 
 
 def jackknife(stack: RasterStack, block_ids: Sequence[int],
-              estimator: Callable[[RasterStack], np.ndarray]) -> np.ndarray:
+              estimator: Callable[[RasterStack, np.ndarray], np.ndarray]) -> np.ndarray:
     """Delete-one-block jackknife standard error of a full-chain estimator.
 
-    ``estimator`` maps a stack (a subset of slices) to an array of
-    estimates; the returned array holds the jackknife SE per component:
-    sqrt((B-1)/B * sum_b (est_b - mean)^2).
+    ``estimator(sub, kept)`` maps the slices outside one block and their
+    block ids to an array of estimates; the returned array holds the
+    jackknife SE per component: sqrt((B-1)/B * sum_b (est_b - mean)^2).
     """
     est = jackknife_estimates(stack, block_ids, estimator)
     n_blocks = est.shape[0]

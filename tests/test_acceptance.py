@@ -350,7 +350,7 @@ def test_a8_regression_correctness():
     block = rng.normal(size=(5, 8, 8)).astype(np.float32)
     stack = RasterStack(np.concatenate([block] * 4))
     ids = np.repeat(np.arange(4), 5)
-    se = jackknife(stack, ids, lambda s: np.array([float(s.values.mean())]))
+    se = jackknife(stack, ids, lambda s, kept: np.array([float(s.values.mean())]))
     assert np.allclose(se, 0.0, atol=1e-12)
     _report("A8", True, f"LAD oracle, gradient (worst {worst:.2e}), jackknife "
                         f"[{time.time()-t0:.0f}s]")

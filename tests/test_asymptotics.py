@@ -152,7 +152,7 @@ def test_jackknife_theta_sign_on_independent_tails():
         nx=96, ny=96, n_slices=60, nu=2.0, ell=10.0, seed=23,
     ))
 
-    def pooled_theta(sub):
+    def pooled_theta(sub, kept):
         dom = sub.domain()
         med = {}
         for p in (0.85, 0.95):
@@ -176,7 +176,7 @@ def test_jackknife_se_scales_with_block_count():
     # the jackknife SE; the estimator is the per-pixel mean log range at
     # p = 0.9 (a smooth functional of the chain, unlike a lattice-valued
     # median, for which the delete-one jackknife is inconsistent)
-    def estimator(sub):
+    def estimator(sub, kept):
         thr = quantile_field(sub, 0.9)
         dom = sub.domain()
         total = np.zeros((sub.ny, sub.nx))

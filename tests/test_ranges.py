@@ -722,3 +722,24 @@ def test_ecdf_at_one_and_root_two_pixels_counts_full_stencils(policy, ragged):
                 assert joint == [np.count_nonzero(exceed & _shifted(exceed, lag) & interior)
                                  for lag in _EDGE_LAGS]
                 assert sum(joint) - 3 * n <= above <= min(joint), (seed, p)
+
+
+def test_pmap_hands_each_worker_its_run():
+    # contiguous runs of near-equal length, each on a worker thread; one
+    # item or one thread is a single call on the calling thread
+    import threading
+
+    from exrange.ranges import _pmap
+
+    def recorder():
+        calls = []
+        return calls, lambda run: calls.append((list(run), threading.current_thread()))
+
+    calls, record = recorder()
+    assert _pmap(record, range(10), 3) is None
+    assert sorted(run for run, _ in calls) == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+    assert all(thread is not threading.main_thread() for _, thread in calls)
+    for items, n_threads in ((range(1), 3), (range(10), 1)):
+        calls, record = recorder()
+        _pmap(record, items, n_threads)
+        assert calls == [(list(items), threading.current_thread())]

@@ -148,7 +148,10 @@ def test_embedding_from_distinct_lags_equals_full_grid():
 
 
 # sha256 of the stack that `simulate` writes, recorded from the serial
-# full-grid simulator: the benchmark's three inputs and the 128x128x100 stack
+# full-grid simulator: the benchmark's three inputs and the 128x128x100 stack;
+# then stacks of one, two and three slices (one pair on the calling thread,
+# a pair per worker, an odd last slice), recorded before the simulator left
+# the split of its pairs to ``_pmap``
 @pytest.mark.parametrize("argv, digest", [
     ("--nx 64 --ny 64 --n 200 --ell 20 --seed 7",
      "f8aff824131a5357cb9cf0513965a544eae55a7730d0950b4e6d87420711271c"),
@@ -158,7 +161,13 @@ def test_embedding_from_distinct_lags_equals_full_grid():
      "2c044696960b9d0eb708c32387771f842ec1a10f60ccf4945b758e16e1abd9a1"),
     ("--nx 128 --ny 128 --n 100 --ell 20 --seed 7",
      "29c1426cc48020e22d6c7592a76cef2f025ed9f297a9f363c77e7e1fea64cc47"),
-], ids=["grid-g64", "spline-g16", "pixel-admix12", "128x128x100"])
+    ("--nx 20 --ny 12 --n 1 --ell 4 --seed 9",
+     "76f5b3263808e85de83bde40f2f13f55b1f10c1d80ae39e88267a5c6f76d1b38"),
+    ("--nx 20 --ny 12 --n 2 --ell 4 --seed 9",
+     "9cf275b1006ff968e9d857ecb39fda356371b29a8912b1fe386e909c44ee7846"),
+    ("--nx 20 --ny 12 --n 3 --ell 4 --seed 9",
+     "443111070e2bf00583b9653864f643ac4cee4d04787802939b3d9eb341b9e867"),
+], ids=["grid-g64", "spline-g16", "pixel-admix12", "128x128x100", "n1", "n2", "n3"])
 def test_simulate_writes_pinned_bytes(tmp_path, argv, digest):
     assert main(["simulate", "--nu", "2", *argv.split(), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "stack.f32").read_bytes()).hexdigest() == digest

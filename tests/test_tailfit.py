@@ -546,7 +546,7 @@ def test_jackknife_identical_blocks_gives_zero_se():
     values = np.concatenate([block] * 5)
     stack = RasterStack(values)
     block_ids = np.repeat(np.arange(5), 4)
-    se = jackknife(stack, block_ids, lambda s: np.array([s.values.mean(), s.values.var()]))
+    se = jackknife(stack, block_ids, lambda s, kept: np.array([s.values.mean(), s.values.var()]))
     assert np.allclose(se, 0.0, atol=1e-12)
 
 
@@ -554,25 +554,42 @@ def test_jackknife_relabel_invariance():
     rng = np.random.default_rng(50)
     stack = _tiny_stack(rng)
     ids = np.repeat(np.arange(4), 3)
-    est = lambda s: np.array([float(np.median(s.values))])
+    est = lambda s, kept: np.array([float(np.median(s.values))])
     se_a = jackknife(stack, ids, est)
     relabeled = np.array([10, 10, 10, 3, 3, 3, 7, 7, 7, 1, 1, 1])
     se_b = jackknife(stack, relabeled, est)
     assert se_a == pytest.approx(se_b, rel=1e-12)
 
 
+def test_jackknife_hands_each_replicate_its_block_ids():
+    # the replicates leave the blocks out in sorted order, and each gets the
+    # ids of the slices it keeps, in slice order
+    rng = np.random.default_rng(53)
+    stack = _tiny_stack(rng, nt=8)
+    ids = np.array([10, 10, 3, 3, 7, 7, 1, 1])
+    seen = []
+
+    def est(sub, kept):
+        assert sub.nt == kept.size
+        seen.append(kept)
+        return np.array([float(sub.values.mean())])
+
+    jackknife(stack, ids, est)
+    assert [k.tolist() for k in seen] == [ids[ids != b].tolist() for b in (1, 3, 7, 10)]
+
+
 def test_jackknife_needs_three_blocks():
     rng = np.random.default_rng(51)
     stack = _tiny_stack(rng)
     with pytest.raises(ValueError, match="3 blocks"):
-        jackknife(stack, np.repeat([0, 1], 6), lambda s: np.array([0.0]))
+        jackknife(stack, np.repeat([0, 1], 6), lambda s, kept: np.array([0.0]))
 
 
 def test_jackknife_matches_hand_formula():
     rng = np.random.default_rng(52)
     stack = _tiny_stack(rng, nt=6)
     ids = np.array([0, 0, 1, 1, 2, 2])
-    est = lambda s: np.array([float(s.values.mean())])
+    est = lambda s, kept: np.array([float(s.values.mean())])
     se = jackknife(stack, ids, est)
     vals = []
     for b in range(3):
