@@ -158,31 +158,26 @@ def _resolve_input(path_arg: str) -> Path:
     return p
 
 
-def _level_pass(args):
-    """Check --threads, and return ``each_level(stack, thrs, visit)``: each
-    threshold's ``RangeEntries`` in turn go to ``visit(thr, entries)`` as a
-    temporary, freed before the next level's are computed, and the visits'
-    results come back in order. --policy passes as parsed (argparse's choices)."""
-    # one worker unless asked, since a second is slower on every slice size measured (README)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    return lambda stack, thrs, visit: [
-        visit(thr, ranges.range_entries(stack, thr, args.policy, args.threads)) for thr in thrs]
+def _level_pass(args, stack: raster.RasterStack, levels, visit) -> list:
+    """``visit(thr, entries)`` on each level's threshold, all from one sort of
+    ``stack``, and ``RangeEntries`` in turn, each freed before the next level's
+    are computed; returns the visits' results in order. --policy and --threads
+    pass as parsed (argparse's choices; ``main`` refuses a count below 1)."""
+    return [visit(thr, ranges.range_entries(stack, thr, args.policy, args.threads))
+            for thr in thresholds.quantile_fields(stack, levels)]
 
 
-def _sample_pass(each_level, stack: raster.RasterStack, levels: list[float], blocks,
-                 min_range: float, visit=lambda thr, entries: None) -> tailfit.RangeSamples:
-    """Every level's regression samples, from one pool sized from the
-    thresholds; ``visit(thr, entries)`` sees each level's entries before they
-    are collected."""
-    thrs = thresholds.quantile_fields(stack, levels)
-    pool = tailfit.SamplePool.for_thresholds(stack, thrs)
+def _sample_pass(args, stack: raster.RasterStack, levels: list[float], blocks,
+                 visit=lambda thr, entries: None) -> tailfit.RangeSamples:
+    """Every level's samples past --min-range, in one pool sized from ``levels``;
+    ``visit(thr, entries)`` sees each level's entries before they are collected."""
+    pool = tailfit.SamplePool.for_levels(stack, levels)
 
     def collect(thr, entries):
         visit(thr, entries)
-        tailfit.collect_samples({thr.p: entries}, stack.domain(), blocks, min_range, pool)
+        tailfit.collect_samples({thr.p: entries}, stack.domain(), blocks, args.min_range, pool)
 
-    each_level(stack, thrs, collect)
+    _level_pass(args, stack, levels, collect)
     return pool.samples()
 
 
@@ -219,9 +214,12 @@ def _fmt_p(p: float) -> str:
     return repr(float(p))
 
 
-def _default_radii(stack: raster.RasterStack) -> list[float]:
-    r_max = ranges.domain_distance(stack.domain(), stack.dx).max()
-    radii = [r for r in (k * stack.dx for k in range(1, 9)) if r < r_max]
+def _radii(spec: str | None, dx: float, r_max: float) -> list[float]:
+    """The radii of --radii, checked against the domain inradius ``r_max``,
+    or by default the multiples 1 to 8 of dx below it."""
+    if spec:
+        return ranges.check_radii(_parse_grid(spec, "radii"), r_max).tolist()
+    radii = [r for r in (k * dx for k in range(1, 9)) if r < r_max]
     if not radii:
         raise ValueError(f"domain inradius {r_max} leaves no usable radius")
     return radii
@@ -236,9 +234,8 @@ def _cdf_rows(entries: ranges.RangeEntries, domain: raster.DomainMask, radii,
             for r, f, n in zip(est.radii, est.F, est.n_exceed)]
 
 
-def _hist_edges(stack: raster.RasterStack) -> np.ndarray:
-    r_max = ranges.domain_distance(stack.domain(), stack.dx).max()
-    return np.arange(0.0, r_max + stack.dx, stack.dx)
+def _hist_edges(dx: float, r_max: float) -> np.ndarray:
+    return np.arange(0.0, r_max + dx, dx)
 
 
 def _hist_rows(p: float, entries: ranges.RangeEntries, edges: np.ndarray) -> list:
@@ -331,37 +328,34 @@ def _cmd_excursion(args) -> int:
 
 def _cmd_range(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    each_level = _level_pass(args)
 
     def save(thr, entries):
         for t, r in enumerate(ranges._slice_maps(entries, np.float32)):
             raster.save_map(args.out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
                             unit=stack.unit)
 
-    each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)), save)
+    _level_pass(args, stack, _parse_levels(args.p), save)
     return 0
 
 
 def _cmd_cdf(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    each_level = _level_pass(args)
     domain = stack.domain()
-    radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
+    radii = _radii(args.radii, stack.dx, ranges.domain_distance(domain, stack.dx).max())
 
     def write(thr, entries):
         _write_csv(args.out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
                    _cdf_rows(entries, domain, radii, stack.dx))
 
-    each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)), write)
+    _level_pass(args, stack, _parse_levels(args.p), write)
     return 0
 
 
 def _cmd_hist(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
-    each_level = _level_pass(args)
-    edges = _hist_edges(stack)
-    rows = each_level(stack, thresholds.quantile_fields(stack, _parse_levels(args.p)),
-                      lambda thr, entries: _hist_rows(thr.p, entries, edges))
+    edges = _hist_edges(stack.dx, ranges.domain_distance(stack.domain(), stack.dx).max())
+    rows = _level_pass(args, stack, _parse_levels(args.p),
+                       lambda thr, entries: _hist_rows(thr.p, entries, edges))
     _write_csv(args.out / "hist.csv", HIST_HEADER, [r for level in rows for r in level])
     return 0
 
@@ -401,9 +395,8 @@ def _cmd_theta(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     if args.p1 == args.p2:
         raise ValueError("--p1 and --p2 must differ")
-    each_level = _level_pass(args)
-    med1, med2 = each_level(stack, thresholds.quantile_fields(stack, (args.p1, args.p2)),
-                            lambda _, entries: ranges.median_range_map(entries, stack.domain()))
+    med1, med2 = _level_pass(args, stack, (args.p1, args.p2),
+                             lambda _, entries: ranges.median_range_map(entries, stack.domain()))
     _save_theta_map(args.out, stack.domain(), stack.dx, args.p1, med1, args.p2, med2)
     return 0
 
@@ -412,10 +405,9 @@ def _cmd_mer(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit = _fit_pass(args)
-    each_level = _level_pass(args)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
-    samples = _sample_pass(each_level, stack, levels, blocks, args.min_range)
+    samples = _sample_pass(args, stack, levels, blocks)
     del stack   # the fit reads the samples only
     _save_fit_maps(args.out, fit(samples), domain, dx, unit, args.predict_p)
     return 0
@@ -425,13 +417,12 @@ def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit = _fit_pass(args)
-    each_level = _level_pass(args)
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
 
     def estimator(sub: raster.RasterStack, kept: np.ndarray) -> np.ndarray:
         # the samples keep the block ids of the slices left, for the block-wise CV
-        samples = _sample_pass(each_level, sub, levels, kept, args.min_range)
+        samples = _sample_pass(args, sub, levels, kept)
         del sub   # the fit reads the samples only
         surface = fit(samples)
         return np.stack([surface.beta, surface.theta])
@@ -446,10 +437,10 @@ def _cmd_pipeline(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit = _fit_pass(args)
-    each_level = _level_pass(args)
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
-    radii = (_parse_grid(args.radii, "radii") if args.radii else _default_radii(stack))
-    hist_edges = _hist_edges(stack)
+    r_max = ranges.domain_distance(domain, dx).max()   # the domain inradius
+    radii = _radii(args.radii, dx, r_max)
+    hist_edges = _hist_edges(dx, r_max)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
 
     cdf_rows, hist_rows, iv_rows = [], [], []
@@ -463,7 +454,7 @@ def _cmd_pipeline(args) -> int:
         if thr.p in (levels[0], levels[-1]):
             med_maps[thr.p] = ranges.median_range_map(entries, domain)
 
-    samples = _sample_pass(each_level, stack, levels, blocks, args.min_range, level_rows)
+    samples = _sample_pass(args, stack, levels, blocks, level_rows)
     del stack   # the theta map and the fit read the medians and the samples only
     _write_csv(args.out / "cdf.csv", ["p", "r", "F", "n_exceed"], cdf_rows)
     _write_csv(args.out / "hist.csv", HIST_HEADER, hist_rows)
@@ -609,6 +600,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any stack is read; the default is 1, as a second worker was slower (README)
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except ValueError as exc:
         print(f"exrange: error: validation: {exc}", file=sys.stderr)

@@ -219,15 +219,9 @@ def _as_entries(ranges, domain: DomainMask) -> RangeEntries:
                         bounds=np.r_[0, np.cumsum(keep)][entries.bounds], shape=entries.shape)
 
 
-def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
-    """Pooled empirical CDF of the extremal range over many slices.
-
-    F(r) = sum_i #{t in T_{-r} : 0 < R_i(t) <= r} / sum_i #{t in T_{-r} :
-    R_i(t) > 0}, with F(r) = 0 where the denominator vanishes; T_{-r} is
-    where ``domain_distance`` exceeds r. Radii must lie strictly between 0
-    and its maximum, the domain inradius. ``range_fields`` is a level's
-    ``RangeEntries``, (nt, ny, nx) range array or sequence of ``RangeField``.
-    """
+def check_radii(radii, r_max: float) -> np.ndarray:
+    """``radii`` as float64 if they are finite, strictly increasing, positive
+    and below the domain inradius ``r_max``, so each has a nonempty T_{-r}."""
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
         raise ValueError("need at least one radius")
@@ -235,12 +229,24 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
         raise ValueError(f"radii must be finite, got {radii.tolist()}")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    domain_dist = domain_distance(domain, dx)
-    r_max = float(domain_dist.max())
     if radii[0] <= 0:
         raise ValueError(f"radii must be positive, got {radii[0]}")
     if radii[-1] >= r_max:
         raise ValueError(f"radius {radii[-1]} is not below the domain inradius {r_max}")
+    return radii
+
+
+def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
+    """Pooled empirical CDF of the extremal range over many slices.
+
+    F(r) = sum_i #{t in T_{-r} : 0 < R_i(t) <= r} / sum_i #{t in T_{-r} :
+    R_i(t) > 0}, with F(r) = 0 where the denominator vanishes; T_{-r} is
+    where ``domain_distance`` exceeds r, and ``check_radii`` refuses radii
+    outside (0, its maximum). ``range_fields`` is a level's
+    ``RangeEntries``, (nt, ny, nx) range array or sequence of ``RangeField``.
+    """
+    domain_dist = domain_distance(domain, dx)
+    radii = check_radii(radii, float(domain_dist.max()))
     entries = _as_entries(range_fields, domain)
     values = entries.value
     # the domain distance of each positive observation's pixel: it lies in

@@ -143,12 +143,11 @@ class SamplePool:
         self.n = 0
 
     @classmethod
-    def for_thresholds(cls, stack: RasterStack, thrs) -> "SamplePool":
-        """A pool for every sample of ``stack`` at the thresholds ``thrs``: a
-        domain pixel exceeds its k-th smallest value, k =
-        ``order_statistic_index(p, nt)``, in nt - k slices, fewer where a
-        value ties it, and each exceedance is one positive range."""
-        levels = [thr.p for thr in thrs]
+    def for_levels(cls, stack: RasterStack, levels) -> "SamplePool":
+        """A pool for every sample of ``stack`` at each p of ``levels``, sized
+        before any threshold is sorted: a domain pixel exceeds its k-th smallest
+        value, k = ``order_statistic_index(p, nt)``, in nt - k slices, fewer
+        where a value ties it, and each exceedance is one positive range."""
         per_pixel = sum(stack.nt - order_statistic_index(p, stack.nt) for p in levels)
         return cls(stack.domain().n_pixels * per_pixel, (stack.ny, stack.nx), levels)
 

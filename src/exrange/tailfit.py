@@ -43,7 +43,7 @@ fitted pixel.
 
 The pooled samples of many levels exist in one copy, 12 bytes a sample (see
 ``exrange.samples``): a ``SamplePool`` made with every level is sized from
-the thresholds, and ``collect_samples`` writes each level into it. The fits
+the levels and nt, and ``collect_samples`` writes each level into it. The fits
 read each sample's (level, pixel) cell index as it is stored. The spline fit
 adds the IRLS weights and, unless the cells are intp already, an intp copy of
 them for its gathers and bincounts. Cross-validation gathers a fold's

@@ -424,15 +424,19 @@ def _level_pass_argv(command, sim_dir, out, blocks):
 
 @pytest.mark.parametrize("command", LEVEL_PASS_COMMANDS)
 def test_one_level_of_ranges_at_a_time(sim_dir, tmp_path, monkeypatch, command):
-    # each chain computes each level's ranges once, and frees one level's
-    # before it computes the next level's
+    # each chain sorts the stack once and computes each level's ranges once,
+    # and frees one level's before it computes the next level's
     import weakref
 
-    from exrange import ranges
+    from exrange import ranges, thresholds
 
-    range_entries = ranges.range_entries
-    calls, held = [], []
+    range_entries, quantile_fields = ranges.range_entries, thresholds.quantile_fields
+    calls, held, sorts = [], [], []
     last = [lambda: None]
+
+    def sorting(stack, levels):
+        sorts.append(stack.nt)
+        return quantile_fields(stack, levels)
 
     def recording(stack, thr, *args):
         held.append(last[0]() is not None)
@@ -442,11 +446,13 @@ def test_one_level_of_ranges_at_a_time(sim_dir, tmp_path, monkeypatch, command):
         return entries
 
     monkeypatch.setattr(ranges, "range_entries", recording)
+    monkeypatch.setattr(thresholds, "quantile_fields", sorting)
     argv = _level_pass_argv(command, sim_dir, tmp_path / "out", _four_blocks(tmp_path))
     assert main(argv) == 0
     chains = [30] * 4 if command == "jackknife" else [40]
     assert calls == [(nt, p) for nt in chains for p in (0.9, 0.95)]
     assert held == [False] * len(calls)
+    assert sorts == chains
 
 
 def test_jackknife_subcommand(sim_dir, tmp_path):
@@ -592,8 +598,8 @@ def test_pooled_samples_equal_concatenated_levels(sim_dir, tmp_path, monkeypatch
     seen = []
     sample_pass = cli._sample_pass
 
-    def recording(each_level, stack, *args):
-        samples = sample_pass(each_level, stack, *args)
+    def recording(args, stack, *rest):
+        samples = sample_pass(args, stack, *rest)
         seen.append((stack, {f: getattr(samples, f).copy() for f in SAMPLE_FIELDS}))
         return samples
 
@@ -712,6 +718,24 @@ def test_bad_grid_or_radius_rejected_before_any_output(sim_dir, tmp_path, comman
     assert run.returncode == 2
     assert run.stderr.startswith(f"exrange: error: validation: {grid}")
     assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cdf", "pipeline"])
+def test_radius_past_the_inradius_exits_before_any_range(sim_dir, tmp_path, monkeypatch, capsys,
+                                                         command):
+    # --radii is checked against the domain as it is parsed, before the
+    # threshold sort and the first level's ranges
+    from exrange import ranges, thresholds
+
+    calls = []
+    monkeypatch.setattr(ranges, "range_entries", lambda *args: calls.append(args))
+    monkeypatch.setattr(thresholds, "quantile_fields", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    argv = _level_pass_argv(command, sim_dir, out, _four_blocks(tmp_path))
+    assert main([*argv, "--radii", "1,100"]) == 2
+    assert "radius 100.0 is not below the domain inradius 16.0" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
@@ -842,11 +866,13 @@ def test_spline_fit_never_imports_numpy_ma(tmp_path):
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command", LEVEL_PASS_COMMANDS)
 def test_threads_below_one_exits_validation(sim_dir, tmp_path, capsys, command, value):
+    # refused before the command reads its stack, so a missing --in file too
     out = tmp_path / "out"
-    argv = _level_pass_argv(command, sim_dir, out, _four_blocks(tmp_path))
-    assert main(argv + ["--threads", value]) == 2
-    assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
-    assert not out.exists()
+    for stack_dir in (sim_dir, tmp_path / "missing"):
+        argv = _level_pass_argv(command, stack_dir, out, _four_blocks(tmp_path))
+        assert main(argv + ["--threads", value]) == 2
+        assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_penalty_cv_over_one_block_exits_compute(sim_dir, tmp_path, capsys):

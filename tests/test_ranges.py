@@ -571,7 +571,7 @@ def test_range_entries_never_build_the_dense_range_array():
     thr = quantile_field(stack, 0.9)
     dom = stack.domain()
     domain_distance(dom, stack.dx)                # the domain's transform, kept on it
-    pool = SamplePool.for_thresholds(stack, [thr])  # the samples are output
+    pool = SamplePool.for_levels(stack, [thr.p])  # the samples are output
     dense_bytes = 8 * stack.values.size
     tracemalloc.start()
     try:

@@ -63,7 +63,7 @@ def _per_sample_arrays(stack, levels, blocks, min_range):
 
 def _pooled(stack, levels, blocks=None, min_range=0.0):
     thrs = quantile_fields(stack, levels)
-    pool = SamplePool.for_thresholds(stack, thrs)
+    pool = SamplePool.for_levels(stack, levels)
     parts = [collect_samples({thr.p: range_entries(stack, thr, "fill-exceed")},
                              stack.domain(), blocks, min_range, pool) for thr in thrs]
     return pool, parts
@@ -121,7 +121,7 @@ def test_pool_capacity_is_the_exceedance_count_without_ties():
     stack = simulate_gaussian(GaussianSimConfig(nx=24, ny=20, n_slices=50, ell=4.0, seed=83))
     for levels in ((0.8, 0.9, 0.95), (0.85, 0.9, 0.93, 0.97, 0.99)):
         thrs = quantile_fields(stack, levels)
-        pool = SamplePool.for_thresholds(stack, thrs)
+        pool = SamplePool.for_levels(stack, levels)
         assert pool._y.size == _in_domain_exceedances(stack, thrs)
         for thr in thrs:
             collect_samples({thr.p: range_entries(stack, thr, "erode")}, stack.domain(),
@@ -130,7 +130,7 @@ def test_pool_capacity_is_the_exceedance_count_without_ties():
     # with nodata pixels too
     stack = _stack()
     thrs = quantile_fields(stack, LEVELS)
-    assert SamplePool.for_thresholds(stack, thrs)._y.size == _in_domain_exceedances(stack, thrs)
+    assert SamplePool.for_levels(stack, LEVELS)._y.size == _in_domain_exceedances(stack, thrs)
 
 
 def test_pool_capacity_bounds_the_samples_with_ties():
@@ -139,7 +139,7 @@ def test_pool_capacity_bounds_the_samples_with_ties():
     stack = RasterStack(np.round(rng.standard_normal((100, 20, 20)), 1).astype(np.float32))
     levels = (0.9, 0.95, 0.98)
     thrs = quantile_fields(stack, levels)
-    pool = SamplePool.for_thresholds(stack, thrs)
+    pool = SamplePool.for_levels(stack, levels)
     assert pool._y.size == 20 * 20 * (10 + 5 + 2)
     for thr in thrs:
         collect_samples({thr.p: range_entries(stack, thr, "fill-exceed")}, stack.domain(),
@@ -214,7 +214,7 @@ def test_levels_arriving_unsorted_are_fitted_as_sorted():
 def test_pool_rejects_a_level_it_was_not_made_with_or_another_grid():
     stack = _stack()
     thrs = quantile_fields(stack, LEVELS)
-    pool = SamplePool.for_thresholds(stack, thrs[:2])
+    pool = SamplePool.for_levels(stack, LEVELS[:2])
     collect_samples({thrs[0].p: range_entries(stack, thrs[0], "fill-exceed")}, stack.domain(),
                     pool=pool)
     n = pool.n
