@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import os
 import sys
@@ -44,6 +43,8 @@ EXIT_IO = 4
 EXIT_COMPUTE = 5
 
 DEFAULT_LEVELS = "0.85:0.98:0.01"
+# the most points a start:stop:step grid may ask for; counted before any is made
+GRID_MAX_POINTS = 100_000
 HIST_HEADER = ["p", "bin_left", "bin_right", "count"]
 IVDENS_HEADER = ["p", "c0", "c1", "c2", "slope_pred"]
 
@@ -62,11 +63,14 @@ def _parse_grid(spec: str, name: str) -> list[float]:
             raise ValueError(f"{name}: start, stop and step must be finite, got {spec!r}")
         # points start + i*step for i <= last, rounded to 12 decimals, up to stop; they
         # never decrease, so a step below that rounding shows as a repeat, refused at once
-        last = (stop - start) / step + 0.5
+        last = (stop - start) / step + 0.5   # inf where the quotient overflows
+        if last >= GRID_MAX_POINTS:
+            raise ValueError(f"{name}: {spec!r} asks for {last + 0.5:.6g} points, more than "
+                             f"{GRID_MAX_POINTS}")
         values = []
-        for i in itertools.count():
+        for i in range(math.floor(max(last, -1.0)) + 1):   # none when last < 0
             v = round(start + i * step, 12)
-            if i > last or v > stop + step * 1e-9:
+            if v > stop + step * 1e-9:
                 break
             if values and v <= values[-1]:
                 raise ValueError(f"{name}: step {step} repeats {v} at 12 decimals")
@@ -214,11 +218,11 @@ def _fmt_p(p: float) -> str:
     return repr(float(p))
 
 
-def _radii(spec: str | None, dx: float, r_max: float) -> list[float]:
-    """The radii of --radii, checked against the domain inradius ``r_max``,
-    or by default the multiples 1 to 8 of dx below it."""
-    if spec:
-        return ranges.check_radii(_parse_grid(spec, "radii"), r_max).tolist()
+def _radii(radii: list[float] | None, dx: float, r_max: float) -> list[float]:
+    """The parsed --radii checked against the domain inradius ``r_max``, or,
+    without them, the multiples 1 to 8 of dx below it."""
+    if radii:
+        return ranges.check_radii(radii, r_max).tolist()
     radii = [r for r in (k * dx for k in range(1, 9)) if r < r_max]
     if not radii:
         raise ValueError(f"domain inradius {r_max} leaves no usable radius")
@@ -308,17 +312,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_quantiles(args) -> int:
+    levels = _parse_levels(args.p)
     stack = raster.load_stack(_resolve_input(args.input))
     domain = stack.domain()
-    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+    for thr in thresholds.quantile_fields(stack, levels):
         _save_map_with_csv(args.out, f"threshold_p{_fmt_p(thr.p)}", thr.u, domain, stack.dx,
                            stack.unit)
     return 0
 
 
 def _cmd_excursion(args) -> int:
+    levels = _parse_levels(args.p)
     stack = raster.load_stack(_resolve_input(args.input))
-    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+    for thr in thresholds.quantile_fields(stack, levels):
         exceed = thresholds.exceedance_stack(stack, thr, args.policy)
         for t in range(stack.nt):
             raster.save_map(args.out / f"excursion_p{_fmt_p(thr.p)}_t{t}.f32",
@@ -327,6 +333,7 @@ def _cmd_excursion(args) -> int:
 
 
 def _cmd_range(args) -> int:
+    levels = _parse_levels(args.p)
     stack = raster.load_stack(_resolve_input(args.input))
 
     def save(thr, entries):
@@ -334,37 +341,41 @@ def _cmd_range(args) -> int:
             raster.save_map(args.out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
                             unit=stack.unit)
 
-    _level_pass(args, stack, _parse_levels(args.p), save)
+    _level_pass(args, stack, levels, save)
     return 0
 
 
 def _cmd_cdf(args) -> int:
+    levels = _parse_levels(args.p)
+    radii = _parse_grid(args.radii, "radii") if args.radii else None
     stack = raster.load_stack(_resolve_input(args.input))
     domain = stack.domain()
-    radii = _radii(args.radii, stack.dx, ranges.domain_distance(domain, stack.dx).max())
+    radii = _radii(radii, stack.dx, ranges.domain_distance(domain, stack.dx).max())
 
     def write(thr, entries):
         _write_csv(args.out / f"cdf_p{_fmt_p(thr.p)}.csv", ["r", "F", "n_exceed"],
                    _cdf_rows(entries, domain, radii, stack.dx))
 
-    _level_pass(args, stack, _parse_levels(args.p), write)
+    _level_pass(args, stack, levels, write)
     return 0
 
 
 def _cmd_hist(args) -> int:
+    levels = _parse_levels(args.p)
     stack = raster.load_stack(_resolve_input(args.input))
     edges = _hist_edges(stack.dx, ranges.domain_distance(stack.domain(), stack.dx).max())
-    rows = _level_pass(args, stack, _parse_levels(args.p),
+    rows = _level_pass(args, stack, levels,
                        lambda thr, entries: _hist_rows(thr.p, entries, edges))
     _write_csv(args.out / "hist.csv", HIST_HEADER, [r for level in rows for r in level])
     return 0
 
 
 def _cmd_chi(args) -> int:
+    levels = _parse_levels(args.p)
     stack = raster.load_stack(_resolve_input(args.input))
     lags = _parse_lags(args.lags, stack.ny, stack.nx)
     domain = stack.domain()
-    for thr in thresholds.quantile_fields(stack, _parse_levels(args.p)):
+    for thr in thresholds.quantile_fields(stack, levels):
         # one level's exceedances serve every lag and map
         exceed = thresholds.exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
         rows = []
@@ -384,17 +395,17 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_ivdens(args) -> int:
+    levels = _parse_levels(args.p)
     stack = raster.load_stack(_resolve_input(args.input))
-    rows = [_ivdens_row(stack, thr)
-            for thr in thresholds.quantile_fields(stack, _parse_levels(args.p))]
+    rows = [_ivdens_row(stack, thr) for thr in thresholds.quantile_fields(stack, levels)]
     _write_csv(args.out / "ivdens.csv", IVDENS_HEADER, rows)
     return 0
 
 
 def _cmd_theta(args) -> int:
-    stack = raster.load_stack(_resolve_input(args.input))
     if args.p1 == args.p2:
         raise ValueError("--p1 and --p2 must differ")
+    stack = raster.load_stack(_resolve_input(args.input))
     med1, med2 = _level_pass(args, stack, (args.p1, args.p2),
                              lambda _, entries: ranges.median_range_map(entries, stack.domain()))
     _save_theta_map(args.out, stack.domain(), stack.dx, args.p1, med1, args.p2, med2)
@@ -402,9 +413,9 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_mer(args) -> int:
-    stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit = _fit_pass(args)
+    stack = raster.load_stack(_resolve_input(args.input))
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
     samples = _sample_pass(args, stack, levels, blocks)
@@ -414,9 +425,9 @@ def _cmd_mer(args) -> int:
 
 
 def _cmd_jackknife(args) -> int:
-    stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
     fit = _fit_pass(args)
+    stack = raster.load_stack(_resolve_input(args.input))
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
 
@@ -434,12 +445,13 @@ def _cmd_jackknife(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    stack = raster.load_stack(_resolve_input(args.input))
     levels = _parse_fit_levels(args.levels)
+    radii = _parse_grid(args.radii, "radii") if args.radii else None
     fit = _fit_pass(args)
+    stack = raster.load_stack(_resolve_input(args.input))
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
     r_max = ranges.domain_distance(domain, dx).max()   # the domain inradius
-    radii = _radii(args.radii, dx, r_max)
+    radii = _radii(radii, dx, r_max)
     hist_edges = _hist_edges(dx, r_max)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
 

@@ -43,6 +43,8 @@ class IntrinsicDensities:
 
     c0: Euler characteristic per unit area, c1: half boundary length per
     unit area, c2: area fraction. Averaged over the slices of a stack.
+    Only finiteness is checked, which a NaN threshold in the domain breaks;
+    c2 in [0, 1] and c1 >= 0 hold by construction.
     """
 
     c0: float
@@ -50,10 +52,6 @@ class IntrinsicDensities:
     c2: float
 
     def __post_init__(self):
-        if not (0.0 <= self.c2 <= 1.0):
-            raise ValueError(f"c2 must be in [0,1], got {self.c2}")
-        if self.c1 < 0:
-            raise ValueError(f"c1 must be non-negative, got {self.c1}")
         for name in ("c0", "c1", "c2"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite")

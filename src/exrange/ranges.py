@@ -39,26 +39,13 @@ class CdfEstimate:
     """Empirical CDF of the extremal range on a radius grid.
 
     ``n_exceed[i]`` is the denominator count (exceedance pixel-days inside
-    the eroded domain) behind ``F[i]``.
+    the eroded domain) behind ``F[i]``. Nothing is checked here: ``ecdf``
+    takes the radii from ``check_radii``, and F = num / max(den, 1), num <= den.
     """
 
     radii: np.ndarray
     F: np.ndarray
     n_exceed: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=np.float64)
-        F = np.asarray(self.F, dtype=np.float64)
-        n_exceed = np.asarray(self.n_exceed, dtype=np.int64)
-        if not (radii.shape == F.shape == n_exceed.shape):
-            raise ValueError("radii, F and n_exceed must have matching shapes")
-        if radii.size and np.any(np.diff(radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
-        if np.any((F < 0) | (F > 1)):
-            raise ValueError("F values must lie in [0,1]")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "n_exceed", n_exceed)
 
 
 def domain_distance(domain: DomainMask, dx: float) -> np.ndarray:
@@ -255,9 +242,8 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
     den = np.array([np.count_nonzero(dist > r) for r in radii], dtype=np.int64)
     num = np.array([np.count_nonzero((dist > r) & (values <= r)) for r in radii],
                    dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        F = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-    return CdfEstimate(radii=radii, F=F, n_exceed=den)
+    # num <= den, so F is 0 where den is
+    return CdfEstimate(radii=radii, F=num / np.maximum(den, 1), n_exceed=den)
 
 
 def median_range(range_fields, domain: DomainMask) -> float:

@@ -49,8 +49,9 @@ class RangeSamples:
     (``tailfit.choose_penalty``) holds its cells as intp, 16 bytes a sample,
     so that its fits index them without a copy.
 
-    ``RangeSamples(pixel_y, pixel_x, x, y, block, shape=None)`` builds samples
-    from one array per field, on ``shape`` or the smallest grid holding them.
+    ``RangeSamples(pixel_y, pixel_x, x, y, block, shape=None)`` checks and
+    builds samples from one array per field, on ``shape`` or the smallest
+    grid holding them.
     """
 
     __slots__ = ("cell", "y", "shape", "level_x", "runs", "run_block")
@@ -63,7 +64,7 @@ class RangeSamples:
                 raise ValueError("sample arrays must share one length")
         if not all(np.issubdtype(a.dtype, np.integer) for a in (pixel_y, pixel_x, block)):
             raise ValueError("pixel indices and block ids must be integers")
-        if not np.isfinite(x).all():
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("sample covariates and responses must be finite")
         if n and min(pixel_y.min(), pixel_x.min()) < 0:
             raise ValueError("pixel indices must be non-negative")
@@ -77,21 +78,18 @@ class RangeSamples:
         head = np.ones(n, dtype=bool)   # where a run of equal block ids starts
         np.not_equal(block[1:], block[:-1], out=head[1:])
         heads = np.flatnonzero(head)
-        self._set(cell.astype(np.int32), y.astype(np.float64, copy=False), shape, level_x,
-                  np.append(heads, n), block[heads].astype(np.int64))
+        self.cell, self.y = cell.astype(np.int32), y.astype(np.float64, copy=False)
+        self.shape, self.level_x = shape, level_x
+        self.runs, self.run_block = np.append(heads, n), block[heads].astype(np.int64)
 
     @classmethod
     def _of(cls, cell, y, shape, level_x, runs, run_block) -> "RangeSamples":
-        """Samples from their compact arrays, which are kept, not copied."""
+        """Samples from their compact arrays, kept, neither copied nor checked
+        again: ``SamplePool.add`` checks the log ranges as they enter."""
         samples = cls.__new__(cls)
-        samples._set(cell, y, shape, level_x, runs, run_block)
+        samples.cell, samples.y, samples.shape, samples.level_x = cell, y, shape, level_x
+        samples.runs, samples.run_block = runs, run_block
         return samples
-
-    def _set(self, cell, y, shape, level_x, runs, run_block) -> None:
-        if not np.isfinite(y).all():
-            raise ValueError("sample covariates and responses must be finite")
-        self.cell, self.y, self.shape, self.level_x = cell, y, shape, level_x
-        self.runs, self.run_block = runs, run_block
 
     @property
     def n(self) -> int:
@@ -155,7 +153,8 @@ class SamplePool:
         """Write the ``RangeEntries`` of each (p, entries) of ``levels`` after
         the samples so far, one run per slice, dropping log ranges below
         log(``min_range``) if positive; ``blocks`` gives each slice's block id
-        (default: its index). Returns these samples, viewing the pool's arrays."""
+        (default: its index). Returns these samples, viewing the pool's arrays.
+        The kept log ranges are checked here, as a caller's range may be +inf."""
         start, first_run = self.n, len(self._runs)
         for p, entries in levels:
             level = self._index.get(loglog_level(p))
@@ -177,6 +176,8 @@ class SamplePool:
                 runs = np.searchsorted(kept, runs)   # each slice's run after the cut
                 n = kept.size
                 y[:n], cell[:n] = y[kept], cell[kept]
+            if not np.isfinite(y[:n]).all():
+                raise ValueError("sample covariates and responses must be finite")
             if n:
                 cell[:n] += level * self.shape[0] * self.shape[1]
                 self._runs.append(self.n + runs[1:])

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -658,15 +659,17 @@ def test_jackknife_penalty_cv_folds_by_block(sim_dir, tmp_path, monkeypatch):
     ["pipeline"], ["mer", "--fit", "pixel"], ["mer", "--fit", "spline"], ["jackknife"],
 ], ids=["pipeline", "mer-pixel", "mer-spline", "jackknife"])
 def test_single_level_fit_rejected_before_any_output(sim_dir, tmp_path, capsys, command):
-    # theta is a slope over levels: one level cannot identify it
+    # theta is a slope over levels: one level cannot identify it; refused
+    # before --in is read, so a missing stack file too
     blocks = tmp_path / "blocks.txt"
     blocks.write_text("\n".join(str(i // 10) for i in range(40)))
     out = tmp_path / "out"
-    code = main(command + ["--in", str(sim_dir), "--out", str(out), "--levels", "0.9",
-                           "--blocks-by", str(blocks)])
-    assert code == 2
-    assert "--levels" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    for stack_dir in (sim_dir, tmp_path / "missing.f32"):
+        code = main(command + ["--in", str(stack_dir), "--out", str(out), "--levels", "0.9",
+                               "--blocks-by", str(blocks)])
+        assert code == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command, option", [
@@ -687,14 +690,16 @@ def test_single_level_fit_rejected_before_any_output(sim_dir, tmp_path, capsys, 
         "jackknife-iters", "mer-min-range-nan", "mer-min-range-negative",
         "jackknife-min-range-inf"])
 def test_bad_fit_option_rejected_before_any_output(sim_dir, tmp_path, capsys, command, option):
+    # refused before --in is read, so a missing stack file too
     blocks = tmp_path / "blocks.txt"
     blocks.write_text("\n".join(str(i // 10) for i in range(40)))
     out = tmp_path / "out"
-    code = main(command + ["--in", str(sim_dir), "--out", str(out), "--levels", "0.85,0.9",
-                           "--blocks-by", str(blocks)] + option)
-    assert code == 2
-    assert "validation" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    for stack_dir in (sim_dir, tmp_path / "missing.f32"):
+        code = main(command + ["--in", str(stack_dir), "--out", str(out),
+                               "--levels", "0.85,0.9", "--blocks-by", str(blocks)] + option)
+        assert code == 2
+        assert "validation" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command, grid", [
@@ -707,9 +712,9 @@ def test_bad_fit_option_rejected_before_any_output(sim_dir, tmp_path, capsys, co
 ], ids=["levels-inf-start", "radii-inf-stop", "levels-nan-stop", "levels-step-below-rounding",
         "radius-nan", "radii-nan-last"])
 def test_bad_grid_or_radius_rejected_before_any_output(sim_dir, tmp_path, command, grid):
-    # a non-finite grid bound, a step that 12-decimal rounding repeats at once
-    # (a grid of 8e299 points) and a non-finite radius are validation errors
-    # naming the grid, never a traceback or a hang
+    # a non-finite grid bound, a step so small that the grid would hold 8e299
+    # points (refused by that count) and a non-finite radius are validation
+    # errors naming the grid, never a traceback or a hang
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
            "PYTHONWARNINGS": "error::RuntimeWarning"}
@@ -719,6 +724,80 @@ def test_bad_grid_or_radius_rejected_before_any_output(sim_dir, tmp_path, comman
     assert run.stderr.startswith(f"exrange: error: validation: {grid}")
     assert "Traceback" not in run.stderr
     assert not out.exists()
+
+
+# bad flags and inputs, each exiting 2 with its message and nothing written:
+# (argv, the --in read, the message). A flag checked without any input
+# (--in None here) is refused before --in is read, so a missing stack file
+# gets its message too, not an I/O error; the fit options are refused so in
+# test_bad_fit_option_rejected_before_any_output.
+REFUSALS = {
+    "p-not-a-grid": (["range", "--p", "0.1:0.9"], None,
+                     "levels: expected start:stop:step, got '0.1:0.9'"),
+    "p-zero-step": (["cdf", "--p", "0.1:0.9:0"], None, "levels: step must be positive"),
+    "p-empty": (["excursion", "--p", ","], None, "levels: empty list"),
+    "p-past-one": (["hist", "--p", "0.5,1.5"], None,
+                   "levels must lie strictly inside (0,1), got [0.5, 1.5]"),
+    "p-quantiles": (["quantiles", "--p", "0.9,0.8"], None,
+                    "levels: values must be strictly increasing"),
+    "p-ivdens": (["ivdens", "--p", "0"], None, "levels must lie strictly inside (0,1)"),
+    "p-chi": (["chi", "--p", "1"], None, "levels must lie strictly inside (0,1)"),
+    "radii-zero-step": (["cdf", "--radii", "0:5:0"], None, "radii: step must be positive"),
+    "radii-pipeline": (["pipeline", "--radii", "2,1"], None,
+                       "radii: values must be strictly increasing"),
+    "theta-equal": (["theta", "--p1", "0.9", "--p2", "0.9"], None,
+                    "--p1 and --p2 must differ"),
+    "lags-empty": (["chi", "--p", "0.9", "--lags", ","], "sim", "empty lag list"),
+    "two-stacks": (["cdf", "--p", "0.9"], "two",
+                   "two: expected exactly one .f32 stack in the directory, found 2"),
+    "no-radius": (["cdf", "--p", "0.9"], "thin", "domain inradius 1.0 leaves no usable radius"),
+    "blocks-count": (["mer", "--fit", "pixel", "--levels", "0.85,0.9", "--blocks-by",
+                      "blocks.txt"], "sim", "blocks.txt: 3 block ids for 40 slices"),
+}
+
+
+@pytest.mark.parametrize("argv, stack, message", REFUSALS.values(), ids=REFUSALS)
+def test_bad_flag_or_input_exits_validation(sim_dir, tmp_path, monkeypatch, capsys, argv, stack,
+                                            message):
+    from exrange import RasterStack, save_stack
+
+    monkeypatch.chdir(tmp_path)
+    Path("blocks.txt").write_text("0\n1\n2\n")
+    for name in ("a", "b"):   # a directory with two stacks
+        save_stack(Path("two", f"{name}.f32"), load_stack(sim_dir / "stack.f32"))
+    # a two-row domain: every pixel is 1 from outside the grid, so no radius
+    # lies below its inradius
+    rng = np.random.default_rng(3)
+    save_stack(Path("thin", "stack.f32"),
+               RasterStack(rng.standard_normal((40, 2, 8)).astype(np.float32)))
+    inputs = {"sim": [sim_dir], "two": ["two"], "thin": ["thin"],
+              None: [sim_dir, "missing.f32"]}[stack]
+    out = tmp_path / "out"
+    for stack_dir in inputs:
+        assert main([*argv, "--in", str(stack_dir), "--out", str(out)]) == 2, stack_dir
+        assert f"exrange: error: validation: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_grid_past_the_point_bound_exits_at_once(tmp_path, capsys):
+    # the points of start:stop:step are counted before any is made: 8e8
+    # levels would take minutes and gigabytes to build
+    from exrange.cli import GRID_MAX_POINTS, _parse_grid
+
+    start = time.perf_counter()
+    assert main(["cdf", "--p", "0.1:0.9:1e-9", "--in", str(tmp_path / "missing.f32"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 5
+    assert (f"validation: levels: '0.1:0.9:1e-9' asks for 8e+08 points, more than "
+            f"{GRID_MAX_POINTS}") in capsys.readouterr().err
+    # the bound itself is a grid's largest size
+    assert GRID_MAX_POINTS == 100_000
+    assert len(_parse_grid("1:100000:1", "radii")) == GRID_MAX_POINTS
+    with pytest.raises(ValueError, match="radii: '1:100001:1' asks for 100001 points"):
+        _parse_grid("1:100001:1", "radii")
+    # a grid within the bound whose 12-decimal points repeat is still refused
+    with pytest.raises(ValueError, match="levels: step 1e-13 repeats 0.0 at 12 decimals"):
+        _parse_grid("0:5e-9:1e-13", "levels")
 
 
 @pytest.mark.parametrize("command", ["cdf", "pipeline"])
@@ -1265,8 +1344,10 @@ def test_non_square_knots_transpose_with_the_grid(tmp_path):
 # the range commands on a 20x16x30 stack with a nodata notch and a hole,
 # with their arguments; sha256 over the names and bytes of each command's
 # outputs, per policy, recorded before the range stage left the split of its
-# slices to ``_pmap``
+# slices to ``_pmap`` (excursion's, which takes no --threads, before its
+# levels were parsed ahead of the stack)
 RAGGED_RUNS = {
+    "excursion": ["--p", "0.85,0.95"],
     "range": ["--p", "0.85,0.95"],
     "cdf": ["--p", "0.85,0.95"],
     "hist": ["--p", "0.85,0.95"],
@@ -1276,6 +1357,7 @@ RAGGED_RUNS = {
 RAGGED_RUN_STACK_SHA256 = "352b9bc3b385768b957e465f9df1e7196fb8b46727a6aa7a03ae91b012d4d465"
 RAGGED_RUN_SHA256 = {
     "fill-exceed": {
+        "excursion": "7b224d787422cafea742c836b6838a7ca56429f4e02c64d77c6837ca554f4267",
         "range": "9152bbe5d21412bfa7a267dd2e659b3b5c0092301944c7686995b6fa778d375b",
         "cdf": "c9b0501c1313d87920be69fd13eec3a357c2e1b0af61cea19d7af6ded1a20de1",
         "hist": "6b90a1f3e318887ab13de6473f7eeb01b18463297cffc81214523827775ec5a4",
@@ -1283,6 +1365,7 @@ RAGGED_RUN_SHA256 = {
         "pipeline": "2e45d7d445118f90a0ff3a33e389d7714d71c3ba5e87c5288ca1a78486bb7d3d",
     },
     "erode": {
+        "excursion": "85bdfa744cf2333b8eabda7348ade359b251d79033da474bbc78d987b34dbcc3",
         "range": "ae8984ddc4fea9d7055abde637589da1bba8fcb0dac98b1586bd7e8f32bb999a",
         "cdf": "c9b0501c1313d87920be69fd13eec3a357c2e1b0af61cea19d7af6ded1a20de1",
         "hist": "bd55c14a5460b2ef5ab8ba1879185da7915f6bff72e605bfff044582e345da88",
@@ -1307,8 +1390,9 @@ def _ragged_run_digests(tmp_path, policy: str, threads: str) -> dict[str, str]:
     got = {}
     for command, argv in RAGGED_RUNS.items():
         out = tmp_path / command
+        workers = ["--threads", threads] if command != "excursion" else []
         assert main([command, "--in", str(tmp_path / "ragged"), "--out", str(out),
-                     "--policy", policy, "--threads", threads, *argv]) == 0
+                     "--policy", policy, *workers, *argv]) == 0
         digest = hashlib.sha256()
         for f in sorted(out.iterdir()):
             digest.update(f.name.encode() + b"\0" + f.read_bytes())
@@ -1321,4 +1405,14 @@ def _ragged_run_digests(tmp_path, policy: str, threads: str) -> dict[str, str]:
 def test_range_commands_are_pinned_on_a_ragged_stack(tmp_path, policy, threads):
     # three workers split 30 slices into runs of ten; one runs them all on
     # the calling thread
+    from exrange import exceedance_stack, quantile_fields
+
     assert _ragged_run_digests(tmp_path, policy, threads) == RAGGED_RUN_SHA256[policy]
+    # each excursion mask is its slice of the level's exceedances under the policy
+    stack = load_stack(tmp_path / "ragged" / "stack.f32")
+    for thr in quantile_fields(stack, (0.85, 0.95)):
+        exceed = exceedance_stack(stack, thr, policy)
+        for t in range(stack.nt):
+            mask = load_stack(tmp_path / "excursion" / f"excursion_p{thr.p!r}_t{t}.f32")
+            assert mask.unit == "bool"
+            np.testing.assert_array_equal(mask.values[0], exceed[t])

@@ -96,6 +96,23 @@ def test_area_density_counting():
     assert intrinsic_densities(*_stack_of_masks([full, quarter])).c2 == pytest.approx(0.625)
 
 
+def test_densities_refuse_a_domain_without_a_cell_and_a_nan_threshold():
+    # nodata at every other pixel of every other row leaves no 2x2 cell of
+    # domain pixels, so c1 has no cell to average over
+    values = np.random.default_rng(4).standard_normal((5, 6, 6)).astype(np.float32)
+    flat = ThresholdField(p=0.5, u=np.zeros((6, 6), dtype=np.float32))
+    holed = values.copy()
+    holed[:, ::2, ::2] = -9999.0
+    with pytest.raises(ValueError, match="domain has no interior 2x2 cell"):
+        intrinsic_densities(RasterStack(holed), flat)
+    # a NaN threshold at a domain pixel makes its cells' lengths NaN: the
+    # densities' one check, finiteness, refuses it
+    u = flat.u.copy()
+    u[2, 3] = np.nan
+    with pytest.raises(ValueError, match="c1 is not finite"):
+        intrinsic_densities(RasterStack(values), ThresholdField(p=0.5, u=u))
+
+
 def test_perimeter_disk_within_one_percent():
     n = 512
     yy, xx = np.mgrid[0:n, 0:n]

@@ -267,6 +267,22 @@ def test_five_array_samples_check_their_fields():
             RangeSamples(**{**ok, name: bad})
 
 
+@pytest.mark.parametrize("min_range", [0.0, 1.5])
+def test_an_infinite_range_is_refused_as_it_enters_the_pool(min_range):
+    # a library caller's ranges may hold +inf, whose log no cut drops: the
+    # pool checks the log ranges it keeps as it writes them, with or without
+    # a pool passed in, and a pool passed in keeps none of that call's samples
+    stack = _stack()
+    ranges = np.zeros((stack.nt, stack.ny, stack.nx))
+    ranges[3, 4, 5] = 2.0
+    ranges[5, 4, 4] = np.inf
+    given = SamplePool(ranges.size, (stack.ny, stack.nx), [0.9])
+    for pool in (None, given):
+        with pytest.raises(ValueError, match="finite"):
+            collect_samples({0.9: ranges}, stack.domain(), None, min_range, pool)
+    assert given.n == 0
+
+
 def test_penalty_cv_folds_follow_the_block_runs(monkeypatch):
     # one fold per (level, slice) run, from the blocks that hold a sample:
     # each fold fit gets the samples outside the fold of the per-sample block

@@ -55,6 +55,9 @@ def test_order_statistic_index_float_roundoff():
     assert order_statistic_index(0.99, 200) == 198
     assert order_statistic_index(0.5, 4) == 2
     assert order_statistic_index(0.5, 5) == 3
+    # 0.07 * 100 is 7.000000000000001, so the ceiling, 8, steps down to 7
+    assert 0.07 * 100 > 7
+    assert order_statistic_index(0.07, 100) == 7
 
 
 def test_order_statistic_index_p_just_above_k_over_n():
