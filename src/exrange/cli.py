@@ -77,6 +77,8 @@ def _parse_grid(spec: str, name: str) -> list[float]:
             values.append(v)
     else:
         values = [float(x) for x in spec.split(",") if x.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name}: values must be finite, got {spec!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"{name}: values must be strictly increasing, got {values}")
     if not values:
@@ -166,8 +168,10 @@ def _level_pass(args, stack: raster.RasterStack, levels, visit) -> list:
     """``visit(thr, entries)`` on each level's threshold, all from one sort of
     ``stack``, and ``RangeEntries`` in turn, each freed before the next level's
     are computed; returns the visits' results in order. --policy and --threads
-    pass as parsed (argparse's choices; ``main`` refuses a count below 1)."""
-    return [visit(thr, ranges.range_entries(stack, thr, args.policy, args.threads))
+    pass as parsed (argparse's choices; ``main`` refuses a count below 1); a
+    command without --threads runs the ranges on the calling thread."""
+    threads = getattr(args, "threads", 1)
+    return [visit(thr, ranges.range_entries(stack, thr, args.policy, threads))
             for thr in thresholds.quantile_fields(stack, levels)]
 
 
@@ -403,6 +407,9 @@ def _cmd_ivdens(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    for flag, p in (("--p1", args.p1), ("--p2", args.p2)):
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"{flag} must lie strictly inside (0,1), got {p}")
     if args.p1 == args.p2:
         raise ValueError("--p1 and --p2 must differ")
     stack = raster.load_stack(_resolve_input(args.input))
@@ -484,15 +491,10 @@ def _cmd_pipeline(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common_io(sub, with_policy: bool = True, with_threads: bool = True):
+def _add_common_io(sub, with_policy: bool = True):
     sub.add_argument("--in", dest="input", required=True,
                      help="stack file (.f32) or directory holding one")
     sub.add_argument("--out", type=Path, required=True, help="output directory")
-    if with_threads:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the range fields (default: 1); outputs "
-                              "are identical for every count, and a second worker was "
-                              "slower at every slice size measured")
     if with_policy:
         sub.add_argument("--policy", choices=[p.value for p in BoundaryPolicy],
                          default=BoundaryPolicy.FILL_EXCEED.value,
@@ -509,6 +511,10 @@ def _add_fit_options(sub, penalty_default: str = "auto"):
                           "--penalty auto runs max(60, ITERS // 3) iterations")
     sub.add_argument("--min-range", type=float, default=0.0, dest="min_range",
                      help="drop range observations below this length, finite and >= 0")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker threads for the range fields (default: 1); outputs "
+                          "are identical for every count, and a second worker was "
+                          "slower at every slice size measured")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,12 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_simulate)
 
     s = subs.add_parser("quantiles", help="per-pixel threshold maps")
-    _add_common_io(s, with_policy=False, with_threads=False)
+    _add_common_io(s, with_policy=False)
     s.add_argument("--p", default=DEFAULT_LEVELS, help="levels as list or start:stop:step")
     s.set_defaults(func=_cmd_quantiles)
 
     s = subs.add_parser("excursion", help="excursion masks per slice and level")
-    _add_common_io(s, with_threads=False)
+    _add_common_io(s)
     s.add_argument("--p", default=DEFAULT_LEVELS)
     s.set_defaults(func=_cmd_excursion)
 
@@ -558,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_hist)
 
     s = subs.add_parser("chi", help="pairwise tail dependence at pixel lags")
-    _add_common_io(s, with_policy=False, with_threads=False)
+    _add_common_io(s, with_policy=False)
     s.add_argument("--p", default="0.9,0.95")
     s.add_argument("--lags", default="1:0,2:0,4:0,8:0,0:1,0:2,0:4,0:8",
                    help="comma list of x:y pixel offsets")
@@ -567,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_chi)
 
     s = subs.add_parser("ivdens", help="curvature densities per level")
-    _add_common_io(s, with_policy=False, with_threads=False)
+    _add_common_io(s, with_policy=False)
     s.add_argument("--p", default=DEFAULT_LEVELS)
     s.set_defaults(func=_cmd_ivdens)
 

@@ -167,30 +167,35 @@ def _lad_profile(x: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray
 def _lad_scores(x: np.ndarray, y: np.ndarray, thetas: np.ndarray,
                 betas: np.ndarray) -> np.ndarray:
     """LAD objective of each line y = beta - theta*x, by the float expression
-    of the full enumeration."""
-    return np.abs(y[None, :] - (betas[:, None] - thetas[:, None] * x[None, :])).sum(axis=1)
+    of the full enumeration, |y - (beta - theta*x)|, in one buffer."""
+    r = np.multiply(thetas[:, None], x[None, :])
+    np.subtract(betas[:, None], r, out=r)
+    np.subtract(y[None, :], r, out=r)
+    return np.add.reduce(np.abs(r, out=r), axis=1)
 
 
 @functools.lru_cache(maxsize=4)
-def _pair_design(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_design(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The pair lines of the covariates x = ``np.frombuffer(key)``: the pairs
     i < j in ``np.triu_indices`` order with x[i] != x[j], as read-only int32
-    ``ii``, ``jj`` and float64 ``x[jj] - x[ii]``. NaN differs from itself,
-    but covariates that are all NaN carry one (unusable) value: no pairs.
+    ``ii``, ``jj`` and float64 ``x[jj] - x[ii]`` and ``x[ii]``. NaN differs
+    from itself, but covariates that are all NaN carry one (unusable) value:
+    no pairs.
 
     Keyed by the covariate vector, so fits with equal covariates share one
     entry whatever their responses: a pixel map's fits mostly do (see the
-    module docstring), and a few entries serve it. One entry takes 16 bytes
-    a pair, at most 8 n (n-1) bytes: 16 MB at n = 1400.
+    module docstring), and a few entries serve it. One entry takes 24 bytes
+    a pair, at most 12 n (n-1) bytes: 24 MB at n = 1400.
     """
     x = np.frombuffer(key)
     ii, jj = np.triu_indices(x.size, k=1)
     keep = (x[ii] != x[jj]) & ~np.isnan(x).all()
     ii, jj = ii[keep].astype(np.int32), jj[keep].astype(np.int32)
-    dx = x[jj] - x[ii]
-    for a in (ii, jj, dx):
+    xi = x[ii]
+    dx = x[jj] - xi
+    for a in (ii, jj, dx, xi):
         a.flags.writeable = False
-    return ii, jj, dx
+    return ii, jj, dx, xi
 
 
 def fit_mer_pixel(x, y) -> tuple[float, float]:
@@ -238,10 +243,14 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
     if x.size < 2:
         raise DegenerateFitError("need at least two samples")
     n = x.size
-    ii, jj, dx = _pair_design(x.tobytes())
+    ii, jj, dx, xi = _pair_design(x.tobytes())
     if not ii.size:
         raise DegenerateFitError("all samples share one covariate value; slope unidentifiable")
-    theta_c = -(y[jj] - y[ii]) / dx
+    yi = y[ii]
+    # -(y[jj] - y[ii]) / dx op by op, so a flat pair keeps its zero's sign
+    theta_c = y[jj] - yi
+    np.negative(theta_c, out=theta_c)
+    theta_c /= dx
     bracketed = False
     if theta_c.size * n > _LAD_BLOCK:
         slopes = np.sort(theta_c)
@@ -263,8 +272,8 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
             lo, hi = new_lo, new_hi
         if bracketed:
             inside = (theta_c >= slopes[lo]) & (theta_c <= slopes[hi])
-            theta_c, ii = theta_c[inside], ii[inside]
-    beta_c = y[ii] + theta_c * x[ii]
+            theta_c, yi, xi = theta_c[inside], yi[inside], xi[inside]
+    beta_c = yi + theta_c * xi
     chunk = max(1, _LAD_BLOCK // n)
     if bracketed and theta_c.size > chunk:
         # the first in pair order of each set of equal lines (every line is
@@ -592,10 +601,10 @@ def fit_mer_pixel_map(samples: RangeSamples) -> MerSurface:
     # a pixel is fitted with enough samples at two or more distinct levels
     fitted = ((ends - starts >= _MIN_PIXEL_SAMPLES)
               & (np.minimum.reduceat(level, starts) != np.maximum.reduceat(level, starts)))
+    xs = samples.level_x[level]   # each sample's covariate, gathered once
+    beta_px, theta_px = beta.reshape(-1), theta.reshape(-1)   # views of the maps
     for pix, s, e in zip(pixel[starts[fitted]], starts[fitted], ends[fitted]):
-        b, t = fit_mer_pixel(samples.level_x[level[s:e]], ys[s:e])
-        beta[pix // nx, pix % nx] = b
-        theta[pix // nx, pix % nx] = t
+        beta_px[pix], theta_px[pix] = fit_mer_pixel(xs[s:e], ys[s:e])
     if np.isnan(beta).all():
         raise DegenerateFitError(
             f"no pixel has min_samples={_MIN_PIXEL_SAMPLES} samples at two distinct levels"

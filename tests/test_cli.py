@@ -241,16 +241,23 @@ def test_chi_level_without_exceedance_is_nan(tmp_path, capsys):
     assert "chi_p0.999_lag1x0 not written" in err and "chi_p0.999_lag0x2 not written" in err
 
 
-@pytest.mark.parametrize("command", ["quantiles", "excursion", "chi", "ivdens"])
-def test_threads_only_where_workers_run(command, capsys):
+@pytest.mark.parametrize("command", ["quantiles", "excursion", "range", "cdf", "hist", "chi",
+                                     "ivdens", "theta"])
+def test_threads_only_where_workers_run(command, tmp_path, capsys):
+    # only the commands that fit take --threads; the others refuse it before
+    # --in is read and write nothing
+    out = tmp_path / "out"
+    required = ["--p1", "0.9", "--p2", "0.95"] if command == "theta" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, "--in", "x", "--out", "y", "--threads", "2"])
+        main([command, "--in", str(tmp_path / "missing"), "--out", str(out), "--threads", "2",
+              *required])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    required = {"theta": ["--p1", "0.9", "--p2", "0.95"], "jackknife": ["--blocks-by", "b"]}
-    for used in ("range", "cdf", "hist", "theta", "mer", "jackknife", "pipeline"):
+    assert not out.exists()
+    for used in ("mer", "jackknife", "pipeline"):
+        required = ["--blocks-by", "b"] if used == "jackknife" else []
         args = build_parser().parse_args([used, "--in", "x", "--out", "y", "--threads", "2",
-                                          *required.get(used, [])])
+                                          *required])
         assert args.threads == 2
 
 
@@ -313,7 +320,7 @@ def test_range_maps_are_the_range_fields_on_a_ragged_stack(tmp_path, policy):
     save_stack(tmp_path / "in" / "stack.f32", stack)
     out = tmp_path / "out"
     assert main(["range", "--in", str(tmp_path / "in"), "--out", str(out),
-                 "--p", "0.6,0.9", "--policy", policy, "--threads", "2"]) == 0
+                 "--p", "0.6,0.9", "--policy", policy]) == 0
     dom = stack.domain()
     for thr in quantile_fields(stack, [0.6, 0.9]):
         for t in range(stack.nt):
@@ -383,21 +390,6 @@ def test_pipeline_outputs_and_determinism(sim_dir, tmp_path):
         assert b1 == (out3 / name).read_bytes(), f"{name} differs across reruns"
     # no leftover temporaries: atomic rename completed everywhere
     assert not list(out1.rglob("*.tmp"))
-
-
-@pytest.mark.parametrize("command", [
-    ["range", "--p", "0.9,0.95"],
-    ["cdf", "--p", "0.9,0.95", "--radii", "1,2,3"],
-], ids=["range", "cdf"])
-def test_range_and_cdf_outputs_identical_across_thread_counts(sim_dir, tmp_path, command):
-    # the worker threads fill one level's range array slice by slice
-    outs = [tmp_path / "t1", tmp_path / "t2"]
-    for out, n in zip(outs, ("1", "2")):
-        assert main(command + ["--in", str(sim_dir), "--out", str(out), "--threads", n]) == 0
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names and names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # the commands that read ranges, each at levels 0.9 and 0.95, with a small fit
@@ -747,6 +739,16 @@ REFUSALS = {
                        "radii: values must be strictly increasing"),
     "theta-equal": (["theta", "--p1", "0.9", "--p2", "0.9"], None,
                     "--p1 and --p2 must differ"),
+    "theta-p1-past-one": (["theta", "--p1", "1.5", "--p2", "0.9"], None,
+                          "--p1 must lie strictly inside (0,1), got 1.5"),
+    "theta-p1-nan": (["theta", "--p1", "nan", "--p2", "0.9"], None,
+                     "--p1 must lie strictly inside (0,1), got nan"),
+    "radii-nan": (["cdf", "--radii", "nan"], None, "radii: values must be finite, got 'nan'"),
+    "radii-inf": (["cdf", "--radii", "1,inf"], None, "radii: values must be finite, got '1,inf'"),
+    "p-nan": (["cdf", "--p", "0.5,nan"], None, "levels: values must be finite, got '0.5,nan'"),
+    "range-p-nan": (["range", "--p", "nan"], None, "levels: values must be finite, got 'nan'"),
+    "levels-nan": (["pipeline", "--levels", "0.9,nan"], None,
+                   "levels: values must be finite, got '0.9,nan'"),
     "lags-empty": (["chi", "--p", "0.9", "--lags", ","], "sim", "empty lag list"),
     "two-stacks": (["cdf", "--p", "0.9"], "two",
                    "two: expected exactly one .f32 stack in the directory, found 2"),
@@ -945,12 +947,19 @@ def test_spline_fit_never_imports_numpy_ma(tmp_path):
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command", LEVEL_PASS_COMMANDS)
 def test_threads_below_one_exits_validation(sim_dir, tmp_path, capsys, command, value):
-    # refused before the command reads its stack, so a missing --in file too
+    # refused before the command reads its stack, so a missing --in file too;
+    # a command that fits nothing has no --threads, and argparse refuses it
     out = tmp_path / "out"
     for stack_dir in (sim_dir, tmp_path / "missing"):
         argv = _level_pass_argv(command, stack_dir, out, _four_blocks(tmp_path))
-        assert main(argv + ["--threads", value]) == 2
-        assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
+        if command in ("mer", "jackknife", "pipeline"):
+            assert main(argv + ["--threads", value]) == 2
+            assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --threads {value}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1033,7 +1042,8 @@ def test_default_run_uses_one_worker(sim_dir, tmp_path, monkeypatch):
         return pmap(fn, items, n_threads)
 
     monkeypatch.setattr(ranges, "_pmap", recording_pmap)
-    assert main(["range", "--in", str(sim_dir), "--out", str(tmp_path), "--p", "0.9,0.95"]) == 0
+    assert main(["pipeline", "--in", str(sim_dir), "--out", str(tmp_path), "--fit", "pixel",
+                 "--levels", "0.9,0.95"]) == 0
     assert asked == [1, 1]
 
 
@@ -1344,8 +1354,8 @@ def test_non_square_knots_transpose_with_the_grid(tmp_path):
 # the range commands on a 20x16x30 stack with a nodata notch and a hole,
 # with their arguments; sha256 over the names and bytes of each command's
 # outputs, per policy, recorded before the range stage left the split of its
-# slices to ``_pmap`` (excursion's, which takes no --threads, before its
-# levels were parsed ahead of the stack)
+# slices to ``_pmap`` (excursion's before its levels were parsed ahead of the
+# stack); only pipeline takes --threads
 RAGGED_RUNS = {
     "excursion": ["--p", "0.85,0.95"],
     "range": ["--p", "0.85,0.95"],
@@ -1377,7 +1387,8 @@ RAGGED_RUN_SHA256 = {
 
 def _ragged_run_digests(tmp_path, policy: str, threads: str) -> dict[str, str]:
     """sha256 over the names and bytes of each ``RAGGED_RUNS`` command's
-    outputs on the pinned ragged stack, under ``policy`` on ``threads`` workers."""
+    outputs on the pinned ragged stack, under ``policy``, pipeline's on
+    ``threads`` workers and the others' on the calling thread."""
     from exrange import RasterStack, save_stack
 
     assert main(["simulate", "--nx", "20", "--ny", "16", "--n", "30", "--ell", "4",
@@ -1390,7 +1401,7 @@ def _ragged_run_digests(tmp_path, policy: str, threads: str) -> dict[str, str]:
     got = {}
     for command, argv in RAGGED_RUNS.items():
         out = tmp_path / command
-        workers = ["--threads", threads] if command != "excursion" else []
+        workers = ["--threads", threads] if command == "pipeline" else []
         assert main([command, "--in", str(tmp_path / "ragged"), "--out", str(out),
                      "--policy", policy, *workers, *argv]) == 0
         digest = hashlib.sha256()
@@ -1403,8 +1414,8 @@ def _ragged_run_digests(tmp_path, policy: str, threads: str) -> dict[str, str]:
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
 def test_range_commands_are_pinned_on_a_ragged_stack(tmp_path, policy, threads):
-    # three workers split 30 slices into runs of ten; one runs them all on
-    # the calling thread
+    # three pipeline workers split 30 slices into runs of ten; one runs them
+    # all on the calling thread, as every other command does
     from exrange import exceedance_stack, quantile_fields
 
     assert _ragged_run_digests(tmp_path, policy, threads) == RAGGED_RUN_SHA256[policy]
