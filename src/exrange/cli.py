@@ -413,6 +413,7 @@ def _cmd_theta(args) -> int:
     if args.p1 == args.p2:
         raise ValueError("--p1 and --p2 must differ")
     stack = raster.load_stack(_resolve_input(args.input))
+    thresholds.distinct_order_statistics((args.p1, args.p2), stack.nt)
     med1, med2 = _level_pass(args, stack, (args.p1, args.p2),
                              lambda _, entries: ranges.median_range_map(entries, stack.domain()))
     _save_theta_map(args.out, stack.domain(), stack.dx, args.p1, med1, args.p2, med2)
@@ -513,8 +514,8 @@ def _add_fit_options(sub, penalty_default: str = "auto"):
                      help="drop range observations below this length, finite and >= 0")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads for the range fields (default: 1); outputs "
-                          "are identical for every count, and a second worker was "
-                          "slower at every slice size measured")
+                          "are identical for every count, and on two cores a second "
+                          "worker has not made the range stage faster")
 
 
 def build_parser() -> argparse.ArgumentParser:

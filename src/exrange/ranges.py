@@ -13,8 +13,8 @@ its in-domain exceedances: a ``RangeEntries`` holds, slice after slice,
 the flat pixel iy*nx + ix of each in-domain positive range, ascending, its
 value, and where each slice's run starts. ``range_entries``
 builds it, and ``ecdf``, ``median_range`` and ``median_range_map`` read it.
-They also accept a dense (nt, ny, nx) array or a sequence of ``RangeField``,
-converted once. An entry takes 2 bytes for its pixel (4 on grids of more
+They also accept a sequence of ``RangeField``, one per slice, converted
+once. An entry takes 2 bytes for its pixel (4 on grids of more
 than 65,536 pixels, 1 on grids of at most 256) plus 8 for its float64
 value, at domain exceedances only, where a dense float64 array takes 8 per
 pixel-slice.
@@ -106,23 +106,13 @@ class RangeEntries:
     ``value``, their ranges; every other domain pixel-slice has range 0.
     ``pixel`` takes the narrowest unsigned dtype: numpy's stable sort
     radix-sorts 8- and 16-bit keys, and a 16-bit pixel takes a quarter of
-    an int64.
+    an int64. Nothing is checked here: ``_entries`` builds the arrays.
     """
 
     pixel: np.ndarray      # (n,) uint8/16/32/64, ascending within a slice
     value: np.ndarray      # (n,) float64, positive
     bounds: np.ndarray     # (nt + 1,) int64 offsets of the slices' runs
     shape: tuple[int, int, int]
-
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        if len(shape) != 3 or shape[0] < 1:
-            raise ValueError(f"need an (nt, ny, nx) shape with nt >= 1, got {shape}")
-        if self.pixel.ndim != 1 or self.pixel.shape != self.value.shape:
-            raise ValueError("pixel and value must be 1-d arrays of one length")
-        if self.bounds.shape != (shape[0] + 1,):
-            raise ValueError(f"need {shape[0] + 1} slice bounds, got {self.bounds.shape}")
-        object.__setattr__(self, "shape", shape)
 
 
 def _entries(flat: np.ndarray, shape: tuple[int, int, int],
@@ -181,17 +171,13 @@ def _slice_maps(entries: RangeEntries, dtype) -> Iterator[np.ndarray]:
 
 def _as_entries(ranges, domain: DomainMask) -> RangeEntries:
     """A level's ranges as ``RangeEntries`` on ``domain``: entries are taken
-    as they are, and the positive domain cells of a dense (nt, ny, nx)
-    array, or of a sequence of ``RangeField`` stacked once, become entries."""
-    if not isinstance(ranges, (RangeEntries, np.ndarray)):
+    as they are, and the positive domain cells of a sequence of
+    ``RangeField``, stacked once, become entries."""
+    if not isinstance(ranges, RangeEntries):
         ranges = [rf.r for rf in ranges]
         if not ranges:
             raise ValueError("need at least one range field")
         ranges = np.stack(ranges)
-    if not isinstance(ranges, RangeEntries):
-        ranges = np.asarray(ranges, dtype=np.float64)
-        if ranges.ndim != 3 or ranges.shape[0] == 0:
-            raise ValueError(f"need an (nt, ny, nx) range array with nt >= 1, got {ranges.shape}")
     if ranges.shape[1:] != domain.inside.shape:
         raise ValueError("range field does not match the domain grid")
     if isinstance(ranges, RangeEntries):
@@ -230,7 +216,7 @@ def ecdf(range_fields, domain: DomainMask, radii, dx: float) -> CdfEstimate:
     R_i(t) > 0}, with F(r) = 0 where the denominator vanishes; T_{-r} is
     where ``domain_distance`` exceeds r, and ``check_radii`` refuses radii
     outside (0, its maximum). ``range_fields`` is a level's
-    ``RangeEntries``, (nt, ny, nx) range array or sequence of ``RangeField``.
+    ``RangeEntries`` or a sequence of ``RangeField``, one per slice.
     """
     domain_dist = domain_distance(domain, dx)
     radii = check_radii(radii, float(domain_dist.max()))

@@ -204,10 +204,9 @@ def load_stack(path) -> RasterStack:
     return RasterStack(values, dx=dx, nodata=nodata, unit=unit)
 
 
-def save_map(path, grid: np.ndarray, dx: float = 1.0, nodata: float = DEFAULT_NODATA,
-             unit: str = "px") -> None:
-    """Write a single ny-by-nx map in the stack format with nt=1."""
+def save_map(path, grid: np.ndarray, dx: float = 1.0, unit: str = "px") -> None:
+    """Write one ny-by-nx map in the stack format: nt=1, nodata DEFAULT_NODATA."""
     grid = np.asarray(grid, dtype=np.float32)
     if grid.ndim != 2:
         raise ValueError(f"map must be 2-d, got shape {grid.shape}")
-    save_stack(path, RasterStack(grid[None, :, :], dx=dx, nodata=nodata, unit=unit))
+    save_stack(path, RasterStack(grid[None, :, :], dx=dx, unit=unit))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateFitError
 from .raster import RasterStack
-from .thresholds import order_statistic_index
+from .thresholds import distinct_order_statistics
 
 # the largest (level, pixel) cell index an int32 cell holds
 _CELL_MAX = np.iinfo(np.int32).max
@@ -144,9 +144,9 @@ class SamplePool:
     def for_levels(cls, stack: RasterStack, levels) -> "SamplePool":
         """A pool for every sample of ``stack`` at each p of ``levels``, sized
         before any threshold is sorted: a domain pixel exceeds its k-th smallest
-        value, k = ``order_statistic_index(p, nt)``, in nt - k slices, fewer
-        where a value ties it, and each exceedance is one positive range."""
-        per_pixel = sum(stack.nt - order_statistic_index(p, stack.nt) for p in levels)
+        value in nt - k slices, fewer where a value ties it, and each exceedance
+        is one positive range. Levels that share a k are refused."""
+        per_pixel = sum(stack.nt - k for k in distinct_order_statistics(levels, stack.nt))
         return cls(stack.domain().n_pixels * per_pixel, (stack.ny, stack.nx), levels)
 
     def add(self, levels, blocks, min_range: float) -> RangeSamples:

@@ -178,10 +178,8 @@ def simulate_gaussian(config: GaussianSimConfig) -> RasterStack:
 
 
 def pareto_scales(config: AdSimConfig) -> np.ndarray:
-    """The per-slice mixing scalars W (ones when a_mix is infinite)."""
+    """The per-slice mixing scalars W, ones at a_mix = inf (u ** -0.0 is 1)."""
     n = config.base.n_slices
-    if math.isinf(config.a_mix):
-        return np.ones(n)
     w = np.empty(n)
     for i in range(n):
         rng = _slice_rng(config.base.seed, 1, i)

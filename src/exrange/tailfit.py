@@ -117,8 +117,8 @@ def collect_samples(range_fields_by_level: dict[float, Sequence],
                     blocks: Sequence[int] | None = None,
                     min_range: float = 0.0,
                     pool: SamplePool | None = None) -> RangeSamples:
-    """Build regression samples from each level's ranges: ``RangeEntries``,
-    an (nt, ny, nx) range array or a sequence of range fields.
+    """Build regression samples from each level's ranges: ``RangeEntries``
+    or a sequence of ``RangeField``, one per slice.
 
     Only strictly positive ranges inside the domain become samples, in
     (level, slice, row, column) order, and a positive ``min_range`` drops

@@ -36,6 +36,19 @@ def order_statistic_index(p: float, n: int) -> int:
     return k
 
 
+def distinct_order_statistics(levels, n: int) -> list[int]:
+    """``order_statistic_index(p, n)`` of each p of ``levels``; ValueError when
+    two levels share a k, as a fit would then count one threshold's exceedances twice."""
+    ks = {}
+    for p in levels:
+        k = order_statistic_index(p, n)
+        if k in ks:
+            raise ValueError(f"levels {ks[k]} and {p} both select order statistic k = {k} of "
+                             f"nt = {n}, so their thresholds are equal; a fit needs distinct k")
+        ks[k] = p
+    return list(ks)
+
+
 @dataclass(frozen=True)
 class ThresholdField:
     """Per-pixel threshold u_p(s): the empirical p-quantile of each pixel

@@ -664,6 +664,33 @@ def test_single_level_fit_rejected_before_any_output(sim_dir, tmp_path, capsys, 
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, levels, k, nt", [
+    (["theta"], ["--p1", "0.84", "--p2", "0.85"], 34, 40),
+    (["mer", "--fit", "pixel"], ["--levels", "0.84,0.85"], 34, 40),
+    (["jackknife", "--fit", "pixel"], ["--levels", "0.84,0.85"], 26, 30),
+    (["pipeline"], ["--levels", "0.84,0.85"], 34, 40),
+], ids=["theta", "mer", "jackknife", "pipeline"])
+def test_levels_sharing_an_order_statistic_refused_before_a_fit(tmp_path, capsys, command,
+                                                                   levels, k, nt):
+    # on 40 slices both levels select the 34th smallest value (the 26th of a
+    # jackknife replicate's 30), so their thresholds are equal and a θ fit
+    # would count one level's exceedances twice, at two covariates
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "12", "--ny", "10", "--n", "40", "--ell", "4",
+                 "--seed", "3", "--out", str(sim)]) == 0
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 10) for i in range(40)))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    extra = ["--blocks-by", str(blocks)] if command[0] == "jackknife" else []
+    assert main(command + ["--in", str(sim), "--out", str(out), *levels, *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"levels 0.84 and 0.85 both select order statistic k = {k} of nt = {nt}" in err
+    assert not out.exists() or not any(out.iterdir())
+    # a per-level command keeps such levels: its outputs are per level
+    assert main(["hist", "--in", str(sim), "--out", str(out), "--p", "0.84,0.85"]) == 0
+
+
 @pytest.mark.parametrize("command, option", [
     (["pipeline"], ["--knots", "2x2"]),
     (["pipeline"], ["--knots", "8by8"]),
@@ -978,16 +1005,16 @@ def test_penalty_cv_over_one_block_exits_compute(sim_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["mer", "pipeline"])
 def test_pixel_fit_without_fitted_pixel_exits_compute(tmp_path, capsys, command):
-    # 60 slices at levels 0.97 and 0.98 give every pixel 2 samples, below the
-    # 3 a pixel LAD needs: no pixel has a fit, which is a compute error (exit 5)
-    # with no mer_* output, not an all-nodata map
+    # 60 slices at levels 0.97 and 0.99 (order statistics 59 and 60) give every
+    # pixel 1 sample, below the 3 a pixel LAD needs: no pixel has a fit, which
+    # is a compute error (exit 5) with no mer_* output, not an all-nodata map
     sim = tmp_path / "sim"
     assert main(["simulate", "--model", "gaussian", "--nx", "10", "--ny", "10",
                  "--n", "60", "--ell", "4", "--seed", "3", "--out", str(sim)]) == 0
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([command, "--in", str(sim), "--out", str(out), "--fit", "pixel",
-                 "--levels", "0.97,0.98"]) == 5
+                 "--levels", "0.97,0.99"]) == 5
     assert "min_samples=3" in capsys.readouterr().err
     assert not list(out.glob("mer_*"))
 

@@ -290,24 +290,25 @@ def test_median_range_map_matches_full_sort_on_ragged_cases(policy):
     cube[:, 2, 1] = [0, 0, 0, 0, 0, 0, 0, 0, 4]          # one positive range
     assert np.unique(cube[cube > 0]).size < np.count_nonzero(cube > 0)   # ties
     for c in (cube, cube[:1], cube[4:5]):                # and single slices
-        want = full_sort_median_map(c, inside)
-        assert (median_range_map(c, dom) == want).all()
-        assert (median_range_map([RangeField(r=r, dx=1.0) for r in c], dom) == want).all()
+        assert (median_range_map(listed(c), dom) == full_sort_median_map(c, inside)).all()
     assert full_sort_median_map(cube, inside)[1, 2:4].tolist() == [2.0, 1.0]
 
 
 def test_median_range_map_memory_follows_positive_ranges():
     # only the positive ranges are sorted: a sorted copy of the cube, as a
-    # full sort makes, is the cube's size
+    # full sort makes, is the cube's size; the cube's slices become entries
+    # before the trace starts, so it measures the median map alone
     import tracemalloc
+    from exrange.ranges import _as_entries
 
     rng = np.random.default_rng(37)
     shape = (200, 64, 64)
     cube = np.where(rng.random(shape) < 0.1, np.sqrt(rng.integers(1, 50, shape)), 0.0)
     dom = full_domain(64, 64)
+    entries = _as_entries(listed(cube), dom)
     tracemalloc.start()
     try:
-        got = median_range_map(cube, dom)
+        got = median_range_map(entries, dom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,6 +325,11 @@ def dense(entries):
         run = slice(entries.bounds[t], entries.bounds[t + 1])
         cube[t, entries.pixel[run]] = entries.value[run]
     return cube.reshape(entries.shape)
+
+
+def listed(cube, dx=1.0):
+    """The slices of an (nt, ny, nx) range array as ``RangeField``s."""
+    return [RangeField(r=r, dx=dx) for r in cube]
 
 
 def flat_positions(entries):
@@ -466,7 +472,7 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
     stack = RasterStack(values, dx=1.5)
     dom = stack.domain()
     fill = BoundaryPolicy(policy) is BoundaryPolicy.FILL_EXCEED
-    by_level, dense_by_level = {}, {}
+    by_level, listed_by_level = {}, {}
     for thr in (quantile_field(stack, 0.55), quantile_field(stack, 0.8)):
         entries = range_entries(stack, thr, policy, n_threads=n_threads)
         check_layout(entries, np.uint8)
@@ -479,13 +485,14 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         assert not exceed[[0, 5]][:, inside].any() and masks[3].all() == (fill or not ragged)
         assert masks[:, ~inside].all() if fill else not masks[:, ~inside].any()
         assert not cube[:, ~inside].any()
-        by_level[thr.p], dense_by_level[thr.p] = entries, cube
+        fields = listed(cube, stack.dx)
+        by_level[thr.p], listed_by_level[thr.p] = entries, fields
 
         radii = [1.5, 2.0, 3.0, 4.5]
-        est, want = ecdf(entries, dom, radii, stack.dx), ecdf(cube, dom, radii, stack.dx)
+        est, want = ecdf(entries, dom, radii, stack.dx), ecdf(fields, dom, radii, stack.dx)
         assert (est.F == want.F).all() and (est.n_exceed == want.n_exceed).all()
-        assert median_range(entries, dom) == median_range(cube, dom)
-        assert (median_range_map(entries, dom) == median_range_map(cube, dom)).all()
+        assert median_range(entries, dom) == median_range(fields, dom)
+        assert (median_range_map(entries, dom) == median_range_map(fields, dom)).all()
         assert (median_range_map(entries, dom) == full_sort_median_map(cube, inside)).all()
         edges = np.arange(0.0, 9.0, stack.dx)
         rows = _hist_rows(thr.p, entries, edges)
@@ -493,7 +500,7 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         assert [row[3] for row in rows] == counts.tolist()
         assert [row[1:3] for row in rows] == [[lo, hi] for lo, hi in zip(edges, edges[1:])]
     got = collect_samples(by_level, dom, blocks=list(range(10, 10 + nt)), min_range=2.0)
-    want = collect_samples(dense_by_level, dom, blocks=list(range(10, 10 + nt)),
+    want = collect_samples(listed_by_level, dom, blocks=list(range(10, 10 + nt)),
                            min_range=2.0)
     for name in ("pixel_y", "pixel_x", "x", "y", "block"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -519,10 +526,10 @@ def test_range_entries_on_a_grid_past_65536_pixels_take_uint32_pixels(policy):
     assert samples.pixel_y.tolist() == iy.tolist() and samples.pixel_x.tolist() == ix.tolist()
 
 
-def test_dense_and_listed_ranges_convert_to_the_same_entries():
+def test_listed_ranges_convert_to_the_domain_entries():
     # the positive cells at the domain pixels become entries; negative
     # cells and every cell outside the domain are dropped
-    from exrange.ranges import RangeEntries, _as_entries
+    from exrange.ranges import _as_entries
 
     rng = np.random.default_rng(46)
     cube = np.where(rng.random((4, 5, 6)) < 0.3, rng.random((4, 5, 6)) + 0.5, 0.0)
@@ -532,29 +539,19 @@ def test_dense_and_listed_ranges_convert_to_the_same_entries():
     cube[:, 3, 4] = 2.0
     for dom in (full_domain(5, 6), DomainMask(inside)):
         kept = (cube > 0) & dom.inside
-        entries = _as_entries(cube, dom)
-        listed = _as_entries([RangeField(r=r, dx=1.0) for r in cube], dom)
+        entries = _as_entries(listed(cube), dom)
         assert _as_entries(entries, dom) is entries
-        for e in (entries, listed):
-            assert e.shape == (4, 5, 6)
-            check_layout(e, np.uint8)
-            assert np.array_equal(flat_positions(e), np.flatnonzero(kept))
-            assert np.array_equal(e.value, cube[kept])
-            assert np.array_equal(dense(e), np.where(kept, cube, 0))
+        assert entries.shape == (4, 5, 6)
+        check_layout(entries, np.uint8)
+        assert np.array_equal(flat_positions(entries), np.flatnonzero(kept))
+        assert np.array_equal(entries.value, cube[kept])
+        assert np.array_equal(dense(entries), np.where(kept, cube, 0))
     with pytest.raises(ValueError, match="at least one"):
         _as_entries([], dom)
-    with pytest.raises(ValueError, match="nt >= 1"):
-        _as_entries(np.zeros((0, 3, 3)), dom)
-    with pytest.raises(ValueError, match="one length"):
-        RangeEntries(pixel=np.arange(3), value=np.ones(2), bounds=np.array([0, 2]),
-                     shape=(1, 2, 2))
-    with pytest.raises(ValueError, match="slice bounds"):
-        RangeEntries(pixel=np.arange(2), value=np.ones(2), bounds=np.array([0, 2]),
-                     shape=(2, 2, 2))
     with pytest.raises(ValueError, match="domain grid"):
         median_range_map(entries, full_domain(5, 5))
     with pytest.raises(ValueError, match="domain grid"):
-        median_range_map(cube, full_domain(6, 6))
+        median_range_map(listed(cube), full_domain(6, 6))
 
 
 def test_range_entries_never_build_the_dense_range_array():

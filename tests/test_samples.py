@@ -11,6 +11,7 @@ import pytest
 from exrange import (
     DegenerateFitError,
     GaussianSimConfig,
+    RangeField,
     RangeSamples,
     RasterStack,
     SamplePool,
@@ -273,10 +274,11 @@ def test_an_infinite_range_is_refused_as_it_enters_the_pool(min_range):
     # pool checks the log ranges it keeps as it writes them, with or without
     # a pool passed in, and a pool passed in keeps none of that call's samples
     stack = _stack()
-    ranges = np.zeros((stack.nt, stack.ny, stack.nx))
-    ranges[3, 4, 5] = 2.0
-    ranges[5, 4, 4] = np.inf
-    given = SamplePool(ranges.size, (stack.ny, stack.nx), [0.9])
+    cube = np.zeros((stack.nt, stack.ny, stack.nx))
+    cube[3, 4, 5] = 2.0
+    cube[5, 4, 4] = np.inf
+    ranges = [RangeField(r=r, dx=stack.dx) for r in cube]
+    given = SamplePool(cube.size, (stack.ny, stack.nx), [0.9])
     for pool in (None, given):
         with pytest.raises(ValueError, match="finite"):
             collect_samples({0.9: ranges}, stack.domain(), None, min_range, pool)
