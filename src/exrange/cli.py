@@ -45,6 +45,10 @@ EXIT_COMPUTE = 5
 DEFAULT_LEVELS = "0.85:0.98:0.01"
 # the most points a start:stop:step grid may ask for; counted before any is made
 GRID_MAX_POINTS = 100_000
+FIT_LEVELS_HELP = ("levels as list or start:stop:step; explicit levels that share an order "
+                   f"statistic at the fitted slice count exit 2. Default: {DEFAULT_LEVELS}, "
+                   "less each level that shares a lower level's order statistic at the "
+                   "stack's nt (jackknife: at each replicate's), named on stderr")
 HIST_HEADER = ["p", "bin_left", "bin_right", "count"]
 IVDENS_HEADER = ["p", "c0", "c1", "c2", "slope_pred"]
 
@@ -93,12 +97,40 @@ def _parse_levels(spec: str) -> list[float]:
     return levels
 
 
-def _parse_fit_levels(spec: str) -> list[float]:
-    """Levels of a θ fit: θ is a slope over levels, so one level cannot identify it."""
-    levels = _parse_levels(spec)
+def _parse_fit_levels(spec: str | None) -> list[float]:
+    """Levels of a θ fit, the default grid without ``spec``: θ is a slope over
+    levels, so one level cannot identify it."""
+    levels = _parse_levels(DEFAULT_LEVELS if spec is None else spec)
     if len(levels) < 2:
         raise ValueError(f"--levels needs at least two levels for a theta fit, got {levels}")
     return levels
+
+
+def _fit_levels(args, levels: list[float], counts) -> list[float]:
+    """The parsed ``levels`` of a θ fit over stacks of each slice count in
+    ``counts``: the stack's nt, or each jackknife replicate's. Explicit
+    --levels must select distinct order statistics at every count (ValueError
+    naming two that share one). The default grid, without --levels, keeps the
+    first level of each order statistic at every count instead, and one stderr
+    line names the levels it drops."""
+    if args.levels is not None:
+        for nt in counts:
+            thresholds.distinct_order_statistics(levels, nt)
+        return levels
+    kept = levels[:1]
+    for p in levels[1:]:
+        if all(thresholds.order_statistic_index(p, nt)
+               > thresholds.order_statistic_index(kept[-1], nt) for nt in counts):
+            kept.append(p)
+    nts = ", ".join(map(str, counts))
+    if len(kept) < len(levels):
+        print(f"exrange: default levels {', '.join(_fmt_p(p) for p in levels if p not in kept)} "
+              f"dropped: each selects the order statistic of a lower level at nt = {nts}",
+              file=sys.stderr)
+    if len(kept) < 2:
+        raise ValueError(f"the default levels select one order statistic at nt = {nts}; "
+                         "a theta fit needs two")
+    return kept
 
 
 def _fit_pass(args):
@@ -425,6 +457,7 @@ def _cmd_mer(args) -> int:
     fit = _fit_pass(args)
     stack = raster.load_stack(_resolve_input(args.input))
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
+    levels = _fit_levels(args, levels, [stack.nt])
     domain, dx, unit = stack.domain(), stack.dx, stack.unit
     samples = _sample_pass(args, stack, levels, blocks)
     del stack   # the fit reads the samples only
@@ -438,6 +471,9 @@ def _cmd_jackknife(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
     domain = stack.domain()
     block_ids = _load_blocks(args.blocks_by, stack.nt)
+    # each replicate leaves one block out, and every replicate fits the same levels
+    sizes = tailfit.jackknife_blocks(block_ids)[1]
+    levels = _fit_levels(args, levels, sorted(set((stack.nt - sizes).tolist())))
 
     def estimator(sub: raster.RasterStack, kept: np.ndarray) -> np.ndarray:
         # the samples keep the block ids of the slices left, for the block-wise CV
@@ -462,6 +498,7 @@ def _cmd_pipeline(args) -> int:
     radii = _radii(radii, dx, r_max)
     hist_edges = _hist_edges(dx, r_max)
     blocks = _load_blocks(args.blocks_by, stack.nt) if args.blocks_by else None
+    levels = _fit_levels(args, levels, [stack.nt])
 
     cdf_rows, hist_rows, iv_rows = [], [], []
     med_maps = {}
@@ -586,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("mer", help="median-extremal-range model fit")
     _add_common_io(s)
-    s.add_argument("--levels", default=DEFAULT_LEVELS)
+    s.add_argument("--levels", default=None, help=FIT_LEVELS_HELP)
     s.add_argument("--predict-p", type=float, default=None, dest="predict_p")
     s.add_argument("--blocks-by", default=None, dest="blocks_by",
                    help="file with one block id per slice")
@@ -595,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("jackknife", help="block-jackknife SEs of the fit")
     _add_common_io(s)
-    s.add_argument("--levels", default=DEFAULT_LEVELS)
+    s.add_argument("--levels", default=None, help=FIT_LEVELS_HELP)
     s.add_argument("--blocks-by", required=True, dest="blocks_by")
     # the smoothing penalty is tuning, held fixed across replicates
     _add_fit_options(s, penalty_default="1.0")
@@ -603,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pipeline", help="the full estimation chain")
     _add_common_io(s)
-    s.add_argument("--levels", default=DEFAULT_LEVELS)
+    s.add_argument("--levels", default=None, help=FIT_LEVELS_HELP)
     s.add_argument("--radii", default=None)
     s.add_argument("--predict-p", type=float, default=0.989, dest="predict_p")
     s.add_argument("--blocks-by", default=None, dest="blocks_by")

@@ -22,8 +22,8 @@ objective and gradient written on it, as the reference the fit is checked
 against.
 
 The per-pixel LAD needs no optimizer either: some optimal line interpolates
-two samples, so the fit is the best line through a sample pair (smallest
-theta, then smallest beta, among ties). Scoring all O(n^2) pair lines
+two samples, so the fit is the best line through a sample pair, picked by
+one lexsort on objective, then theta, then beta. Scoring all O(n^2) pair lines
 against n samples costs O(n^3), so ``fit_mer_pixel`` first brackets the
 slope on the convex profiled objective, in small rounds over the sorted pair
 slopes, then scores only the distinct pair lines inside the bracket with the
@@ -203,8 +203,9 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
     samples with distinct covariates.
 
     Some optimal LAD line interpolates two samples, so the best pair line is
-    exact; ties are broken by smallest theta then smallest beta, and lines
-    equal in all three keep the first pair in ``np.triu_indices`` order.
+    exact. One rule, the full enumeration's, picks it: the first scored line
+    of ``np.lexsort((beta, theta, obj))``, by objective, theta, beta, then pair
+    order; NaN sorts last, so the rule holds with no finite objective too.
 
     The pair lines are not all scored. With beta profiled out, the
     objective g(theta) = sum |z - median(z)|, z = y + theta*x, is convex, so
@@ -233,8 +234,8 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
     above g* + slack, and convexity puts the minimizers, and with them that
     line's slope, between the dropped samples. The final bracket thus holds
     that line. Every line in it, or the first in pair order of each set of
-    equal lines, is scored with the same float expression, and the lexmin
-    picks that line again.
+    equal lines, is scored with the same float expression into one buffer,
+    and the one lexsort picks that line again.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -283,17 +284,12 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
         lines.real, lines.imag = theta_c, beta_c
         first = np.unique(lines, return_index=True)[1]
         theta_c, beta_c = theta_c[first], beta_c[first]
-    best = (math.inf, math.inf, math.inf)
+    obj = np.empty(theta_c.size)
     for start in range(0, theta_c.size, chunk):
-        tc = theta_c[start:start + chunk]
-        bc = beta_c[start:start + chunk]
-        obj = _lad_scores(x, y, tc, bc)
-        k = int(np.lexsort((bc, tc, obj))[0])
-        cand = (float(obj[k]), float(tc[k]), float(bc[k]))
-        if cand < best:
-            best = cand
-    _, theta, beta = best
-    return beta, theta
+        obj[start:start + chunk] = _lad_scores(x, y, theta_c[start:start + chunk],
+                                               beta_c[start:start + chunk])
+    k = np.lexsort((beta_c, theta_c, obj))[0]
+    return float(beta_c[k]), float(theta_c[k])
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +575,9 @@ def fit_mer_pixel_map(samples: RangeSamples) -> MerSurface:
     distinct level get NaN coefficients; DegenerateFitError when no pixel
     is left to fit.
     """
-    ny, nx = samples.shape
     beta = np.full(samples.shape, np.nan)
     theta = np.full(samples.shape, np.nan)
-    npix = ny * nx
+    npix = math.prod(samples.shape)
     # each pixel's samples in pooled order, from one stable sort of the pixels
     # in their narrowest dtype, which numpy radix-sorts up to 16 bits
     pixel = np.empty(samples.n, np.min_scalar_type(npix - 1))
@@ -590,8 +585,7 @@ def fit_mer_pixel_map(samples: RangeSamples) -> MerSurface:
     order = np.argsort(pixel, kind="stable")
     pixel = pixel[order]
     ys = samples.y[order]
-    level = samples.cell[order]
-    level //= npix
+    level = samples.level[order]
     del order
     head = np.empty(pixel.size, dtype=bool)   # where each pixel's run starts
     head[:1] = True
@@ -616,6 +610,14 @@ def fit_mer_pixel_map(samples: RangeSamples) -> MerSurface:
 # block jackknife
 # ---------------------------------------------------------------------------
 
+def jackknife_blocks(block_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct block ids and their slice counts; at least 3."""
+    blocks, sizes = np.unique(block_ids, return_counts=True)
+    if blocks.size < 3:
+        raise ValueError(f"need at least 3 blocks, got {blocks.size}")
+    return blocks, sizes
+
+
 def jackknife_estimates(stack: RasterStack, block_ids: Sequence[int],
                         estimator: Callable[[RasterStack, np.ndarray], np.ndarray]
                         ) -> np.ndarray:
@@ -629,10 +631,7 @@ def jackknife_estimates(stack: RasterStack, block_ids: Sequence[int],
     block_ids = np.asarray(block_ids)
     if block_ids.shape != (stack.nt,):
         raise ValueError(f"need one block id per slice, got {block_ids.shape}")
-    blocks = _distinct(block_ids)
-    if blocks.size < 3:
-        raise ValueError(f"need at least 3 blocks, got {blocks.size}")
-    keeps = (np.flatnonzero(block_ids != b) for b in blocks)
+    keeps = (np.flatnonzero(block_ids != b) for b in jackknife_blocks(block_ids)[0])
     return np.stack([np.asarray(estimator(stack.subset(k), block_ids[k]), dtype=np.float64)
                      for k in keeps])
 

@@ -691,6 +691,137 @@ def test_levels_sharing_an_order_statistic_refused_before_a_fit(tmp_path, capsys
     assert main(["hist", "--in", str(sim), "--out", str(out), "--p", "0.84,0.85"]) == 0
 
 
+def _recorded_fit_levels(monkeypatch) -> list:
+    """The levels of each ``cli._sample_pass`` call, as a command runs."""
+    from exrange import cli
+
+    seen, sample_pass = [], cli._sample_pass
+
+    def recording(args, stack, levels, *rest):
+        seen.append(list(levels))
+        return sample_pass(args, stack, levels, *rest)
+
+    monkeypatch.setattr(cli, "_sample_pass", recording)
+    return seen
+
+
+DEFAULT_GRID = [round(0.85 + 0.01 * i, 2) for i in range(14)]
+
+
+def test_default_jackknife_fits_every_replicate_at_the_same_levels(tmp_path, capsys,
+                                                                      monkeypatch):
+    # five blocks of 20 leave replicates of 80 slices, where 0.89 and 0.9
+    # both select the 72nd value and 0.94 and 0.95 the 76th
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "16", "--ny", "16", "--n", "100", "--ell", "4",
+                 "--seed", "3", "--out", str(sim)]) == 0
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(str(i // 20) for i in range(100)))
+    capsys.readouterr()
+    seen = _recorded_fit_levels(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["jackknife", "--in", str(sim), "--out", str(out),
+                 "--blocks-by", str(blocks)]) == 0
+    kept = [p for p in DEFAULT_GRID if p not in (0.9, 0.95)]
+    assert seen == [kept] * 5
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["exrange: default levels 0.9, 0.95 dropped: each selects the order "
+                   "statistic of a lower level at nt = 80"]
+    assert (out / "se_theta.f32").exists()
+
+
+@pytest.mark.parametrize("command", ["mer", "pipeline"])
+def test_default_fit_levels_on_a_short_stack(sim_dir, tmp_path, capsys, monkeypatch, command):
+    # on 40 slices the default grid selects 7 distinct order statistics
+    seen = _recorded_fit_levels(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--in", str(sim_dir), "--out", str(out), "--fit", "pixel"]) == 0
+    dropped = [0.87, 0.89, 0.9, 0.92, 0.94, 0.95, 0.97]
+    assert seen == [[p for p in DEFAULT_GRID if p not in dropped]]
+    assert (f"exrange: default levels {', '.join(map(str, dropped))} dropped: each selects "
+            "the order statistic of a lower level at nt = 40") in capsys.readouterr().err
+    assert (out / "mer_theta.f32").exists()
+
+
+@pytest.mark.parametrize("nt, dropped", [(93, [0.86]), (94, []), (100, []), (200, [])])
+def test_default_fit_levels_whole_from_94_slices(capsys, nt, dropped):
+    from argparse import Namespace
+
+    from exrange import cli
+
+    levels = cli._parse_fit_levels(None)
+    assert levels == DEFAULT_GRID
+    kept = cli._fit_levels(Namespace(levels=None), levels, [nt])
+    assert kept == [p for p in DEFAULT_GRID if p not in dropped]
+    assert bool(capsys.readouterr().err) == bool(dropped)
+
+
+@pytest.mark.parametrize("spec, nt", [("0.9:0.98:0.02", 100), ("0.85:0.98:0.01", 100),
+                                      ("0.9,0.99", 200)])
+def test_workload_levels_select_distinct_order_statistics(spec, nt):
+    # each benchmark workload passes explicit --levels, which keep every level
+    from argparse import Namespace
+
+    from exrange import cli, thresholds
+
+    levels = cli._parse_fit_levels(spec)
+    assert len(set(thresholds.distinct_order_statistics(levels, nt))) == len(levels)
+    assert cli._fit_levels(Namespace(levels=spec), levels, [nt]) == levels
+
+
+def test_jackknife_checks_explicit_levels_before_its_first_replicate(tmp_path, capsys,
+                                                                      monkeypatch):
+    # blocks of 5, 15 and 20 slices leave replicates of 35, 25 and 20: 0.9
+    # and 0.92 select distinct values of 35 but both the 23rd of 25
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--nx", "12", "--ny", "10", "--n", "40", "--ell", "4",
+                 "--seed", "3", "--out", str(sim)]) == 0
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(["0"] * 5 + ["1"] * 15 + ["2"] * 20))
+    capsys.readouterr()
+    seen = _recorded_fit_levels(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["jackknife", "--in", str(sim), "--out", str(out), "--levels", "0.9,0.92",
+                 "--fit", "pixel", "--blocks-by", str(blocks)]) == 2
+    assert "levels 0.9 and 0.92 both select order statistic k = 23 of nt = 25" in \
+        capsys.readouterr().err
+    assert seen == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", [[], ["--levels", "0.85,0.9"]], ids=["default", "explicit"])
+def test_jackknife_counts_its_blocks_before_its_levels(sim_dir, tmp_path, capsys, levels):
+    # one block leaves a replicate of no slice: the block count is refused
+    # first, and the default grid is not reduced for it
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("\n".join(["5"] * 40))
+    out = tmp_path / "out"
+    assert main(["jackknife", "--in", str(sim_dir), "--out", str(out), "--blocks-by",
+                 str(blocks), *levels]) == 2
+    assert capsys.readouterr().err == "exrange: error: validation: need at least 3 blocks, got 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("holds", ["pipeline-outputs", "nothing"])
+def test_input_directory_without_one_stack_refused(sim_dir, tmp_path, capsys, holds):
+    # --in may name a directory that holds exactly one .f32 stack; a pipeline's
+    # output directory holds four .f32 maps, an empty one none
+    src = tmp_path / "in"
+    if holds == "nothing":
+        src.mkdir()
+    else:
+        assert main(["pipeline", "--in", str(sim_dir), "--out", str(src), "--levels",
+                     "0.9,0.95", "--fit", "pixel"]) == 0
+    found = len(list(src.glob("*.f32")))
+    assert found == (4 if holds == "pipeline-outputs" else 0)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["pipeline", "--in", str(src), "--out", str(out), "--levels", "0.9,0.95"]) == 2
+    assert (f"validation: {src}: expected exactly one .f32 stack in the directory, "
+            f"found {found}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, option", [
     (["pipeline"], ["--knots", "2x2"]),
     (["pipeline"], ["--knots", "8by8"]),

@@ -349,6 +349,37 @@ def test_lad_overflowing_slope_matches_enumeration():
         assert fit_mer_pixel(x, y) == lad_enumeration_oracle(x, y)
 
 
+def _nonfinite_lad_problems():
+    # 5 samples, and 60 at 4 covariate values whose pair lines fill many
+    # scoring blocks; each with one NaN, +inf or -inf response
+    x5, y5 = np.array([0.1, 0.1, 0.5, 0.5, 0.9]), np.array([0.0, 1.0, 2.0, 0.5, 1.5])
+    rng = np.random.default_rng(68)
+    levels = np.array([loglog_level(p) for p in (0.85, 0.9, 0.95, 0.98)])
+    x60, y60 = rng.choice(levels, 60), np.log(np.sqrt(rng.integers(1, 40, 60)))
+    for value in (np.nan, np.inf, -np.inf):
+        for x, y, at in ((x5, y5, 0), (x60, y60, 17)):
+            y = y.copy()
+            y[at] = value
+            yield pytest.param(x, y, id=f"n{x.size}-{value}")
+
+
+@pytest.mark.parametrize("x, y", _nonfinite_lad_problems())
+def test_lad_nonfinite_response_matches_enumeration(x, y):
+    # a non-finite response can leave no objective finite; the one lexsort
+    # still picks the full enumeration's line, NaN counted equal to NaN
+    from exrange import tailfit
+
+    if x.size > 5:
+        assert tailfit._pair_design(x.tobytes())[0].size > 10 * (tailfit._LAD_BLOCK // x.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = fit_mer_pixel(x, y), lad_enumeration_oracle(x, y)
+    for g, w in zip(got, want):
+        assert (math.isnan(g) and math.isnan(w)) or \
+            (g == w and math.copysign(1.0, g) == math.copysign(1.0, w)), (got, want)
+    if np.isnan(y).any() and x.size == 5:
+        assert got == (-0.75, -2.5)
+
+
 def test_lad_unidentifiable():
     with pytest.raises(DegenerateFitError):
         fit_mer_pixel(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
