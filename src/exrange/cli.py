@@ -215,7 +215,7 @@ def _sample_pass(args, stack: raster.RasterStack, levels: list[float], blocks,
 
     def collect(thr, entries):
         visit(thr, entries)
-        tailfit.collect_samples({thr.p: entries}, stack.domain(), blocks, args.min_range, pool)
+        tailfit.collect_samples(pool, {thr.p: entries}, blocks, args.min_range)
 
     _level_pass(args, stack, levels, collect)
     return pool.samples()
@@ -373,7 +373,7 @@ def _cmd_range(args) -> int:
     stack = raster.load_stack(_resolve_input(args.input))
 
     def save(thr, entries):
-        for t, r in enumerate(ranges._slice_maps(entries, np.float32)):
+        for t, r in enumerate(ranges._slice_maps(entries)):
             raster.save_map(args.out / f"range_p{_fmt_p(thr.p)}_t{t}.f32", r, dx=stack.dx,
                             unit=stack.unit)
 
@@ -550,9 +550,10 @@ def _add_fit_options(sub, penalty_default: str = "auto"):
     sub.add_argument("--min-range", type=float, default=0.0, dest="min_range",
                      help="drop range observations below this length, finite and >= 0")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the range fields (default: 1); outputs "
-                          "are identical for every count, and on two cores a second "
-                          "worker has not made the range stage faster")
+                     help="worker threads for the range fields (default: 1), at most "
+                          "the usable CPUs; outputs are identical for every count, and "
+                          "on two cores a second worker has not made the range stage "
+                          "faster")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,6 +23,7 @@ pixel-slice.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -136,9 +137,10 @@ def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolic
     A domain pixel's range is positive exactly where it exceeds, under
     either policy, so the entries are the in-domain exceedances, found by
     one comparison over the stack before any transform. Up to ``n_threads``
-    workers each take the range fields of their own run of slices, filling
-    the out-of-domain pixels by ``policy``, and copy the entries' ranges
-    into their own part of the preallocated values.
+    workers, and no more than the CPUs the process may use, each take the
+    range fields of their own run of slices, filling the out-of-domain pixels
+    by ``policy``, and copy the entries' ranges into their own part of the
+    preallocated values.
     """
     policy = BoundaryPolicy(policy)
     exceed = exceedance_stack(stack, thr, BoundaryPolicy.ERODE)
@@ -154,16 +156,17 @@ def range_entries(stack: RasterStack, thr: ThresholdField, policy: BoundaryPolic
             a, b = entries.bounds[t], entries.bounds[t + 1]
             np.take(r, entries.pixel[a:b], out=entries.value[a:b])
 
-    _pmap(fill, range(stack.nt), n_threads)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    _pmap(fill, range(stack.nt), min(n_threads, cpus or 1))
     return entries
 
 
-def _slice_maps(entries: RangeEntries, dtype) -> Iterator[np.ndarray]:
-    """Each slice's (ny, nx) ranges in turn, as ``dtype``: the slice's
-    entries scattered into a zeroed map, 0 outside the domain."""
+def _slice_maps(entries: RangeEntries) -> Iterator[np.ndarray]:
+    """Each slice's (ny, nx) ranges in turn, as float32: the slice's entries
+    scattered into a zeroed map, 0 outside the domain."""
     nt, ny, nx = entries.shape
     for t in range(nt):
-        r = np.zeros(ny * nx, dtype=dtype)
+        r = np.zeros(ny * nx, dtype=np.float32)
         a, b = entries.bounds[t], entries.bounds[t + 1]
         r[entries.pixel[a:b]] = entries.value[a:b]
         yield r.reshape(ny, nx)

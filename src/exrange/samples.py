@@ -6,7 +6,8 @@ pixel, level covariate and block id follow from the cell and from small
 tables: the ascending covariates of the levels, the grid shape, and runs of
 consecutive samples that share a block id, one run per (level, slice) in a
 pool. Only this module encodes cells. ``SamplePool`` is made with its levels
-and sized before any range is computed; ``tailfit.collect_samples`` fills it.
+and sized before any range is computed; ``tailfit.collect_samples`` writes
+each level's ``RangeEntries`` into it.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ class RangeSamples:
 
 class SamplePool:
     """Arrays sized once that ``tailfit.collect_samples`` fills level by
-    level, so the pooled samples of many levels exist in one copy only, 12
-    bytes each. The pool is made with the probabilities ``levels`` of all
-    the levels it takes, so a sample's cell is final when written, whatever
-    order the levels arrive in; a level may end up without a sample."""
+    level from their ``RangeEntries``, so the pooled samples of many levels
+    exist in one copy only, 12 bytes each. The pool is made with the
+    probabilities ``levels`` of all the levels it takes, so a sample's cell
+    is final when written, whatever order the levels arrive in; a level may
+    end up without a sample."""
 
     def __init__(self, capacity: int, shape: tuple[int, int], levels):
         self.shape = (int(shape[0]), int(shape[1]))

@@ -85,10 +85,6 @@ class GaussianSimConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} (--{name}) must be finite and positive, got {value}")
 
-    @property
-    def alpha(self) -> float:
-        return matern_alpha(self.nu, self.ell)
-
 
 @dataclass(frozen=True)
 class AdSimConfig:

@@ -43,7 +43,8 @@ fitted pixel.
 
 The pooled samples of many levels exist in one copy, 12 bytes a sample (see
 ``exrange.samples``): a ``SamplePool`` made with every level is sized from
-the levels and nt, and ``collect_samples`` writes each level into it. The fits
+the levels and nt, and ``collect_samples`` writes each level's
+``RangeEntries`` into it as the level's ranges are computed. The fits
 read each sample's (level, pixel) cell index as it is stored. The spline fit
 adds the IRLS weights and, unless the cells are intp already, an intp copy of
 them for its gathers and bincounts. Cross-validation gathers a fold's
@@ -64,8 +65,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError
-from .ranges import _as_entries
-from .raster import DomainMask, RasterStack
+from .raster import RasterStack
 from .samples import RangeSamples, SamplePool, loglog_level
 
 _PENALTY_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)  # roughness penalties ``choose_penalty`` tries
@@ -112,33 +112,19 @@ def theta_hat(m1, m2, p1: float, p2: float):
     return float(theta) if theta.ndim == 0 else theta
 
 
-def collect_samples(range_fields_by_level: dict[float, Sequence],
-                    domain: DomainMask,
-                    blocks: Sequence[int] | None = None,
-                    min_range: float = 0.0,
-                    pool: SamplePool | None = None) -> RangeSamples:
-    """Build regression samples from each level's ranges: ``RangeEntries``
-    or a sequence of ``RangeField``, one per slice.
+def collect_samples(pool: SamplePool, entries_by_level: dict,
+                    blocks: Sequence[int] | None = None, min_range: float = 0.0) -> RangeSamples:
+    """Write the ``RangeEntries`` of each level p of ``entries_by_level``
+    into ``pool``, after the samples already in it, and return this call's
+    samples, possibly none, as views of the pool.
 
-    Only strictly positive ranges inside the domain become samples, in
-    (level, slice, row, column) order, and a positive ``min_range`` drops
-    those with log range below log(min_range). ``blocks`` assigns a block id
-    to each slice index (defaults to the slice index itself).
-
-    The samples are written into ``pool``, made with these levels, after
-    those already in it, and this call's samples, possibly none, are
-    returned as views of the pool. Without a pool, one is sized to the
-    positive ranges and its samples are returned: DegenerateFitError when
-    there are none.
+    Each entry, a positive in-domain range, becomes a sample, in (level,
+    slice, row, column) order, and a positive ``min_range`` drops those with
+    log range below log(min_range). ``blocks`` assigns a block id to each
+    slice index (defaults to the slice index itself). ValueError for a level
+    or grid the pool was not made with.
     """
-    if pool is None:
-        levels = {p: _as_entries(r, domain) for p, r in range_fields_by_level.items()}
-        pool = SamplePool(sum(e.value.size for e in levels.values()), domain.inside.shape,
-                          levels)
-        pool.add(levels.items(), blocks, min_range)
-        return pool.samples()
-    return pool.add(((p, _as_entries(r, domain)) for p, r in range_fields_by_level.items()),
-                    blocks, min_range)
+    return pool.add(entries_by_level.items(), blocks, min_range)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +282,13 @@ def fit_mer_pixel(x, y) -> tuple[float, float]:
 # spline surfaces
 # ---------------------------------------------------------------------------
 
-def _clamped_knots(lo: float, hi: float, n_basis: int, degree: int = 3) -> np.ndarray:
+def _clamped_knots(lo: float, hi: float, n_basis: int) -> np.ndarray:
+    """Knots of a cubic basis: lo and hi four times each, n_basis - 4 evenly
+    spaced between."""
     if hi <= lo:
         hi = lo + 1.0
-    interior = np.linspace(lo, hi, n_basis - degree + 1)[1:-1]
-    return np.r_[[lo] * (degree + 1), interior, [hi] * (degree + 1)]
+    interior = np.linspace(lo, hi, n_basis - 2)[1:-1]
+    return np.r_[[lo] * 4, interior, [hi] * 4]
 
 
 def _basis_1d(coords: np.ndarray, lo: float, hi: float, n_basis: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from exrange import (
     intrinsic_densities,
     jackknife,
     level_curve_length,
+    matern_alpha,
     median_range,
     quantile_field,
     quantile_fields,
@@ -72,7 +73,8 @@ def test_small_radius_slope_tracks_intrinsic_volume_ratio():
         c1 = total_len / (2.0 * n_cells)
         c2 /= stack.nt
         slope_pred = 2.0 * c1 / c2
-        closed = np.sqrt(cfg.alpha) * np.exp(-u * u / 2) / (2 * (1 - norm.cdf(u)))
+        closed = (np.sqrt(matern_alpha(cfg.nu, cfg.ell)) * np.exp(-u * u / 2)
+                  / (2 * (1 - norm.cdf(u))))
         # the intrinsic-volume estimate itself matches the closed form
         assert slope_pred == pytest.approx(closed, rel=0.10)
         ratios.append(est.F[0] / slope_pred)

@@ -569,9 +569,10 @@ SAMPLE_FIELDS = ("pixel_y", "pixel_x", "x", "y", "block")
 
 
 def _concatenated_levels(stack, levels, blocks=None, min_range=0.0):
-    """Per-level ``collect_samples``, cut at ``min_range`` and concatenated,
-    skipping levels without samples: what the pooled samples must equal."""
-    from exrange import collect_samples, quantile_fields, range_entries
+    """Per-level ``collect_samples``, each into its own pool, cut at
+    ``min_range`` and concatenated, skipping levels without samples: what the
+    pooled samples must equal."""
+    from exrange import SamplePool, collect_samples, quantile_fields, range_entries
     from exrange.tailfit import RangeSamples
 
     parts = []
@@ -579,7 +580,8 @@ def _concatenated_levels(stack, levels, blocks=None, min_range=0.0):
         entries = range_entries(stack, thr, "fill-exceed")
         if not entries.value.size:
             continue
-        part = collect_samples({thr.p: entries}, stack.domain(), blocks=blocks)
+        pool = SamplePool(entries.value.size, (stack.ny, stack.nx), [thr.p])
+        part = collect_samples(pool, {thr.p: entries}, blocks)
         keep = part.y >= math.log(min_range) if min_range > 0 else slice(None)
         parts.append([getattr(part, f)[keep] for f in SAMPLE_FIELDS])
     return RangeSamples(*(np.concatenate(field) for field in zip(*parts)))
@@ -1572,8 +1574,9 @@ def _ragged_run_digests(tmp_path, policy: str, threads: str) -> dict[str, str]:
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("policy", ["fill-exceed", "erode"])
 def test_range_commands_are_pinned_on_a_ragged_stack(tmp_path, policy, threads):
-    # three pipeline workers split 30 slices into runs of ten; one runs them
-    # all on the calling thread, as every other command does
+    # three pipeline workers, as many as the usable CPUs allow, split 30
+    # slices into runs; one runs them all on the calling thread, as every
+    # other command does
     from exrange import exceedance_stack, quantile_fields
 
     assert _ragged_run_digests(tmp_path, policy, threads) == RAGGED_RUN_SHA256[policy]

@@ -1,4 +1,6 @@
 import math
+import os
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from exrange import (
     DomainMask,
     ExcursionMask,
     RasterStack,
+    SamplePool,
     collect_samples,
     domain_distance,
     ecdf,
     erode,
     exceedance_stack,
-    matern_alpha,
     median_range,
     median_range_map,
     quantile_field,
@@ -22,6 +24,7 @@ from exrange import (
 )
 from exrange.thresholds import excursion_mask
 from exrange.morphology import RangeField
+from exrange.ranges import _as_entries
 
 
 def _mask(m):
@@ -299,7 +302,6 @@ def test_median_range_map_memory_follows_positive_ranges():
     # full sort makes, is the cube's size; the cube's slices become entries
     # before the trace starts, so it measures the median map alone
     import tracemalloc
-    from exrange.ranges import _as_entries
 
     rng = np.random.default_rng(37)
     shape = (200, 64, 64)
@@ -330,6 +332,15 @@ def dense(entries):
 def listed(cube, dx=1.0):
     """The slices of an (nt, ny, nx) range array as ``RangeField``s."""
     return [RangeField(r=r, dx=dx) for r in cube]
+
+
+def pooled(entries_by_level, blocks=None, min_range=0.0):
+    """``collect_samples`` of each level's entries into a pool that holds
+    them all."""
+    shape = next(iter(entries_by_level.values())).shape[1:]
+    pool = SamplePool(sum(e.value.size for e in entries_by_level.values()), shape,
+                      entries_by_level)
+    return collect_samples(pool, entries_by_level, blocks, min_range)
 
 
 def flat_positions(entries):
@@ -430,8 +441,8 @@ def test_range_cube_matches_list_of_range_fields(policy):
     assert (median_range_map(entries, dom) == median_range_map(fields, dom)).all()
 
     blocks = [3, 3, 5, 5, 8, 8, 9]
-    s_entries = collect_samples(level_entries, dom, blocks=blocks)
-    s_list = collect_samples(lists, dom, blocks=blocks)
+    s_entries = pooled(level_entries, blocks)
+    s_list = pooled({p: _as_entries(fields, dom) for p, fields in lists.items()}, blocks)
     # (level, slice, row, column) order, each sample carrying its slice's block
     ref = {"pixel_y": [], "pixel_x": [], "block": [], "y": []}
     for p in (0.7, 0.85):
@@ -499,9 +510,9 @@ def test_range_entries_are_the_exceedances_and_serve_every_consumer(policy, ragg
         counts, _ = np.histogram(cube[exceed], bins=edges)
         assert [row[3] for row in rows] == counts.tolist()
         assert [row[1:3] for row in rows] == [[lo, hi] for lo, hi in zip(edges, edges[1:])]
-    got = collect_samples(by_level, dom, blocks=list(range(10, 10 + nt)), min_range=2.0)
-    want = collect_samples(listed_by_level, dom, blocks=list(range(10, 10 + nt)),
-                           min_range=2.0)
+    got = pooled(by_level, list(range(10, 10 + nt)), min_range=2.0)
+    want = pooled({p: _as_entries(fields, dom) for p, fields in listed_by_level.items()},
+                  list(range(10, 10 + nt)), min_range=2.0)
     for name in ("pixel_y", "pixel_x", "x", "y", "block"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -521,7 +532,7 @@ def test_range_entries_on_a_grid_past_65536_pixels_take_uint32_pixels(policy):
     assert entries.pixel.max() > np.iinfo(np.uint16).max
     cube = np.where(inside, stacked_range_fields(stack, thr, policy), 0)
     assert np.array_equal(dense(entries), cube)
-    samples = collect_samples({thr.p: entries}, stack.domain())
+    samples = pooled({thr.p: entries})
     _, iy, ix = np.nonzero(cube)
     assert samples.pixel_y.tolist() == iy.tolist() and samples.pixel_x.tolist() == ix.tolist()
 
@@ -529,8 +540,6 @@ def test_range_entries_on_a_grid_past_65536_pixels_take_uint32_pixels(policy):
 def test_listed_ranges_convert_to_the_domain_entries():
     # the positive cells at the domain pixels become entries; negative
     # cells and every cell outside the domain are dropped
-    from exrange.ranges import _as_entries
-
     rng = np.random.default_rng(46)
     cube = np.where(rng.random((4, 5, 6)) < 0.3, rng.random((4, 5, 6)) + 0.5, 0.0)
     cube[1, 2, 3] = -1.0
@@ -577,7 +586,7 @@ def test_range_entries_never_build_the_dense_range_array():
         median_range(entries, dom)
         median_range_map(entries, dom)
         _hist_rows(thr.p, entries, np.arange(0.0, 33.0))
-        collect_samples({thr.p: entries}, dom, pool=pool)
+        collect_samples(pool, {thr.p: entries})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -648,13 +657,6 @@ def test_tail_dependence_errors():
     stack = RasterStack(rng.standard_normal((10, 4, 4)).astype(np.float32))
     with pytest.raises(ValueError, match="grid"):
         _chi(stack, 0.9, (0, 10))
-
-
-def test_matern_alpha():
-    assert matern_alpha(2.0, 1.0) == pytest.approx(2.0)
-    assert matern_alpha(2.0, 2.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        matern_alpha(1.0, 1.0)
 
 
 def _stencil_stack(seed: int, ragged: bool) -> RasterStack:
@@ -740,3 +742,31 @@ def test_pmap_hands_each_worker_its_run():
         calls, record = recorder()
         _pmap(record, items, n_threads)
         assert calls == [(list(items), threading.current_thread())]
+
+
+def test_range_entries_run_no_more_workers_than_usable_cpus(monkeypatch):
+    # a thread count past the CPUs the process may use, read from its
+    # affinity or else from cpu_count, is cut to them; the recording _pmap
+    # runs every slice on the calling thread, so no thread starts
+    from exrange import ranges
+
+    rng = np.random.default_rng(49)
+    stack = RasterStack(rng.standard_normal((70, 6, 5)).astype(np.float32))
+    thr = quantile_field(stack, 0.8)
+    want = range_entries(stack, thr, "fill-exceed")
+    asked = []
+
+    def recording(fn, items, n_threads):
+        asked.append(n_threads)
+        fn(items)
+
+    monkeypatch.setattr(ranges, "_pmap", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    for n_threads in (64, 2):
+        got = range_entries(stack, thr, "fill-exceed", n_threads=n_threads)
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.pixel, want.pixel)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus in (4, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        range_entries(stack, thr, "fill-exceed", n_threads=64)
+    assert asked == [3, 2, 4, 1]

@@ -24,6 +24,7 @@ from exrange import (
     range_entries,
     simulate_gaussian,
 )
+from exrange.ranges import _as_entries
 from exrange.tailfit import choose_penalty
 
 FIELDS = {"pixel_y": np.int32, "pixel_x": np.int32, "x": np.float64, "y": np.float64,
@@ -65,8 +66,8 @@ def _per_sample_arrays(stack, levels, blocks, min_range):
 def _pooled(stack, levels, blocks=None, min_range=0.0):
     thrs = quantile_fields(stack, levels)
     pool = SamplePool.for_levels(stack, levels)
-    parts = [collect_samples({thr.p: range_entries(stack, thr, "fill-exceed")},
-                             stack.domain(), blocks, min_range, pool) for thr in thrs]
+    parts = [collect_samples(pool, {thr.p: range_entries(stack, thr, "fill-exceed")}, blocks,
+                             min_range) for thr in thrs]
     return pool, parts
 
 
@@ -125,8 +126,7 @@ def test_pool_capacity_is_the_exceedance_count_without_ties():
         pool = SamplePool.for_levels(stack, levels)
         assert pool._y.size == _in_domain_exceedances(stack, thrs)
         for thr in thrs:
-            collect_samples({thr.p: range_entries(stack, thr, "erode")}, stack.domain(),
-                            pool=pool)
+            collect_samples(pool, {thr.p: range_entries(stack, thr, "erode")})
         assert pool.n == pool._y.size
     # with nodata pixels too
     stack = _stack()
@@ -143,8 +143,7 @@ def test_pool_capacity_bounds_the_samples_with_ties():
     pool = SamplePool.for_levels(stack, levels)
     assert pool._y.size == 20 * 20 * (10 + 5 + 2)
     for thr in thrs:
-        collect_samples({thr.p: range_entries(stack, thr, "fill-exceed")}, stack.domain(),
-                        pool=pool)
+        collect_samples(pool, {thr.p: range_entries(stack, thr, "fill-exceed")})
     assert pool.n == _in_domain_exceedances(stack, thrs) < pool._y.size
 
 
@@ -175,7 +174,7 @@ def test_empty_declared_levels_leave_the_fits_bit_identical(min_range):
     pool = SamplePool(sum(e.value.size for e in entries.values()), shape,
                       (0.5, *LEVELS, 0.8, 0.99))
     assert loglog_level(0.5) < 0 and len(pool._level_x) == len(LEVELS) + 3
-    collect_samples(entries, stack.domain(), np.arange(stack.nt) // 4, min_range, pool)
+    collect_samples(pool, entries, np.arange(stack.nt) // 4, min_range)
     samples = pool.samples()
     filled = RangeSamples(*(getattr(samples, name) for name in FIELDS), shape=shape)
     assert filled.level_x.size == len(LEVELS) - (min_range > 0)
@@ -191,14 +190,16 @@ def test_levels_arriving_unsorted_are_fitted_as_sorted():
     shape = (stack.ny, stack.nx)
     entries = {thr.p: range_entries(stack, thr, "fill-exceed")
                for thr in quantile_fields(stack, LEVELS)}
-    parts = {}
+    capacity = sum(e.value.size for e in entries.values())
+    parts, together = {}, {}
     for arrival in (LEVELS, (0.9, 0.6, 0.75)):
-        pool = SamplePool(sum(e.value.size for e in entries.values()), shape, arrival)
-        parts[arrival] = {p: collect_samples({p: entries[p]}, stack.domain(), BLOCKS, 0.0, pool)
-                          for p in arrival}
-        unsorted = collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS)
-        assert unsorted.level_x.tolist() == [loglog_level(p) for p in LEVELS]
-        _equal_fields(unsorted, pool.samples())
+        pool = SamplePool(capacity, shape, arrival)
+        parts[arrival] = {p: collect_samples(pool, {p: entries[p]}, BLOCKS) for p in arrival}
+        # the levels in one call, in their order of arrival
+        together[arrival] = collect_samples(SamplePool(capacity, shape, arrival),
+                                            {p: entries[p] for p in arrival}, BLOCKS)
+        assert together[arrival].level_x.tolist() == [loglog_level(p) for p in LEVELS]
+        _equal_fields(together[arrival], pool.samples())
     for p in LEVELS:
         got, want = parts[(0.9, 0.6, 0.75)][p], parts[LEVELS][p]
         assert np.array_equal(got.cell, want.cell) and np.array_equal(got.y, want.y)
@@ -207,26 +208,43 @@ def test_levels_arriving_unsorted_are_fitted_as_sorted():
     # cell sums, and with them its coefficients, are bit-identical too
     model = SplineMerModel(knots_x=4, knots_y=4, penalty=0.5, iters=6)
     coef = [np.r_[m.coef_beta_, m.coef_theta_] for m in (
-        model.fit(collect_samples({p: entries[p] for p in arrival}, stack.domain(), BLOCKS))
-        for arrival in (LEVELS, (0.9, 0.6, 0.75)))]
+        model.fit(samples) for samples in together.values())]
     assert np.array_equal(coef[0], coef[1])
+
+
+def test_collect_samples_writes_into_the_callers_pool():
+    # a level's samples are written into the caller's pool and returned as
+    # views of its arrays; a level without a positive range adds none and
+    # returns an empty view
+    stack = _stack()
+    levels = (0.6, 0.99)
+    thrs = quantile_fields(stack, levels)
+    pool = SamplePool.for_levels(stack, levels)
+    part = collect_samples(pool, {0.6: range_entries(stack, thrs[0], "fill-exceed")}, BLOCKS)
+    assert part.n == pool.n > 0
+    assert np.shares_memory(part.cell, pool._cell) and np.shares_memory(part.y, pool._y)
+    entries = range_entries(stack, thrs[1], "fill-exceed")
+    assert entries.value.size == 0
+    empty = collect_samples(pool, {0.99: entries}, BLOCKS)
+    assert empty.n == 0 and pool.n == part.n
+    assert empty.runs.tolist() == [0] and empty.run_block.size == 0
+    assert empty.shape == part.shape and np.array_equal(empty.level_x, part.level_x)
+    _equal_fields(part, pool.samples())
 
 
 def test_pool_rejects_a_level_it_was_not_made_with_or_another_grid():
     stack = _stack()
     thrs = quantile_fields(stack, LEVELS)
     pool = SamplePool.for_levels(stack, LEVELS[:2])
-    collect_samples({thrs[0].p: range_entries(stack, thrs[0], "fill-exceed")}, stack.domain(),
-                    pool=pool)
+    collect_samples(pool, {thrs[0].p: range_entries(stack, thrs[0], "fill-exceed")})
     n = pool.n
     with pytest.raises(ValueError, match=r"level 0.9 on the grid \(9, 7\) is not one of the "
                                          r"pool's levels on \(9, 7\)"):
-        collect_samples({thrs[2].p: range_entries(stack, thrs[2], "fill-exceed")},
-                        stack.domain(), pool=pool)
+        collect_samples(pool, {thrs[2].p: range_entries(stack, thrs[2], "fill-exceed")})
     narrow = RasterStack(stack.values[:, :, 1:], dx=stack.dx)
     with pytest.raises(ValueError, match=r"level 0.75 on the grid \(9, 6\)"):
-        collect_samples({0.75: range_entries(narrow, quantile_fields(narrow, [0.75])[0],
-                                             "fill-exceed")}, narrow.domain(), pool=pool)
+        collect_samples(pool, {0.75: range_entries(narrow, quantile_fields(narrow, [0.75])[0],
+                                                   "fill-exceed")})
     assert pool.n == n
 
 
@@ -271,18 +289,17 @@ def test_five_array_samples_check_their_fields():
 @pytest.mark.parametrize("min_range", [0.0, 1.5])
 def test_an_infinite_range_is_refused_as_it_enters_the_pool(min_range):
     # a library caller's ranges may hold +inf, whose log no cut drops: the
-    # pool checks the log ranges it keeps as it writes them, with or without
-    # a pool passed in, and a pool passed in keeps none of that call's samples
+    # pool checks the log ranges it keeps as it writes them, and keeps none
+    # of that call's samples
     stack = _stack()
     cube = np.zeros((stack.nt, stack.ny, stack.nx))
     cube[3, 4, 5] = 2.0
     cube[5, 4, 4] = np.inf
-    ranges = [RangeField(r=r, dx=stack.dx) for r in cube]
-    given = SamplePool(cube.size, (stack.ny, stack.nx), [0.9])
-    for pool in (None, given):
-        with pytest.raises(ValueError, match="finite"):
-            collect_samples({0.9: ranges}, stack.domain(), None, min_range, pool)
-    assert given.n == 0
+    entries = _as_entries([RangeField(r=r, dx=stack.dx) for r in cube], stack.domain())
+    pool = SamplePool(cube.size, (stack.ny, stack.nx), [0.9])
+    with pytest.raises(ValueError, match="finite"):
+        collect_samples(pool, {0.9: entries}, None, min_range)
+    assert pool.n == 0
 
 
 def test_penalty_cv_folds_follow_the_block_runs(monkeypatch):

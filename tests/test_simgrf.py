@@ -34,7 +34,6 @@ def test_config_validation():
     base = GaussianSimConfig(nx=8, ny=8, n_slices=2)
     with pytest.raises(ValueError):
         AdSimConfig(base=base, a_mix=0.0)
-    assert base.alpha == pytest.approx(matern_alpha(base.nu, base.ell))
 
 
 @pytest.mark.parametrize("name, value", [

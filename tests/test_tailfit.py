@@ -632,10 +632,14 @@ def test_jackknife_matches_hand_formula():
 
 
 def test_collect_samples_filters_and_blocks():
+    from exrange import SamplePool
+    from exrange.ranges import _as_entries
+
     dom = DomainMask(np.array([[True, True], [True, False]]))
     f0 = RangeField(r=np.array([[1.0, 0.0], [2.0, 5.0]]), dx=1.0)
     f1 = RangeField(r=np.array([[0.0, 3.0], [0.0, 7.0]]), dx=1.0)
-    samples = collect_samples({0.9: [f0, f1]}, dom, blocks=[4, 9])
+    pool = SamplePool(3, (2, 2), [0.9])
+    samples = collect_samples(pool, {0.9: _as_entries([f0, f1], dom)}, blocks=[4, 9])
     # the (1,1) pixel is outside the domain; zeros are dropped
     assert samples.n == 3
     assert set(samples.block.tolist()) == {4, 9}
